@@ -2,9 +2,14 @@
 
 A payload is split into segments, each in one of four modes (numeric,
 alphanumeric, byte, kanji), and mixing modes within one code is allowed.
-``encode_payload`` picks the segmentation with the fewest total bits by
-dynamic programming over split points and modes; the per-segment bit
-costs use the version 1-9 count-indicator widths.
+``encode_payload`` picks the segmentation with the fewest total bits in
+O(n) time: a shortest-path pass over an automaton whose eight states are
+the open segment's mode and length phase (numeric length mod 3,
+alphanumeric mod 2, byte, kanji half or whole pair), with one backpointer
+per state to rebuild the segments. The per-segment bit costs use the
+version 1-9 count-indicator widths. The method follows Nayuki, "Optimal
+text segmentation for QR Codes"; the mode costs are those of ISO/IEC
+18004 section 7.4.
 
 Download links are MAC-style tokens: the authority signs the token's
 canonical bytes with its secret, and resolution checks the signature
@@ -192,63 +197,112 @@ def segment_cost(segment: QrSegment) -> int:
             + _data_bits(segment.mode, segment.char_count))
 
 
+# Automaton states: the mode of the open segment and its length phase.
+# NUMERIC length mod 3, ALPHANUMERIC length mod 2, BYTE, and KANJI after a
+# whole pair or halfway through one; a segment may close in any state but
+# the half pair.
+_NUM0, _NUM1, _NUM2, _ALN0, _ALN1, _BYTE, _KANJI, _KANJI_HALF = range(8)
+_STATE_MODE = ((QrMode.NUMERIC,) * 3 + (QrMode.ALPHANUMERIC,) * 2
+               + (QrMode.BYTE, QrMode.KANJI, QrMode.KANJI))
+# The state one byte earlier when the segment did not open on this byte.
+_PREVIOUS = (_NUM2, _NUM0, _NUM1, _ALN1, _ALN0, _BYTE, _KANJI_HALF, _KANJI)
+# Bits to open a segment: mode indicator, count indicator, first character.
+# Each later character adds what ``_data_bits`` grows by: a digit 4, 3, 3
+# within its group of three, an alphanumeric 6 then 5, a byte 8, and a
+# kanji pair 13, charged on its first byte.
+_OPEN_NUM = MODE_INDICATOR_BITS + COUNT_INDICATOR_BITS[QrMode.NUMERIC] + 4
+_OPEN_ALN = MODE_INDICATOR_BITS + COUNT_INDICATOR_BITS[QrMode.ALPHANUMERIC] + 6
+_OPEN_BYTE = MODE_INDICATOR_BITS + COUNT_INDICATOR_BITS[QrMode.BYTE] + 8
+_OPEN_KANJI = MODE_INDICATOR_BITS + COUNT_INDICATOR_BITS[QrMode.KANJI] + 13
+# Larger than any reachable cost, also after the few characters an
+# unreachable state is charged before it is reset or replaced.
+_UNREACHABLE = 1 << 62
+
+
 def encode_payload(data) -> QrPayload:
-    """Minimum-bit segmentation of ``data`` over all split points and modes."""
+    """Minimum-bit segmentation of ``data`` over all split points and modes.
+
+    One shortest-path pass, O(n) for n bytes, over (position, state), where
+    a state is the open segment's mode and length phase as listed above. A
+    state's cost is the exact bit count of the prefix, with the open
+    segment charged for the characters it holds so far. Each byte extends
+    the open segment or opens a new one after the cheapest closable state;
+    one backpointer per state and byte rebuilds the segments from the end.
+    On equal cost, extending beats opening and the lower state wins, so the
+    result is deterministic.
+
+    References: Nayuki, "Optimal text segmentation for QR Codes"
+    (https://www.nayuki.io/page/optimal-text-segmentation-for-qr-codes);
+    mode and count-indicator costs from ISO/IEC 18004 section 7.4.
+    """
     raw = _as_bytes(data)
     n = len(raw)
     if n == 0:
         raise QrError("EMPTY_INPUT")
 
-    numeric = [0x30 <= b <= 0x39 for b in raw]
-    alnum = [b in ALNUM_BYTES for b in raw]
-    # kanji_run[i]: length of the longest valid pair run starting at i.
-    kanji_run = [0] * (n + 2)
-    for i in range(n - 2, -1, -1):
-        if _pair_ok(raw[i], raw[i + 1]):
-            kanji_run[i] = kanji_run[i + 2] + 2
+    num0 = num1 = num2 = aln0 = aln1 = byte = kanji = half = _UNREACHABLE
+    closed = 0
+    opened = []      # per byte: bit s set if state s opened a segment there
+    closed_at = []   # per byte: the closable state that ``closed`` came from
+    for i, c in enumerate(raw):
+        mask = 0
+        if 0x30 <= c <= 0x39:
+            cost = num0 + 4
+            if closed + _OPEN_NUM < cost:
+                cost = closed + _OPEN_NUM
+                mask = 1 << _NUM1
+            num0, num1, num2 = num2 + 3, cost, num1 + 3
+        else:
+            num0 = num1 = num2 = _UNREACHABLE
+        if c in ALNUM_BYTES:
+            cost = aln0 + 6
+            if closed + _OPEN_ALN < cost:
+                cost = closed + _OPEN_ALN
+                mask |= 1 << _ALN1
+            aln0, aln1 = aln1 + 5, cost
+        else:
+            aln0 = aln1 = _UNREACHABLE
+        byte += 8
+        if closed + _OPEN_BYTE < byte:
+            byte = closed + _OPEN_BYTE
+            mask |= 1 << _BYTE
+        if c >= 0x81 and i + 1 < n and _pair_ok(c, raw[i + 1]):
+            cost = kanji + 13
+            if closed + _OPEN_KANJI < cost:
+                cost = closed + _OPEN_KANJI
+                mask |= 1 << _KANJI_HALF
+            kanji, half = half, cost
+        else:
+            kanji, half = half, _UNREACHABLE
 
-    inf = float("inf")
-    best = [inf] * (n + 1)
-    best[0] = 0
-    parent: list[tuple[int, QrMode] | None] = [None] * (n + 1)
-    for end in range(1, n + 1):
-        all_num = True
-        all_aln = True
-        for start in range(end - 1, -1, -1):
-            all_num = all_num and numeric[start]
-            all_aln = all_aln and alnum[start]
-            if best[start] is inf:
-                continue
-            length = end - start
-            header_n = best[start] + MODE_INDICATOR_BITS
-            if all_num:
-                cost = header_n + 10 + _data_bits(QrMode.NUMERIC, length)
-                if cost < best[end]:
-                    best[end] = cost
-                    parent[end] = (start, QrMode.NUMERIC)
-            if all_aln:
-                cost = header_n + 9 + _data_bits(QrMode.ALPHANUMERIC, length)
-                if cost < best[end]:
-                    best[end] = cost
-                    parent[end] = (start, QrMode.ALPHANUMERIC)
-            cost = header_n + 8 + 8 * length
-            if cost < best[end]:
-                best[end] = cost
-                parent[end] = (start, QrMode.BYTE)
-            if length % 2 == 0 and kanji_run[start] >= length:
-                cost = header_n + 8 + 13 * (length // 2)
-                if cost < best[end]:
-                    best[end] = cost
-                    parent[end] = (start, QrMode.KANJI)
+        closed, state = num0, _NUM0
+        if num1 < closed:
+            closed, state = num1, _NUM1
+        if num2 < closed:
+            closed, state = num2, _NUM2
+        if aln0 < closed:
+            closed, state = aln0, _ALN0
+        if aln1 < closed:
+            closed, state = aln1, _ALN1
+        if byte < closed:
+            closed, state = byte, _BYTE
+        if kanji < closed:
+            closed, state = kanji, _KANJI
+        opened.append(mask)
+        closed_at.append(state)
 
     segments = []
     end = n
-    while end > 0:
-        start, mode = parent[end]
-        segments.append(QrSegment(mode, raw[start:end]))
-        end = start
+    state = closed_at[-1]
+    for i in range(n - 1, -1, -1):
+        if opened[i] >> state & 1:
+            segments.append(QrSegment(_STATE_MODE[state], raw[i:end]))
+            end = i
+            state = closed_at[i - 1]
+        else:
+            state = _PREVIOUS[state]
     segments.reverse()
-    return QrPayload(tuple(segments), int(best[n]))
+    return QrPayload(tuple(segments), closed)
 
 
 def decode_payload(payload: QrPayload) -> bytes:

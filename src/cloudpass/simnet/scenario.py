@@ -2,9 +2,11 @@
 
 One command per line: ``verb subject [key=value]...``. Blank lines and
 ``#`` comments are skipped. Durations take s, m, h or d suffixes
-(``2h`` is 7200 seconds; a bare number is seconds). Everything is
-validated up front, before any command runs, and a rejection names the
-line and column it tripped on.
+(``2h`` is 7200 seconds; a bare number is seconds). Every number,
+durations after their unit, must fit a signed 64-bit integer, and
+``image-bytes`` must be at least 1. Everything is validated up front,
+before any command runs, and a rejection names the line and column it
+tripped on.
 
     embassy IN
     airport BLR
@@ -39,6 +41,11 @@ _SIGNED_RE = re.compile(r"^[+-]?[0-9]+$")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, None: 1}
 
 
+# Scenario numbers become times, offsets and sizes held in i64 fields of
+# the canonical encoding, so each must fit one.
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 def parse_duration(text: str) -> int:
     match = _DURATION_RE.match(text)
     if not match:
@@ -46,8 +53,18 @@ def parse_duration(text: str) -> int:
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
 
 
+def _in_i64(literal: str, low: int = _I64_MIN) -> bool:
+    """An integer literal whose value lies in ``[low, i64 max]``. Over-long
+    literals are refused before ``int()`` would convert (or refuse) them."""
+    if len(literal.lstrip("+-").lstrip("0")) > 19:
+        return False
+    return low <= int(literal) <= _I64_MAX
+
+
 def _check_duration(text: str) -> bool:
-    return bool(_DURATION_RE.match(text))
+    match = _DURATION_RE.match(text)
+    return (bool(match) and _in_i64(match.group(1))
+            and parse_duration(text) <= _I64_MAX)
 
 
 _VALIDATORS = {
@@ -55,8 +72,9 @@ _VALIDATORS = {
     "name": lambda v: bool(_NAME_RE.match(v)),
     "airport": lambda v: bool(_AIRPORT_RE.match(v)),
     "country": lambda v: bool(_COUNTRY_RE.match(v)),
-    "int": lambda v: bool(_INT_RE.match(v)),
-    "signed-int": lambda v: bool(_SIGNED_RE.match(v)),
+    "int": lambda v: bool(_INT_RE.match(v)) and _in_i64(v),
+    "positive-int": lambda v: bool(_INT_RE.match(v)) and _in_i64(v, 1),
+    "signed-int": lambda v: bool(_SIGNED_RE.match(v)) and _in_i64(v),
     "duration": _check_duration,
 }
 
@@ -85,7 +103,7 @@ _VERBS: dict[str, _VerbSpec] = {
                             required=("authority",)),
     "approve-visa": _VerbSpec((("name", "name"),),
                               {"visa-id": "word", "valid-for": "duration",
-                               "image-bytes": "int"},
+                               "image-bytes": "positive-int"},
                               defaults={"valid-for": "180d",
                                         "image-bytes": "256"}),
     "download-visa": _VerbSpec((("name", "name"),), {"page": "int"},

@@ -205,6 +205,39 @@ def test_encode_kanji_runs_match_oracle():
         assert encode_payload(data).total_bits == oracle_min_bits(data), data
 
 
+def test_encode_long_digit_run_closed_form():
+    # Guards against a quadratic regression: ~10^9 steps for an O(n^2) pass.
+    data = b"7" * 30_000
+    payload = encode_payload(data)
+    assert payload.total_bits == 14 + 10 * 10_000 == 100_014
+    assert [seg.mode for seg in payload.segments] == [QrMode.NUMERIC]
+    assert decode_payload(payload) == data
+
+
+@pytest.mark.parametrize("data", [
+    b"\x81\x81\x40\x40",                     # valid pairs at offsets 0 and 1
+    b"1\x81\x40\x81",                         # pair on an odd offset
+    *(b"\x81\x40" * k + b"\x81" for k in range(1, 5)),   # dangling lead byte
+])
+def test_encode_kanji_alignment_matches_oracle(data):
+    payload = encode_payload(data)
+    assert payload.total_bits == oracle_min_bits(data)
+    assert decode_payload(payload) == data
+
+
+# Kanji lead and trail bytes (the lead 0x81 twice, for weight), near-misses
+# on both sides of the valid ranges, and one byte of each other class.
+_KANJI_HEAVY = b"\x81\x81\x9f\xe0\xeb\x40\xbf\xfc\x3f\xfd\xec\x80" + b"7A a"
+
+
+@given(st.lists(st.sampled_from(_KANJI_HEAVY), min_size=1, max_size=24)
+       .map(bytes))
+def test_encode_kanji_weighted_matches_oracle(data):
+    payload = encode_payload(data)
+    assert payload.total_bits == oracle_min_bits(data)
+    assert decode_payload(payload) == data
+
+
 def test_decode_inverts_encode():
     for s in ("12345", "HELLO WORLD", "hello", "abc012345678xyz",
               "A1a \x7f", "::::"):
@@ -325,6 +358,12 @@ def test_token_wire_garbage_rejected():
     assert err.value.code == "BAD_TOKEN_WIRE"
     with pytest.raises(QrError):
         token_from_wire("00ff")
+
+
+def test_token_payload_bits_pinned():
+    auth = _Authority(authority_id="US", secret=bytes(16))
+    token = mint_link_token(auth, ResourceKind.VISA_IMAGE, "V0ABCDEF")
+    assert token_to_payload(token).total_bits == 795
 
 
 def test_token_payload_round_trip():

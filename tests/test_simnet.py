@@ -137,6 +137,44 @@ def test_positional_after_key_rejected():
         load_scenario("tamper-visa byte=1 alice\n")
 
 
+def test_zero_image_bytes_rejected_at_value():
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario("embassy IN\napprove-visa alice image-bytes=0\n")
+    assert (err.value.line, err.value.column) == (2, 32)
+    load_scenario("approve-visa alice image-bytes=1\n")
+
+
+I64_MAX = (1 << 63) - 1
+
+
+@pytest.mark.parametrize("line,column", [
+    ("approve-passport alice expire-in=99999999999999999999d", 34),
+    (f"advance-clock {I64_MAX + 1}", 15),
+    (f"advance-clock {I64_MAX // 86400 + 1}d", 15),
+    (f"traveler alice offset-min={-I64_MAX - 2}", 27),
+    (f"traveler alice offset-min={I64_MAX + 1}", 27),
+    (f"download-visa alice page={I64_MAX + 1}", 26),
+    ("tamper-visa alice byte=" + "9" * 5000, 24),
+], ids=["expire-in", "seconds", "days", "offset-low", "offset-high", "page",
+        "5000-digits"])
+def test_out_of_range_numbers_rejected_at_value(line, column):
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario(line + "\n")
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("line", [
+    f"advance-clock {I64_MAX}",
+    f"advance-clock {I64_MAX // 86400}d",
+    f"advance-clock 000000000000000000000{I64_MAX}s",
+    f"traveler alice offset-min={-I64_MAX - 1}",
+    f"traveler alice offset-min=+{I64_MAX}",
+    f"tamper-visa alice byte={I64_MAX}",
+])
+def test_i64_extremes_accepted(line):
+    assert len(load_scenario(line + "\n").commands) == 1
+
+
 # ---------------------------------------------------------------------------
 # faults
 
@@ -366,6 +404,35 @@ def test_cli_runtime_error_exit_2(tmp_path, capsys):
     bad.write_text("embassy IN\ndepart ghost BLR\n")
     assert cli_main(["run", "--scenario", str(bad)]) == 2
     assert "command 1" in capsys.readouterr().err
+
+
+_VISA_THEN = """embassy IN
+airport BLR
+traveler alice
+apply-passport alice authority=IN
+approve-passport alice{expire}
+install-app alice
+apply-visa alice authority=IN
+approve-visa alice{image}
+download-visa alice page=3
+{tail}
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("scenario,line", [
+    (_VISA_THEN.format(expire="", image=" image-bytes=0",
+                       tail="tamper-visa alice byte=1"), 8),
+    (_VISA_THEN.format(expire=" expire-in=99999999999999999999d", image="",
+                       tail="manifest alice airport=BLR date=1d\n"
+                            "sync BLR from=IN\ndepart alice BLR"), 5),
+], ids=["image-bytes-0", "expire-in-huge"])
+def test_cli_out_of_range_values_exit_1(tmp_path, capsys, command, scenario,
+                                        line):
+    path = tmp_path / "bad.cps"
+    path.write_text(scenario)
+    assert cli_main([command, "--scenario", str(path)]) == 1
+    assert f"line {line}," in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_3(capsys):
