@@ -62,6 +62,10 @@ _COUNTRY_RE = re.compile(r"^[A-Z]{2,3}$")
 _AIRPORT_RE = re.compile(r"^[A-Z]{3}$")
 _HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
 
+# Integers travel as i64 in the canonical encoding; dates must fit one
+# when issued, so no later encoding of the document can fail.
+I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
+
 
 def content_hash(data: bytes) -> str:
     """SHA-256 of ``data`` as 64 lowercase hex characters."""
@@ -185,6 +189,9 @@ class Passport:
                  repr(self.issuing_authority))
         _require(self.expiry_date > self.issue_date, "EXPIRY_NOT_AFTER_ISSUE",
                  f"issue {self.issue_date} expiry {self.expiry_date}")
+        _require(self.issue_date >= I64_MIN and self.expiry_date <= I64_MAX,
+                 "DATE_OUT_OF_RANGE",
+                 f"issue {self.issue_date} expiry {self.expiry_date} must fit i64")
         numbers = [p.page_no for p in self.pages]
         _require(numbers == list(range(1, len(self.pages) + 1)), "PAGES_NOT_CONTIGUOUS",
                  f"page numbers {numbers[:5]}...")
@@ -249,6 +256,9 @@ class VisaRecord:
                  repr(self.destination_country))
         _require(self.valid_to > self.valid_from, "VISA_WINDOW_EMPTY",
                  f"from {self.valid_from} to {self.valid_to}")
+        _require(self.valid_from >= I64_MIN and self.valid_to <= I64_MAX,
+                 "DATE_OUT_OF_RANGE",
+                 f"from {self.valid_from} to {self.valid_to} must fit i64")
         _require(bool(_HEX64_RE.match(self.image_hash)), "BAD_HASH_FORMAT",
                  repr(self.image_hash))
         _require(isinstance(self.status, VisaStatus), "BAD_STATUS", repr(self.status))
@@ -440,7 +450,11 @@ class _Writer:
         self.buf += v.to_bytes(4, "big")
 
     def i64(self, v: int) -> None:
-        self.buf += struct.pack(">q", v)
+        try:
+            self.buf += struct.pack(">q", v)
+        except struct.error:
+            raise ValidationError("I64_OUT_OF_RANGE",
+                                  f"I64_OUT_OF_RANGE: {v!r}") from None
 
     def boolean(self, v: bool) -> None:
         self.buf.append(1 if v else 0)

@@ -11,6 +11,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .clock import render_iso
 
@@ -39,15 +40,23 @@ class EventLog:
         return ev
 
 
+# Same settings as json.dumps(record, separators=(", ", ": ")), built once.
+_ENCODER = json.JSONEncoder(separators=(", ", ": "))
+
+
+def _line(seq: int, iso: str, actor: str, event: str, details: dict) -> str:
+    # The fixed keys are written directly; strings go through the quoting
+    # function the encoder itself uses under ensure_ascii=True, and the
+    # rendered timestamp is plain ASCII that needs no escaping.
+    return (f'{{"seq": {seq}, "ts": "{iso}", '
+            f'"actor": {encode_basestring_ascii(actor)}, '
+            f'"event": {encode_basestring_ascii(event)}, '
+            f'"details": {_ENCODER.encode(details)}}}')
+
+
 def event_line(event: ScenarioEvent) -> str:
-    record = {
-        "seq": event.seq,
-        "ts": render_iso(event.ts),
-        "actor": event.actor,
-        "event": event.event,
-        "details": event.details,
-    }
-    return json.dumps(record, sort_keys=False, separators=(", ", ": "))
+    return _line(event.seq, render_iso(event.ts), event.actor, event.event,
+                 event.details)
 
 
 def outcome_counts(events: list[ScenarioEvent]) -> dict[str, int]:
@@ -64,17 +73,16 @@ def emit_report(events: list[ScenarioEvent], target) -> None:
     ``target`` is a path or a text stream. N events produce N + 1 lines;
     an empty log still produces its summary line with all counts zero.
     """
+    lines = []
+    last_ts, iso = 0, render_iso(0)
+    for e in events:
+        if e.ts != last_ts:     # runs of events share one rendered second
+            last_ts, iso = e.ts, render_iso(e.ts)
+        lines.append(_line(e.seq, iso, e.actor, e.event, e.details))
     counts = outcome_counts(events)
-    summary = {
-        "seq": len(events),
-        "ts": render_iso(events[-1].ts if events else 0),
-        "actor": "world",
-        "event": "summary",
-        "details": {"events": len(events),
-                    **{key.lower(): counts[key] for key in _OUTCOME_KEYS}},
-    }
-    lines = [event_line(e) for e in events]
-    lines.append(json.dumps(summary, sort_keys=False, separators=(", ", ": ")))
+    lines.append(_line(len(events), iso, "world", "summary",
+                       {"events": len(events),
+                        **{key.lower(): counts[key] for key in _OUTCOME_KEYS}}))
     text = "\n".join(lines) + "\n"
     if isinstance(target, (str, os.PathLike)):
         with io.open(target, "w", encoding="utf-8", newline="") as fp:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ScenarioParseError
+from ..model import I64_MAX, I64_MIN
 
 __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "FaultSpec",
            "load_scenario", "parse_duration", "parse_fault",
@@ -41,11 +42,6 @@ _SIGNED_RE = re.compile(r"^[+-]?[0-9]+$")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, None: 1}
 
 
-# Scenario numbers become times, offsets and sizes held in i64 fields of
-# the canonical encoding, so each must fit one.
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
-
 def parse_duration(text: str) -> int:
     match = _DURATION_RE.match(text)
     if not match:
@@ -53,18 +49,20 @@ def parse_duration(text: str) -> int:
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
 
 
-def _in_i64(literal: str, low: int = _I64_MIN) -> bool:
+# Scenario numbers become times, offsets and sizes held in i64 fields of
+# the canonical encoding, so each must fit one.
+def _in_i64(literal: str, low: int = I64_MIN) -> bool:
     """An integer literal whose value lies in ``[low, i64 max]``. Over-long
     literals are refused before ``int()`` would convert (or refuse) them."""
     if len(literal.lstrip("+-").lstrip("0")) > 19:
         return False
-    return low <= int(literal) <= _I64_MAX
+    return low <= int(literal) <= I64_MAX
 
 
 def _check_duration(text: str) -> bool:
     match = _DURATION_RE.match(text)
     return (bool(match) and _in_i64(match.group(1))
-            and parse_duration(text) <= _I64_MAX)
+            and parse_duration(text) <= I64_MAX)
 
 
 _VALIDATORS = {

@@ -178,6 +178,17 @@ def test_summarize_carries_identity_not_pages():
     assert not hasattr(s, "pages")
 
 
+@pytest.mark.parametrize("issue,expiry", [
+    (2, model.I64_MAX + 2),
+    (model.I64_MIN - 1, 0),
+], ids=["expiry-past-i64", "issue-before-i64"])
+def test_passport_dates_must_fit_i64(issue, expiry):
+    with pytest.raises(ValidationError) as err:
+        new_passport("P1234567", "alice", "IN", "IN", issue, expiry)
+    assert err.value.code == "DATE_OUT_OF_RANGE"
+    new_passport("P1234567", "alice", "IN", "IN", model.I64_MIN, model.I64_MAX)
+
+
 # ---------------------------------------------------------------------------
 # visa images
 
@@ -277,6 +288,25 @@ def test_round_trip_visa_record_and_presentation():
 def test_round_trip_summary():
     s = summarize(_passport())
     assert canonical_deserialize(canonical_serialize(s)) == s
+
+
+@pytest.mark.parametrize("valid_from,valid_to", [
+    (2, model.I64_MAX + 2),
+    (model.I64_MIN - 1, 0),
+], ids=["to-past-i64", "from-before-i64"])
+def test_visa_record_dates_must_fit_i64(valid_from, valid_to):
+    digest = content_hash(b"pixels")
+    with pytest.raises(ValidationError) as err:
+        VisaRecord("V1", "P1234567", "IN", "US", valid_from, valid_to, digest,
+                   VisaStatus.ISSUED)
+    assert err.value.code == "DATE_OUT_OF_RANGE"
+
+
+def test_serialize_out_of_range_int_is_validation_error():
+    entry = StampEntry(StampKind.ARRIVAL, "JFK", model.I64_MAX + 1)
+    with pytest.raises(ValidationError) as err:
+        canonical_serialize(entry)
+    assert err.value.code == "I64_OUT_OF_RANGE"
 
 
 def test_deserialize_nested_wrong_type_rejected():

@@ -4,16 +4,22 @@ import io
 import json
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cloudpass.errors import ScenarioParseError, ScenarioRuntimeError
-from cloudpass.simnet import (EventLog, FaultKind, ScenarioRng, VirtualClock,
-                              emit_report, event_line, fault_to_command,
-                              load_scenario, outcome_counts, parse_duration,
-                              parse_fault, render_iso, run)
+from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
+                              ValidationError)
+from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind, ScenarioEvent,
+                              ScenarioRng, VirtualClock, emit_report,
+                              event_line, fault_to_command, load_scenario,
+                              outcome_counts, parse_duration, parse_fault,
+                              render_iso, run)
 from cloudpass.simnet.cli import main as cli_main
+from cloudpass.simnet.clock import CLOCK_MAX
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 HAPPY = (SCENARIOS / "happy_path.cps").read_text()
@@ -52,9 +58,49 @@ def test_clock_advances_and_never_reverses():
         VirtualClock(-3)
 
 
+def test_clock_refuses_to_pass_last_renderable_second():
+    assert CLOCK_MAX == 251_824_463_999
+    clock = VirtualClock(CLOCK_MAX - 1)
+    assert clock.advance(1) == CLOCK_MAX
+    assert clock.advance(0) == CLOCK_MAX
+    for seconds in (1, (1 << 63) - 1):
+        with pytest.raises(ValidationError) as err:
+            clock.advance(seconds)
+        assert err.value.code == "CLOCK_OVERFLOW"
+        assert clock.now == CLOCK_MAX
+
+
+def _seconds_to(day: date) -> int:
+    return (day - date(2020, 1, 1)).days * 86400
+
+
+def _strftime_iso(ts: int) -> str:
+    """The datetime form render_iso replaced, kept as its reference."""
+    return (SCENARIO_EPOCH + timedelta(seconds=ts)).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def test_render_iso_epoch_and_offsets():
     assert render_iso(0) == "2020-01-01T00:00:00Z"
     assert render_iso(86400 + 3600 + 90) == "2020-01-02T01:01:30Z"
+
+
+@pytest.mark.parametrize("ts,text", [
+    (86399, "2020-01-01T23:59:59Z"),
+    (86400, "2020-01-02T00:00:00Z"),
+    (_seconds_to(date(2020, 2, 29)) + 43200, "2020-02-29T12:00:00Z"),
+    (_seconds_to(date(2020, 3, 1)) - 1, "2020-02-29T23:59:59Z"),
+    (_seconds_to(date(2100, 3, 1)), "2100-03-01T00:00:00Z"),
+    (_seconds_to(date(2100, 3, 1)) - 1, "2100-02-28T23:59:59Z"),
+    (_seconds_to(date(2400, 2, 29)), "2400-02-29T00:00:00Z"),
+    (251_824_463_999, "9999-12-31T23:59:59Z"),
+])
+def test_render_iso_calendar_edges(ts, text):
+    assert render_iso(ts) == text
+
+
+@given(st.integers(0, CLOCK_MAX))
+def test_render_iso_matches_strftime(ts):
+    assert render_iso(ts) == _strftime_iso(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +288,57 @@ def test_report_reemission_is_byte_identical():
     emit_report(log.events, first)
     emit_report(log.events, second)
     assert first.getvalue() == second.getvalue()
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'),
+                         st.characters(blacklist_categories=())),
+                max_size=12)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner,
+                                                                max_size=4),
+    max_leaves=8)
+_DETAILS = st.dictionaries(_TEXT, _JSON, max_size=5)
+# Small timestamps repeat and go backwards; large ones reach the last second.
+_TS = st.integers(0, 3) | st.integers(0, CLOCK_MAX)
+
+
+def _dumps_line(seq, ts, actor, event, details) -> str:
+    """The json.dumps form of a report line, kept as the reference."""
+    return json.dumps({"seq": seq, "ts": _strftime_iso(ts), "actor": actor,
+                       "event": event, "details": details},
+                      separators=(", ", ": "))
+
+
+@given(st.integers(0, 10**6), _TS, _TEXT, _TEXT, _DETAILS)
+def test_event_line_matches_json_dumps(seq, ts, actor, event, details):
+    line = event_line(ScenarioEvent(seq, ts, actor, event, details))
+    assert line == _dumps_line(seq, ts, actor, event, details)
+
+
+_OUTCOME = st.sampled_from(["PERMIT", "ISOLATE", "LOCK_AND_ALERT"])
+
+
+# Line content is event_line's property above; this one varies the order
+# and repetition of timestamps and the outcome counts.
+@given(st.lists(st.tuples(_TS, st.sampled_from(["alice", "BLR"]), st.one_of(
+    st.tuples(st.just("check-outcome"), st.fixed_dictionaries({"outcome": _OUTCOME})),
+    st.tuples(st.just("tick"), st.dictionaries(st.just("n"), st.integers())))),
+    max_size=12))
+def test_emit_report_is_event_lines_plus_summary(entries):
+    log = EventLog()
+    for ts, actor, (event, details) in entries:
+        log.emit(ts, actor, event, **details)
+    counts = outcome_counts(log.events)
+    summary = {"events": len(log.events),
+               **{key.lower(): n for key, n in counts.items()}}
+    last_ts = log.events[-1].ts if log.events else 0
+    expected = [event_line(e) for e in log.events]
+    expected.append(_dumps_line(len(log.events), last_ts, "world", "summary",
+                                summary))
+    buf = io.StringIO()
+    emit_report(log.events, buf)
+    assert buf.getvalue() == "\n".join(expected) + "\n"
 
 
 def test_outcome_counts_only_reads_check_outcomes():
@@ -433,6 +530,31 @@ def test_cli_out_of_range_values_exit_1(tmp_path, capsys, command, scenario,
     path.write_text(scenario)
     assert cli_main([command, "--scenario", str(path)]) == 1
     assert f"line {line}," in capsys.readouterr().err
+
+
+_DEPART = "manifest alice airport=BLR date=1d\nsync BLR from=IN\ndepart alice BLR"
+
+
+@pytest.mark.parametrize("scenario,faults,code", [
+    ("advance-clock 2920000d\n", [], "CLOCK_OVERFLOW"),
+    (f"advance-clock {I64_MAX}s\n", [], "CLOCK_OVERFLOW"),
+    (HAPPY, [f"oversleep alice wait={I64_MAX}s"], "CLOCK_OVERFLOW"),
+    ("advance-clock 2s\n" + _VISA_THEN.format(
+        expire=f" expire-in={I64_MAX}s", image="", tail=_DEPART), [],
+     "DATE_OUT_OF_RANGE"),
+    ("advance-clock 2s\n" + _VISA_THEN.format(
+        expire="", image=f" valid-for={I64_MAX}s", tail=_DEPART), [],
+     "DATE_OUT_OF_RANGE"),
+], ids=["clock-past-9999", "clock-i64-max", "oversleep", "expire-in",
+        "valid-for"])
+def test_cli_time_overflow_exit_2(tmp_path, capsys, scenario, faults, code):
+    path = tmp_path / "far.cps"
+    path.write_text(scenario)
+    args = ["run", "--scenario", str(path)]
+    for fault in faults:
+        args += ["--fault", fault]
+    assert cli_main(args) == 2
+    assert code in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_3(capsys):
