@@ -20,9 +20,9 @@ from enum import Enum
 import json
 
 from .errors import CloudError
-from .model import (DeviceState, IdKind, Passport, TrackingId, VisaImage,
-                    VisaRecord, VisaStatus, content_hash, new_passport,
-                    new_tracking_id, place_visa)
+from .model import (MAX_IMAGE_BYTES, DeviceState, IdKind, Passport,
+                    TrackingId, VisaImage, VisaRecord, VisaStatus,
+                    content_hash, new_passport, new_tracking_id, place_visa)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
 __all__ = [
@@ -193,6 +193,8 @@ def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
     """Issue the passport and queue a PASSPORT_READY download link."""
     record = _application_for_approval(cloud, tracking_value,
                                        IdKind.PASSPORT_APPLICATION)
+    if passport_no in cloud.passports:
+        raise CloudError("DUPLICATE_PASSPORT_NO", passport_no)
     passport = new_passport(passport_no, holder_name, nationality,
                             cloud.authority_id, issue_date, expiry_date)
     cloud.passports[passport_no] = passport
@@ -214,6 +216,9 @@ def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
                                        IdKind.VISA_APPLICATION)
     if visa_id in cloud.visas:
         raise CloudError("DUPLICATE_VISA_ID", visa_id)
+    if len(image_bytes) > MAX_IMAGE_BYTES:
+        raise CloudError("IMAGE_TOO_LARGE",
+                         f"{len(image_bytes)} > {MAX_IMAGE_BYTES} bytes")
     image_hash = content_hash(image_bytes)
     visa = VisaRecord(visa_id, passport_no, cloud.authority_id,
                       destination_country, valid_from, valid_to, image_hash,

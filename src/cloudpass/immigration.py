@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import authflow
 from .authflow import OtpStore, Session, SessionState
@@ -67,8 +68,7 @@ class DeskCheck:
     started_at: int
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
     ts: int
     phase: str
     detail: str

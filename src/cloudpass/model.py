@@ -66,6 +66,10 @@ _HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
 # when issued, so no later encoding of the document can fail.
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
+# Largest visa image an embassy issues. Scenarios and the wire protocol
+# are bounded by it too, so no input can ask for an unbounded buffer.
+MAX_IMAGE_BYTES = 1 << 20
+
 
 def content_hash(data: bytes) -> str:
     """SHA-256 of ``data`` as 64 lowercase hex characters."""

@@ -25,6 +25,8 @@ from .scenario import FaultKind, FaultSpec, Scenario, fault_to_command
 __all__ = ["World", "TravelerState", "run"]
 
 _CHECK_VERBS = ("depart", "arrive")
+# Event name each desk transcript phase is re-emitted under.
+_DESK_EVENTS = {phase: f"desk-{phase}" for phase in immigration.PHASES}
 
 
 @dataclass
@@ -288,9 +290,9 @@ def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
         world.rng.stream(f"check:{traveler.name}"),
         credentials=world.credentials, otp_store=world.otp_store,
         alert_sink=world.alerts)
-    for ev in transcript.events:
-        world.log.emit(ev.ts, traveler.name, f"desk-{ev.phase}",
-                       detail=ev.detail)
+    emit, name = world.log.emit, traveler.name
+    for ts, phase, detail in transcript.events:
+        emit(ts, name, _DESK_EVENTS[phase], detail=detail)
     for alert in world.alerts[alerts_before:]:
         world.log.emit(alert.raised_at, alert.airport, "police-alert",
                        device=alert.device_id, reason=alert.reason)

@@ -4,9 +4,9 @@ One command per line: ``verb subject [key=value]...``. Blank lines and
 ``#`` comments are skipped. Durations take s, m, h or d suffixes
 (``2h`` is 7200 seconds; a bare number is seconds). Every number,
 durations after their unit, must fit a signed 64-bit integer, and
-``image-bytes`` must be at least 1. Everything is validated up front,
-before any command runs, and a rejection names the line and column it
-tripped on.
+``image-bytes`` must lie in [1, MAX_IMAGE_BYTES]. Everything is
+validated up front, before any command runs, and a rejection names the
+line and column it tripped on.
 
     embassy IN
     airport BLR
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ScenarioParseError
-from ..model import I64_MAX, I64_MIN
+from ..model import I64_MAX, I64_MIN, MAX_IMAGE_BYTES
 
 __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "FaultSpec",
            "load_scenario", "parse_duration", "parse_fault",
@@ -51,12 +51,13 @@ def parse_duration(text: str) -> int:
 
 # Scenario numbers become times, offsets and sizes held in i64 fields of
 # the canonical encoding, so each must fit one.
-def _in_i64(literal: str, low: int = I64_MIN) -> bool:
-    """An integer literal whose value lies in ``[low, i64 max]``. Over-long
-    literals are refused before ``int()`` would convert (or refuse) them."""
+def _in_i64(literal: str, low: int = I64_MIN, high: int = I64_MAX) -> bool:
+    """An integer literal whose value lies in ``[low, high]``, a range
+    inside i64. Over-long literals are refused before ``int()`` would
+    convert (or refuse) them."""
     if len(literal.lstrip("+-").lstrip("0")) > 19:
         return False
-    return low <= int(literal) <= I64_MAX
+    return low <= int(literal) <= high
 
 
 def _check_duration(text: str) -> bool:
@@ -71,7 +72,8 @@ _VALIDATORS = {
     "airport": lambda v: bool(_AIRPORT_RE.match(v)),
     "country": lambda v: bool(_COUNTRY_RE.match(v)),
     "int": lambda v: bool(_INT_RE.match(v)) and _in_i64(v),
-    "positive-int": lambda v: bool(_INT_RE.match(v)) and _in_i64(v, 1),
+    "image-size": lambda v: (bool(_INT_RE.match(v))
+                             and _in_i64(v, 1, MAX_IMAGE_BYTES)),
     "signed-int": lambda v: bool(_SIGNED_RE.match(v)) and _in_i64(v),
     "duration": _check_duration,
 }
@@ -101,7 +103,7 @@ _VERBS: dict[str, _VerbSpec] = {
                             required=("authority",)),
     "approve-visa": _VerbSpec((("name", "name"),),
                               {"visa-id": "word", "valid-for": "duration",
-                               "image-bytes": "positive-int"},
+                               "image-bytes": "image-size"},
                               defaults={"valid-for": "180d",
                                         "image-bytes": "256"}),
     "download-visa": _VerbSpec((("name", "name"),), {"page": "int"},

@@ -4,8 +4,8 @@ One request per line: an op name followed by space-separated args, byte
 args hex-encoded, so args themselves can never contain whitespace.
 Every request gets exactly one response line back, either "OK ..." or
 "ERR <code>". The handlers are pure string-to-string functions over a
-cloud instance; the socket server just frames lines around them and
-serializes access with a lock.
+cloud instance; the socket server just frames lines around them,
+caps their length and serializes access with a lock.
 """
 
 from __future__ import annotations
@@ -18,10 +18,17 @@ import threading
 from . import clouds
 from .clouds import AirportCloud, Checkpoint, EmbassyCloud
 from .errors import CloudPassError
-from .model import IdKind
+from .model import MAX_IMAGE_BYTES, IdKind
 from .qrlink import resolve_link_token, token_from_wire, token_wire
 
-__all__ = ["handle_embassy_line", "handle_airport_line", "CloudServer", "serve"]
+__all__ = ["MAX_LINE_BYTES", "handle_embassy_line", "handle_airport_line",
+           "CloudServer", "serve"]
+
+# Longest request line the server reads, terminator included. The longest
+# valid request is APPROVE_VISA with an image at the size bound,
+# hex-encoded; the allowance covers its op, its six other arguments, the
+# separators and a CRLF terminator.
+MAX_LINE_BYTES = 2 * MAX_IMAGE_BYTES + 4096
 
 
 class _BadRequest(Exception):
@@ -154,15 +161,23 @@ def handle_airport_line(cloud: AirportCloud, line: str) -> str:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: CloudServer = self.server  # type: ignore[assignment]
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                # The rest of the line is never read, so no reply can be
+                # lined up with the next request: answer once and hang up.
+                self._reply("ERR LINE_TOO_LONG")
+                return
             line = raw.decode("utf-8", errors="replace").strip()
             with server.lock:
                 if isinstance(server.cloud, EmbassyCloud):
                     reply = handle_embassy_line(server.cloud, line, server.rng)
                 else:
                     reply = handle_airport_line(server.cloud, line)
-            self.wfile.write(reply.encode("utf-8") + b"\n")
-            self.wfile.flush()
+            self._reply(reply)
+
+    def _reply(self, reply: str) -> None:
+        self.wfile.write(reply.encode("utf-8") + b"\n")
+        self.wfile.flush()
 
 
 class CloudServer(socketserver.ThreadingTCPServer):

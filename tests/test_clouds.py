@@ -12,7 +12,7 @@ from cloudpass.clouds import (SYNC_HORIZON_S, AirportCloud, AppStatus,
                               download_visa_image, receive_desk_copy,
                               submit_application)
 from cloudpass.errors import CloudError, QrError, ValidationError
-from cloudpass.model import DeviceState, IdKind, content_hash
+from cloudpass.model import MAX_IMAGE_BYTES, DeviceState, IdKind, content_hash
 from cloudpass.qrlink import LinkToken
 
 
@@ -121,6 +121,40 @@ def test_approve_visa_duplicate_id_rejected():
     with pytest.raises(CloudError) as err:
         approved_visa(cloud, rng, visa_id="V0000001")
     assert err.value.code == "DUPLICATE_VISA_ID"
+
+
+def test_approve_passport_duplicate_number_rejected():
+    cloud, rng = fresh_embassy()
+    _, note = approved_passport(cloud, rng, applicant="alice",
+                                passport_no="P1")
+    bound = clouds.download_passport_app(cloud, note.payload, fresh_device(rng))
+    tracking = submit_application(cloud, "bob", IdKind.PASSPORT_APPLICATION, rng)
+    before, notes = cloud.snapshot_bytes(), list(cloud.notifications_out)
+    with pytest.raises(CloudError) as err:
+        clouds.approve_passport(cloud, tracking.value, passport_no="P1",
+                                holder_name="bob", nationality="IN",
+                                issue_date=0, expiry_date=10**9)
+    assert err.value.code == "DUPLICATE_PASSPORT_NO"
+    assert cloud.passports["P1"] is bound
+    assert bound.holder_name == "alice" and bound.bound_device == "phone-1"
+    assert cloud.snapshot_bytes() == before
+    assert cloud.notifications_out == notes
+    assert clouds.application_status(cloud, tracking.value) is AppStatus.SUBMITTED
+
+
+def test_approve_visa_image_too_large_rejected():
+    cloud, rng = fresh_embassy()
+    approved_passport(cloud, rng)
+    tracking = submit_application(cloud, "alice", IdKind.VISA_APPLICATION, rng)
+    before = cloud.snapshot_bytes()
+    with pytest.raises(CloudError) as err:
+        clouds.approve_visa(cloud, tracking.value, visa_id="V1",
+                            passport_no="P0000001", destination_country="US",
+                            valid_from=0, valid_to=10**9,
+                            image_bytes=bytes(MAX_IMAGE_BYTES + 1))
+    assert err.value.code == "IMAGE_TOO_LARGE"
+    assert cloud.snapshot_bytes() == before
+    approved_visa(cloud, rng, image=bytes(MAX_IMAGE_BYTES))
 
 
 # ---------------------------------------------------------------------------

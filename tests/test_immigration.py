@@ -7,10 +7,11 @@ import pytest
 from cloudpass import immigration
 from cloudpass.authflow import SessionState
 from cloudpass.clouds import Checkpoint
-from cloudpass.errors import AuthError, DeskError
+from cloudpass.errors import AuthError, DeskError, ValidationError
 from cloudpass.immigration import (PHASE_AUTH, PHASE_COMPARE, PHASE_DESK_COPY,
                                    PHASE_NFC, PHASE_OUTCOME, PHASE_STAMP,
-                                   PHASES, Outcome, retry_after_failure,
+                                   PHASES, CheckTranscript, Outcome,
+                                   TranscriptEvent, retry_after_failure,
                                    run_check)
 
 from conftest import build_kit
@@ -175,6 +176,45 @@ def test_no_airport_cloud_is_misconfiguration():
                   credentials=k.credentials, otp_store=k.otp_store,
                   alert_sink=k.alerts)
     assert err.value.code == "DESK_MISCONFIGURED"
+
+
+# ---------------------------------------------------------------------------
+# transcript validation
+
+
+def _transcript(*entries, outcome=Outcome.PERMIT):
+    return CheckTranscript(tuple(TranscriptEvent(ts, phase, detail)
+                                 for ts, (phase, detail) in enumerate(entries)),
+                           outcome)
+
+
+_AUTH = (PHASE_AUTH, "credentials-ok")
+_NFC = (PHASE_NFC, "otp-redeemed")
+_PERMIT = (PHASE_OUTCOME, "PERMIT")
+
+
+def test_transcript_validate_accepts_protocol_order():
+    _transcript(_AUTH, _AUTH, _NFC, (PHASE_COMPARE, "compare MATCH"),
+                _PERMIT).validate()
+
+
+@pytest.mark.parametrize("entries,outcome,code", [
+    ((_NFC, _AUTH, _PERMIT), Outcome.PERMIT, "PHASES_OUT_OF_ORDER"),
+    # The outcome is the last phase, so one followed by anything else is
+    # out of order before it is misplaced.
+    ((_AUTH, _PERMIT, _NFC), Outcome.PERMIT, "PHASES_OUT_OF_ORDER"),
+    ((), Outcome.PERMIT, "BAD_OUTCOME_EVENT"),
+    ((_AUTH, _NFC), Outcome.PERMIT, "BAD_OUTCOME_EVENT"),
+    ((_AUTH, _PERMIT, _PERMIT), Outcome.PERMIT, "BAD_OUTCOME_EVENT"),
+    ((_AUTH, _PERMIT), Outcome.ISOLATE, "OUTCOME_DETAIL_MISMATCH"),
+    ((_AUTH, (PHASE_OUTCOME, "ISOLATE compare=NOT_FOUND")), Outcome.PERMIT,
+     "OUTCOME_DETAIL_MISMATCH"),
+], ids=["out-of-order", "outcome-not-last", "empty", "no-outcome",
+        "two-outcomes", "detail-names-other", "detail-names-isolate"])
+def test_transcript_validate_rejects(entries, outcome, code):
+    with pytest.raises(ValidationError) as err:
+        _transcript(*entries, outcome=outcome).validate()
+    assert err.value.code == code
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
+from cloudpass.immigration import PHASE_AUTH, TranscriptEvent
+from cloudpass.model import MAX_IMAGE_BYTES
 from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind, ScenarioEvent,
                               ScenarioRng, VirtualClock, emit_report,
                               event_line, fault_to_command, load_scenario,
@@ -20,6 +22,8 @@ from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind, ScenarioEvent
                               render_iso, run)
 from cloudpass.simnet.cli import main as cli_main
 from cloudpass.simnet.clock import CLOCK_MAX
+
+from test_golden import _cases as golden_cases
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 HAPPY = (SCENARIOS / "happy_path.cps").read_text()
@@ -190,6 +194,14 @@ def test_zero_image_bytes_rejected_at_value():
     load_scenario("approve-visa alice image-bytes=1\n")
 
 
+def test_image_bytes_over_bound_rejected_at_value():
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario(f"embassy IN\napprove-visa alice "
+                      f"image-bytes={MAX_IMAGE_BYTES + 1}\n")
+    assert (err.value.line, err.value.column) == (2, 32)
+    load_scenario(f"approve-visa alice image-bytes={MAX_IMAGE_BYTES}\n")
+
+
 I64_MAX = (1 << 63) - 1
 
 
@@ -278,6 +290,24 @@ def test_event_line_key_order_fixed():
     ev = log.emit(3, "alice", "ping", extra=1)
     pairs = json.loads(event_line(ev), object_pairs_hook=list)
     assert [k for k, _ in pairs] == ["seq", "ts", "actor", "event", "details"]
+
+
+@pytest.mark.parametrize("cls,fields,values", [
+    (ScenarioEvent, ("seq", "ts", "actor", "event", "details"),
+     (3, 7, "alice", "ping", {"n": 1})),
+    (TranscriptEvent, ("ts", "phase", "detail"),
+     (7, PHASE_AUTH, "credentials-ok")),
+], ids=["ScenarioEvent", "TranscriptEvent"])
+def test_event_records_keep_field_order_and_refuse_assignment(cls, fields,
+                                                              values):
+    record = cls(*values)
+    # The report path unpacks records by position.
+    assert tuple(record) == values
+    assert tuple(getattr(record, name) for name in fields) == values
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert tuple(record) == values
 
 
 def test_report_reemission_is_byte_identical():
@@ -378,6 +408,25 @@ def test_event_timestamps_never_decrease():
     _, events = run(load_scenario(HAPPY, seed=42))
     times = [e.ts for e in events]
     assert times == sorted(times)
+    assert [e.seq for e in events] == list(range(len(events)))
+
+
+@pytest.mark.parametrize("scenario,seed,fault",
+                         [case for case in golden_cases() if case[1] == 1])
+def test_every_event_enters_through_emit(monkeypatch, scenario, seed, fault):
+    calls = []
+    original = EventLog.emit
+
+    def counting_emit(self, *args, **details):
+        calls.append(args[2])
+        return original(self, *args, **details)
+
+    monkeypatch.setattr(EventLog, "emit", counting_emit)
+    text = (SCENARIOS / scenario).read_text()
+    faults = (parse_fault(fault),) if fault else ()
+    world, events = run(load_scenario(text, seed), faults)
+    assert len(calls) == len(world.events) == len(events)
+    assert calls == [e.event for e in events]
     assert [e.seq for e in events] == list(range(len(events)))
 
 
@@ -523,7 +572,10 @@ download-visa alice page=3
     (_VISA_THEN.format(expire=" expire-in=99999999999999999999d", image="",
                        tail="manifest alice airport=BLR date=1d\n"
                             "sync BLR from=IN\ndepart alice BLR"), 5),
-], ids=["image-bytes-0", "expire-in-huge"])
+    # Refused before anything runs, so nothing of that size is allocated.
+    (_VISA_THEN.format(expire="", image=f" image-bytes={I64_MAX}",
+                       tail="tamper-visa alice byte=1"), 8),
+], ids=["image-bytes-0", "expire-in-huge", "image-bytes-huge"])
 def test_cli_out_of_range_values_exit_1(tmp_path, capsys, command, scenario,
                                         line):
     path = tmp_path / "bad.cps"

@@ -7,8 +7,9 @@ import threading
 import pytest
 
 from cloudpass.clouds import AirportCloud, EmbassyCloud
-from cloudpass.model import content_hash
-from cloudpass.wire import CloudServer, handle_airport_line, handle_embassy_line
+from cloudpass.model import MAX_IMAGE_BYTES, content_hash
+from cloudpass.wire import (MAX_LINE_BYTES, CloudServer, handle_airport_line,
+                            handle_embassy_line)
 
 
 @pytest.fixture
@@ -98,6 +99,31 @@ def test_embassy_visa_flow_with_blob(embassy):
     assert ask(embassy, "BLOB deadbeef", rng) == "ERR NO_SUCH_BLOB"
 
 
+def test_embassy_duplicate_passport_no_rejected(embassy):
+    rng = random.Random(7)
+    first = ask(embassy, "SUBMIT alice PASSPORT_APPLICATION", rng).split()[1]
+    reply = ask(embassy, f"APPROVE_PASSPORT {first} P1 alice IN 0 315360000",
+                rng)
+    assert reply.startswith("OK ")
+    second = ask(embassy, "SUBMIT bob PASSPORT_APPLICATION", rng).split()[1]
+    snapshot = ask(embassy, "SNAPSHOT", rng)
+    reply = ask(embassy, f"APPROVE_PASSPORT {second} P1 bob IN 0 315360000",
+                rng)
+    assert reply == "ERR DUPLICATE_PASSPORT_NO"
+    assert ask(embassy, "SNAPSHOT", rng) == snapshot
+    assert embassy.passports["P1"].holder_name == "alice"
+    assert ask(embassy, f"STATUS {second}", rng) == "OK SUBMITTED"
+
+
+def test_embassy_image_too_large(embassy):
+    rng = random.Random(7)
+    tracking = ask(embassy, "SUBMIT alice VISA_APPLICATION", rng).split()[1]
+    image = bytes(MAX_IMAGE_BYTES + 1).hex()
+    reply = ask(embassy, f"APPROVE_VISA {tracking} V42 P1 US 0 999 {image}", rng)
+    assert reply == "ERR IMAGE_TOO_LARGE"
+    assert ask(embassy, f"STATUS {tracking}", rng) == "OK SUBMITTED"
+
+
 def test_embassy_errors_pass_through(embassy):
     assert ask(embassy, "STATUS NOPE") == "ERR NOT_FOUND"
     assert ask(embassy, "RESOLVE 00ff") == "ERR BAD_TOKEN_WIRE"
@@ -173,3 +199,45 @@ def test_server_round_trip():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_server_line_length_cap():
+    server = CloudServer(EmbassyCloud("IN", b"socket-secret"), port=0)
+    host, port = server.server_address
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection((host, port), timeout=5) as conn:
+            fp = conn.makefile("rw", encoding="utf-8", newline="\n")
+            fp.write("SUBMIT alice VISA_APPLICATION\n")
+            fp.flush()
+            tracking = fp.readline().split()[1]
+            # The longest valid request: a visa image at the size bound.
+            image = bytes(MAX_IMAGE_BYTES).hex()
+            fp.write(f"APPROVE_VISA {tracking} V42 P1 US 0 999 {image}\n")
+            fp.flush()
+            assert fp.readline().startswith("OK ")
+        with socket.create_connection((host, port), timeout=5) as conn:
+            # Sent from its own thread: the server stops reading mid-line,
+            # so the rest of this write may fail once it hangs up.
+            def send_long_line():
+                try:
+                    conn.sendall(b"PING " + b"x" * MAX_LINE_BYTES + b"\n")
+                except OSError:
+                    pass
+            writer = threading.Thread(target=send_long_line, daemon=True)
+            writer.start()
+            fp = conn.makefile("r", encoding="utf-8", newline="\n")
+            assert fp.readline() == "ERR LINE_TOO_LONG\n"
+            try:
+                rest = fp.readline()
+            except ConnectionResetError:
+                rest = ""
+            assert rest == ""       # and the connection is closed
+            writer.join(timeout=5)
+            assert not writer.is_alive()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
