@@ -23,7 +23,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import authflow
-from .authflow import OtpStore, Session, SessionState
+from .authflow import OtpStore, SessionState
 from .clouds import (AirportCloud, Checkpoint, CompareResult, compare_visa,
                      receive_desk_copy)
 from .errors import AuthError, DeskError, NfcError, ValidationError
@@ -39,7 +39,6 @@ __all__ = [
     "AgentScript",
     "PHASES",
     "run_check",
-    "retry_after_failure",
 ]
 
 PHASE_AUTH = "auth"
@@ -84,7 +83,7 @@ class CheckTranscript:
         if order != sorted(order):
             raise ValidationError("PHASES_OUT_OF_ORDER", str(order))
         finals = [e for e in self.events if e.phase == PHASE_OUTCOME]
-        if len(finals) != 1 or self.events[-1].phase != PHASE_OUTCOME:
+        if len(finals) != 1:
             raise ValidationError("BAD_OUTCOME_EVENT",
                                   f"{len(finals)} outcome events")
         if not finals[0].detail.startswith(self.outcome.value):
@@ -120,15 +119,6 @@ class AgentScript:
     step_s: int = 15                    # virtual seconds per agent action
 
 
-def retry_after_failure(device: DeviceState, clock, rng) -> Session:
-    """Start over after a failed check: a brand-new session at level 1.
-
-    Nothing carries over; in particular the previous transaction's OTP
-    stays spent. A device locked by the previous check refuses this.
-    """
-    return authflow.open_session(device, clock.now, rng)
-
-
 def _utc_time(now: int) -> str:
     minutes = (now // 60) % 1440
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
@@ -159,7 +149,7 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
             if script.retry_after_expiry and not reopened:
                 reopened = True
                 try:
-                    session = retry_after_failure(device, clock, rng)
+                    session = authflow.open_session(device, clock.now, rng)
                     log(PHASE_AUTH, f"session-reopened id={session.session_id}")
                 except AuthError as exc:
                     log(PHASE_AUTH, f"session-refused {exc.code}")

@@ -95,17 +95,17 @@ class NfcChannel:
 
     def __post_init__(self):
         if self.distance_cm > MAX_RANGE_CM:
-            raise NfcError("OUT_OF_RANGE", f"{self.distance_cm} cm")
+            raise NfcError("OUT_OF_RANGE",
+                           f"{self.distance_cm} cm > {MAX_RANGE_CM} cm")
 
 
 def establish(reader_id: str, device: DeviceState, distance_cm: float,
               now: int) -> NfcChannel:
     """Bring the device into the field. Inclusive at exactly 15.0 cm."""
-    if distance_cm > MAX_RANGE_CM:
-        raise NfcError("OUT_OF_RANGE", f"{distance_cm} cm > {MAX_RANGE_CM} cm")
+    channel = NfcChannel(reader_id, device.device_id, distance_cm, now)
     if device.locked:
         raise NfcError("DEVICE_LOCKED")
-    return NfcChannel(reader_id, device.device_id, distance_cm, now)
+    return channel
 
 
 def _guard_live(channel: NfcChannel, device: DeviceState) -> None:
@@ -148,8 +148,7 @@ def tap_check(channel: NfcChannel, device: DeviceState):
 
 def tap_stamp(channel: NfcChannel, device: DeviceState, stamp: StampEntry) -> Frame:
     """Write a border stamp onto the page that was just checked."""
-    if device.locked:
-        raise NfcError("DEVICE_LOCKED" if channel.lock_sent else "CHANNEL_STALE")
+    _guard_live(channel, device)
     if channel.checked_visa_id is None:
         raise NfcError("NO_PRIOR_CHECK")
     passport = device.passport

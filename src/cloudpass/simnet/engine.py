@@ -20,7 +20,7 @@ from ..qrlink import QrPayload, token_from_payload, token_to_payload
 from .clock import VirtualClock
 from .events import EventLog, ScenarioEvent
 from .rng import ScenarioRng
-from .scenario import FaultKind, FaultSpec, Scenario, fault_to_command
+from .scenario import _FAULTS, FaultKind, FaultSpec, Scenario, fault_to_command
 
 __all__ = ["World", "TravelerState", "run"]
 
@@ -33,19 +33,13 @@ _DESK_EVENTS = {phase: f"desk-{phase}" for phase in immigration.PHASES}
 class TravelerState:
     name: str
     device: DeviceState
-    password: str
-    image_answers: tuple[str, ...]
+    script: immigration.AgentScript    # what they do at the desk, faults too
     home_authority: str | None = None
     visa_authority: str | None = None
     passport_tracking: str | None = None
     visa_tracking: str | None = None
     passport_no: str | None = None
     visa_id: str | None = None
-    # armed misbehavior
-    wrong_time: bool = False
-    wrong_image: bool = False
-    replay_armed: bool = False
-    oversleep_s: int = 0
     last_redeemed: str | None = None
 
 
@@ -132,7 +126,8 @@ def _cmd_traveler(world: World, cmd) -> None:
     password = f"pw-{stream.getrandbits(32):08x}"
     world.credentials[name] = authflow.make_credential(name, password, stream)
     device = DeviceState(device_id, offset, images)
-    world.travelers[name] = TravelerState(name, device, password, answers)
+    script = immigration.AgentScript(name, password, answers)
+    world.travelers[name] = TravelerState(name, device, script)
     world.emit(name, "traveler-created", device=device_id, offset_min=offset)
 
 
@@ -275,19 +270,10 @@ def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
     code = cmd.args["airport"]
     desk = immigration.DeskCheck(checkpoint, code, world.next_desk(code),
                                  world.clock.now)
-    replay = None
-    if traveler.replay_armed:
-        replay = traveler.last_redeemed or "000000"
-    script = immigration.AgentScript(
-        username=traveler.name, password=traveler.password,
-        image_answers=traveler.image_answers,
-        submit_utc_time=traveler.wrong_time,
-        wrong_image_answer=traveler.wrong_image,
-        replay_otp=replay, oversleep_s=traveler.oversleep_s)
     alerts_before = len(world.alerts)
     transcript = immigration.run_check(
-        desk, traveler.device, world.airports.get(code), script, world.clock,
-        world.rng.stream(f"check:{traveler.name}"),
+        desk, traveler.device, world.airports.get(code), traveler.script,
+        world.clock, world.rng.stream(f"check:{traveler.name}"),
         credentials=world.credentials, otp_store=world.otp_store,
         alert_sink=world.alerts)
     emit, name = world.log.emit, traveler.name
@@ -303,8 +289,9 @@ def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
     otp = world.otp_store.get(f"{desk.desk_id}@{desk.started_at}")
     if otp is not None:
         traveler.last_redeemed = otp.code
-    traveler.replay_armed = False
-    traveler.oversleep_s = 0
+    # replay-otp and oversleep last one desk check.
+    traveler.script.replay_otp = None
+    traveler.script.oversleep_s = 0
 
 
 def _cmd_depart(world: World, cmd) -> None:
@@ -328,27 +315,24 @@ def _cmd_tamper_visa(world: World, cmd) -> None:
     world.emit(traveler.name, "visa-tampered", offset=index)
 
 
-def _cmd_wrong_time(world: World, cmd) -> None:
-    world.traveler(cmd.args["name"]).wrong_time = True
-    world.emit(cmd.args["name"], "fault-armed", kind=FaultKind.WRONG_TIME.value)
-
-
-def _cmd_wrong_image_answer(world: World, cmd) -> None:
-    world.traveler(cmd.args["name"]).wrong_image = True
-    world.emit(cmd.args["name"], "fault-armed",
-               kind=FaultKind.WRONG_IMAGE_ANSWER.value)
-
-
-def _cmd_replay_otp(world: World, cmd) -> None:
-    world.traveler(cmd.args["name"]).replay_armed = True
-    world.emit(cmd.args["name"], "fault-armed", kind=FaultKind.REPLAY_OTP.value)
-
-
-def _cmd_oversleep(world: World, cmd) -> None:
-    world.traveler(cmd.args["name"]).oversleep_s = cmd.duration("wait")
-    world.emit(cmd.args["name"], "fault-armed",
-               kind=FaultKind.OVERSLEEP_SESSION.value,
-               wait=cmd.duration("wait"))
+def _cmd_arm_script(world: World, cmd) -> None:
+    """Arm a fault on the traveler's desk script. wrong-time and
+    wrong-image-answer stick for the rest of the run; replay-otp and
+    oversleep are cleared after the next desk check."""
+    traveler = world.traveler(cmd.args["name"])
+    script, kind = traveler.script, _FAULTS[cmd.verb][0]
+    details = {"kind": kind.value}
+    if kind is FaultKind.WRONG_TIME:
+        script.submit_utc_time = True
+    elif kind is FaultKind.WRONG_IMAGE_ANSWER:
+        script.wrong_image_answer = True
+    elif kind is FaultKind.REPLAY_OTP:
+        # Only a desk check moves last_redeemed, so this is the code the
+        # next check would have read.
+        script.replay_otp = traveler.last_redeemed or "000000"
+    else:  # OVERSLEEP_SESSION
+        script.oversleep_s = details["wait"] = cmd.duration("wait")
+    world.emit(traveler.name, "fault-armed", **details)
 
 
 def _cmd_skip_sync(world: World, cmd) -> None:
@@ -372,10 +356,10 @@ _HANDLERS = {
     "depart": _cmd_depart,
     "arrive": _cmd_arrive,
     "tamper-visa": _cmd_tamper_visa,
-    "wrong-time": _cmd_wrong_time,
-    "wrong-image-answer": _cmd_wrong_image_answer,
-    "replay-otp": _cmd_replay_otp,
-    "oversleep": _cmd_oversleep,
+    "wrong-time": _cmd_arm_script,
+    "wrong-image-answer": _cmd_arm_script,
+    "replay-otp": _cmd_arm_script,
+    "oversleep": _cmd_arm_script,
     "skip-sync": _cmd_skip_sync,
 }
 

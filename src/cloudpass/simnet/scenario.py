@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ScenarioParseError
-from ..model import I64_MAX, I64_MIN, MAX_IMAGE_BYTES
+from ..model import (_AIRPORT_RE, _COUNTRY_RE, I64_MAX, I64_MIN,
+                     MAX_IMAGE_BYTES)
 
 __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "FaultSpec",
            "load_scenario", "parse_duration", "parse_fault",
@@ -34,8 +35,6 @@ _TOKEN_RE = re.compile(r"\S+")
 _KEY_VALUE_RE = re.compile(r"^([a-z][a-z0-9-]*)=(.*)$")
 _DURATION_RE = re.compile(r"^([0-9]+)(s|m|h|d)?$")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
-_AIRPORT_RE = re.compile(r"^[A-Z]{3}$")
-_COUNTRY_RE = re.compile(r"^[A-Z]{2,3}$")
 _INT_RE = re.compile(r"^[0-9]+$")
 _SIGNED_RE = re.compile(r"^[+-]?[0-9]+$")
 
@@ -87,6 +86,32 @@ class _VerbSpec:
     defaults: dict = field(default_factory=dict)
 
 
+class FaultKind(Enum):
+    TAMPER_VISA_BYTE = "TAMPER_VISA_BYTE"
+    WRONG_IMAGE_ANSWER = "WRONG_IMAGE_ANSWER"
+    WRONG_TIME = "WRONG_TIME"
+    REPLAY_OTP = "REPLAY_OTP"
+    SKIP_SYNC = "SKIP_SYNC"
+    OVERSLEEP_SESSION = "OVERSLEEP_SESSION"
+
+
+# Fault verbs: misbehavior armed from inside a scenario or injected with
+# --fault. A fault is its row here plus its handler in engine._HANDLERS.
+_FAULTS: dict[str, tuple[FaultKind, _VerbSpec]] = {
+    "tamper-visa": (FaultKind.TAMPER_VISA_BYTE,
+                    _VerbSpec((("name", "name"),), {"byte": "int"},
+                              required=("byte",))),
+    "wrong-time": (FaultKind.WRONG_TIME, _VerbSpec((("name", "name"),))),
+    "wrong-image-answer": (FaultKind.WRONG_IMAGE_ANSWER,
+                           _VerbSpec((("name", "name"),))),
+    "replay-otp": (FaultKind.REPLAY_OTP, _VerbSpec((("name", "name"),))),
+    "oversleep": (FaultKind.OVERSLEEP_SESSION,
+                  _VerbSpec((("name", "name"),), {"wait": "duration"},
+                            defaults={"wait": "601s"})),
+    "skip-sync": (FaultKind.SKIP_SYNC, _VerbSpec()),
+}
+_VERB_BY_FAULT = {kind: verb for verb, (kind, _) in _FAULTS.items()}
+
 _VERBS: dict[str, _VerbSpec] = {
     "embassy": _VerbSpec((("authority", "country"),)),
     "airport": _VerbSpec((("code", "airport"),)),
@@ -117,19 +142,8 @@ _VERBS: dict[str, _VerbSpec] = {
     "advance-clock": _VerbSpec((("by", "duration"),)),
     "depart": _VerbSpec((("name", "name"), ("airport", "airport"))),
     "arrive": _VerbSpec((("name", "name"), ("airport", "airport"))),
-    # Fault verbs: misbehavior armed from inside a scenario.
-    "tamper-visa": _VerbSpec((("name", "name"),), {"byte": "int"},
-                             required=("byte",)),
-    "wrong-time": _VerbSpec((("name", "name"),)),
-    "wrong-image-answer": _VerbSpec((("name", "name"),)),
-    "replay-otp": _VerbSpec((("name", "name"),)),
-    "oversleep": _VerbSpec((("name", "name"),), {"wait": "duration"},
-                           defaults={"wait": "601s"}),
-    "skip-sync": _VerbSpec(),
+    **{verb: grammar for verb, (_, grammar) in _FAULTS.items()},
 }
-
-_FAULT_VERBS = ("tamper-visa", "wrong-time", "wrong-image-answer",
-                "replay-otp", "oversleep", "skip-sync")
 
 
 @dataclass(frozen=True)
@@ -148,36 +162,29 @@ class Scenario:
     commands: tuple[ScenarioCommand, ...]
 
 
-class FaultKind(Enum):
-    TAMPER_VISA_BYTE = "TAMPER_VISA_BYTE"
-    WRONG_IMAGE_ANSWER = "WRONG_IMAGE_ANSWER"
-    WRONG_TIME = "WRONG_TIME"
-    REPLAY_OTP = "REPLAY_OTP"
-    SKIP_SYNC = "SKIP_SYNC"
-    OVERSLEEP_SESSION = "OVERSLEEP_SESSION"
-
-
-_FAULT_BY_VERB = {
-    "tamper-visa": FaultKind.TAMPER_VISA_BYTE,
-    "wrong-time": FaultKind.WRONG_TIME,
-    "wrong-image-answer": FaultKind.WRONG_IMAGE_ANSWER,
-    "replay-otp": FaultKind.REPLAY_OTP,
-    "oversleep": FaultKind.OVERSLEEP_SESSION,
-    "skip-sync": FaultKind.SKIP_SYNC,
-}
-_VERB_BY_FAULT = {kind: verb for verb, kind in _FAULT_BY_VERB.items()}
-
-
 @dataclass(frozen=True)
 class FaultSpec:
+    """A fault with its verb's params, as text; the verb's defaults fill
+    in what ``params`` leaves out, and the grammar refuses the rest."""
+
     kind: FaultKind
     params: dict
 
     def __post_init__(self):
-        if self.kind is FaultKind.TAMPER_VISA_BYTE and "byte" not in self.params:
-            raise ValueError("TAMPER_VISA_BYTE needs a byte offset")
-        if self.kind is not FaultKind.SKIP_SYNC and "name" not in self.params:
-            raise ValueError(f"{self.kind.value} needs an actor name")
+        verb = _VERB_BY_FAULT[self.kind]
+        grammar = _FAULTS[verb][1]
+        validators = {**dict(grammar.positionals), **grammar.keys}
+        params = {**grammar.defaults, **self.params}
+        for key, value in params.items():
+            validator = validators.get(key)
+            if validator is None:
+                raise ValueError(f"unknown key {key!r} for {verb}")
+            if not isinstance(value, str) or not _VALIDATORS[validator](value):
+                raise ValueError(f"bad {validator} value {value!r} for {key!r}")
+        for key in (*dict(grammar.positionals), *grammar.required):
+            if key not in params:
+                raise ValueError(f"{verb} needs {key!r}")
+        object.__setattr__(self, "params", params)
 
 
 def _fail(message: str, line_no: int, column: int):
@@ -240,9 +247,9 @@ def load_scenario(text: str, seed: int = 0) -> Scenario:
 def parse_fault(text: str) -> FaultSpec:
     """One fault in command syntax, e.g. ``tamper-visa alice byte=17``."""
     command = _parse_line(text.strip(), 1)
-    if command is None or command.verb not in _FAULT_VERBS:
+    if command is None or command.verb not in _FAULTS:
         _fail(f"not a fault command: {text.strip()!r}", 1, 1)
-    return FaultSpec(_FAULT_BY_VERB[command.verb], dict(command.args))
+    return FaultSpec(_FAULTS[command.verb][0], dict(command.args))
 
 
 def fault_to_command(spec: FaultSpec) -> ScenarioCommand:

@@ -36,11 +36,6 @@ class _BadRequest(Exception):
         self.code = code
 
 
-def _need(parts: list[str], count: int) -> None:
-    if len(parts) != count:
-        raise _BadRequest("BAD_ARGS")
-
-
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -62,100 +57,115 @@ def _enum(cls, name: str):
         raise _BadRequest("BAD_ARGS") from None
 
 
-def _embassy_dispatch(cloud: EmbassyCloud, op: str, args: list[str],
-                      rng: random.Random) -> str:
-    if op == "PING":
-        _need(args, 0)
-        return "OK pong"
-    if op == "SUBMIT":
-        _need(args, 2)
-        tracking = clouds.submit_application(cloud, args[0],
-                                             _enum(IdKind, args[1]), rng)
-        return f"OK {tracking.value}"
-    if op == "STATUS":
-        _need(args, 1)
-        return f"OK {clouds.application_status(cloud, args[0]).value}"
-    if op == "APPROVE_PASSPORT":
-        _need(args, 6)
-        note = clouds.approve_passport(
-            cloud, args[0], passport_no=args[1], holder_name=args[2],
-            nationality=args[3], issue_date=_int(args[4]),
-            expiry_date=_int(args[5]))
-        return f"OK {token_wire(note.payload)}"
-    if op == "APPROVE_VISA":
-        _need(args, 7)
-        note = clouds.approve_visa(
-            cloud, args[0], visa_id=args[1], passport_no=args[2],
-            destination_country=args[3], valid_from=_int(args[4]),
-            valid_to=_int(args[5]), image_bytes=_hex(args[6]))
-        return f"OK {token_wire(note.payload)}"
-    if op == "RESOLVE":
-        _need(args, 1)
-        token = token_from_wire(args[0])
-        resource_id = resolve_link_token(token, cloud)
-        return f"OK {token.resource_kind.value} {resource_id}"
-    if op == "BLOB":
-        _need(args, 1)
-        blob = cloud.blobs.get(args[0])
-        if blob is None:
-            raise _BadRequest("NO_SUCH_BLOB")
-        return f"OK {blob.hex()}"
-    if op == "SNAPSHOT":
-        _need(args, 0)
-        return f"OK {cloud.snapshot_bytes().hex()}"
-    raise _BadRequest("BAD_OP")
+def _submit(cloud: EmbassyCloud, rng, applicant, kind) -> str:
+    tracking = clouds.submit_application(cloud, applicant,
+                                         _enum(IdKind, kind), rng)
+    return f"OK {tracking.value}"
 
 
-def _airport_dispatch(cloud: AirportCloud, op: str, args: list[str]) -> str:
-    if op == "PING":
-        _need(args, 0)
-        return "OK pong"
-    if op == "REPLICATE":
-        _need(args, 3)
-        cloud.replicated[args[0]] = (args[1], args[2])
-        return "OK"
-    if op == "DESK_COPY":
-        _need(args, 3)
-        digest = clouds.receive_desk_copy(cloud, args[0], _hex(args[2]),
-                                          _enum(Checkpoint, args[1]))
-        return f"OK {digest}"
-    if op == "COMPARE":
-        _need(args, 2)
-        result = clouds.compare_visa(cloud, args[0],
-                                     _enum(Checkpoint, args[1]))
-        return f"OK {result.value}"
-    if op == "REPLICATED":
-        _need(args, 1)
-        entry = cloud.replicated.get(args[0])
-        if entry is None:
-            raise _BadRequest("NOT_REPLICATED")
-        return f"OK {entry[0]} {entry[1]}"
-    if op == "SNAPSHOT":
-        _need(args, 0)
-        return f"OK {cloud.snapshot_bytes().hex()}"
-    raise _BadRequest("BAD_OP")
+def _approve_passport(cloud: EmbassyCloud, rng, tracking, passport_no,
+                      holder, nationality, issued, expires) -> str:
+    note = clouds.approve_passport(
+        cloud, tracking, passport_no=passport_no, holder_name=holder,
+        nationality=nationality, issue_date=_int(issued),
+        expiry_date=_int(expires))
+    return f"OK {token_wire(note.payload)}"
 
 
-def _handle(line: str, dispatch) -> str:
+def _approve_visa(cloud: EmbassyCloud, rng, tracking, visa_id, passport_no,
+                  destination, valid_from, valid_to, image) -> str:
+    note = clouds.approve_visa(
+        cloud, tracking, visa_id=visa_id, passport_no=passport_no,
+        destination_country=destination, valid_from=_int(valid_from),
+        valid_to=_int(valid_to), image_bytes=_hex(image))
+    return f"OK {token_wire(note.payload)}"
+
+
+def _resolve(cloud: EmbassyCloud, rng, token_hex) -> str:
+    token = token_from_wire(token_hex)
+    resource_id = resolve_link_token(token, cloud)
+    return f"OK {token.resource_kind.value} {resource_id}"
+
+
+def _blob(cloud: EmbassyCloud, rng, content_hash) -> str:
+    blob = cloud.blobs.get(content_hash)
+    if blob is None:
+        raise _BadRequest("NO_SUCH_BLOB")
+    return f"OK {blob.hex()}"
+
+
+def _replicate(cloud: AirportCloud, rng, visa_id, passport_no,
+               image_hash) -> str:
+    cloud.replicated[visa_id] = (passport_no, image_hash)
+    return "OK"
+
+
+def _desk_copy(cloud: AirportCloud, rng, visa_id, checkpoint, image) -> str:
+    digest = clouds.receive_desk_copy(cloud, visa_id, _hex(image),
+                                      _enum(Checkpoint, checkpoint))
+    return f"OK {digest}"
+
+
+def _compare(cloud: AirportCloud, rng, visa_id, checkpoint) -> str:
+    result = clouds.compare_visa(cloud, visa_id, _enum(Checkpoint, checkpoint))
+    return f"OK {result.value}"
+
+
+def _replicated(cloud: AirportCloud, rng, visa_id) -> str:
+    entry = cloud.replicated.get(visa_id)
+    if entry is None:
+        raise _BadRequest("NOT_REPLICATED")
+    return f"OK {entry[0]} {entry[1]}"
+
+
+# op -> (argument count, handler). A handler is called as
+# handler(cloud, rng, *args); only SUBMIT draws from the rng.
+_SHARED_OPS = {
+    "PING": (0, lambda cloud, rng: "OK pong"),
+    "SNAPSHOT": (0, lambda cloud, rng: f"OK {cloud.snapshot_bytes().hex()}"),
+}
+_EMBASSY_OPS = {
+    **_SHARED_OPS,
+    "SUBMIT": (2, _submit),
+    "STATUS": (1, lambda cloud, rng, tracking:
+               f"OK {clouds.application_status(cloud, tracking).value}"),
+    "APPROVE_PASSPORT": (6, _approve_passport),
+    "APPROVE_VISA": (7, _approve_visa),
+    "RESOLVE": (1, _resolve),
+    "BLOB": (1, _blob),
+}
+_AIRPORT_OPS = {
+    **_SHARED_OPS,
+    "REPLICATE": (3, _replicate),
+    "DESK_COPY": (3, _desk_copy),
+    "COMPARE": (2, _compare),
+    "REPLICATED": (1, _replicated),
+}
+
+
+def _handle(ops: dict, cloud, line: str, rng=None) -> str:
     parts = line.split()
     if not parts:
         return "ERR EMPTY_LINE"
+    if parts[0] not in ops:
+        return "ERR BAD_OP"
+    arity, handler = ops[parts[0]]
+    if len(parts) - 1 != arity:
+        return "ERR BAD_ARGS"
     try:
-        return dispatch(parts[0], parts[1:])
-    except _BadRequest as exc:
-        return f"ERR {exc.code}"
-    except CloudPassError as exc:
+        return handler(cloud, rng, *parts[1:])
+    except (_BadRequest, CloudPassError) as exc:
         return f"ERR {exc.code}"
 
 
 def handle_embassy_line(cloud: EmbassyCloud, line: str,
                         rng: random.Random | None = None) -> str:
     rng = rng if rng is not None else random.Random(0)
-    return _handle(line, lambda op, args: _embassy_dispatch(cloud, op, args, rng))
+    return _handle(_EMBASSY_OPS, cloud, line, rng)
 
 
 def handle_airport_line(cloud: AirportCloud, line: str) -> str:
-    return _handle(line, lambda op, args: _airport_dispatch(cloud, op, args))
+    return _handle(_AIRPORT_OPS, cloud, line)
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from cloudpass import immigration
+from cloudpass import authflow, immigration
 from cloudpass.authflow import SessionState
 from cloudpass.clouds import Checkpoint
 from cloudpass.errors import AuthError, DeskError, ValidationError
 from cloudpass.immigration import (PHASE_AUTH, PHASE_COMPARE, PHASE_DESK_COPY,
                                    PHASE_NFC, PHASE_OUTCOME, PHASE_STAMP,
                                    PHASES, CheckTranscript, Outcome,
-                                   TranscriptEvent, retry_after_failure,
-                                   run_check)
+                                   TranscriptEvent, run_check)
 
 from conftest import build_kit
 
@@ -225,7 +224,7 @@ def test_retry_after_isolate_gets_fresh_session():
     k = build_kit(synced=False)
     run(k)
     old_session = k.device.session
-    session = retry_after_failure(k.device, k.clock, k.rng)
+    session = authflow.open_session(k.device, k.clock.now, k.rng)
     assert session.state is SessionState.TIME_AUTH_PENDING
     assert session.session_id != old_session.session_id
 
@@ -234,7 +233,7 @@ def test_retry_after_lock_refused():
     k = build_kit()
     run(k, wrong_image_answer=True)
     with pytest.raises(AuthError) as err:
-        retry_after_failure(k.device, k.clock, k.rng)
+        authflow.open_session(k.device, k.clock.now, k.rng)
     assert err.value.code == "DEVICE_LOCKED"
 
 

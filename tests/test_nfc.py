@@ -96,6 +96,14 @@ def test_establish_locked_device():
     assert err.value.code == "DEVICE_LOCKED"
 
 
+def test_establish_out_of_range_refused_before_locked():
+    k = ready_kit()
+    k.device.locked = True
+    with pytest.raises(NfcError) as err:
+        establish("reader-1", k.device, 15.1, 0)
+    assert err.value.code == "OUT_OF_RANGE"
+
+
 def test_channel_never_exists_out_of_range():
     with pytest.raises(NfcError):
         NfcChannel("reader-1", "dev", 15.2, 0)

@@ -1,7 +1,9 @@
 """Scenario language, virtual clock, event log, engine, and CLI."""
 
+import ast
 import io
 import json
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -11,21 +13,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cloudpass import authflow
 from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
 from cloudpass.immigration import PHASE_AUTH, TranscriptEvent
 from cloudpass.model import MAX_IMAGE_BYTES
-from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind, ScenarioEvent,
-                              ScenarioRng, VirtualClock, emit_report,
-                              event_line, fault_to_command, load_scenario,
-                              outcome_counts, parse_duration, parse_fault,
-                              render_iso, run)
+from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind, FaultSpec,
+                              ScenarioEvent, ScenarioRng, VirtualClock,
+                              emit_report, event_line, fault_to_command,
+                              load_scenario, outcome_counts, parse_duration,
+                              parse_fault, render_iso, run)
 from cloudpass.simnet.cli import main as cli_main
 from cloudpass.simnet.clock import CLOCK_MAX
+from cloudpass.simnet.scenario import _FAULTS
 
 from test_golden import _cases as golden_cases
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 HAPPY = (SCENARIOS / "happy_path.cps").read_text()
 
 
@@ -485,6 +490,163 @@ def test_fault_oversleep_expires_then_recovers():
     joined = " ".join(e.details.get("detail", "") for e in events)
     assert "SESSION_EXPIRED" in joined
     assert outcome_counts(events)["PERMIT"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the fault table
+
+
+def _readme_fault_verbs() -> list[str]:
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Fault verbs arm", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"`([a-z][a-z-]*)[^`]*`", paragraph)
+
+
+def _bench_fault_verbs() -> tuple[str, ...]:
+    """``FAULT_VERBS`` from the benchmark's generator, read, not run."""
+    tree = ast.parse((ROOT / "benchmarks" / "generate.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "FAULT_VERBS"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmarks/generate.py has no FAULT_VERBS")
+
+
+def test_fault_table_matches_kinds_readme_and_benchmark():
+    kinds = [kind for kind, _ in _FAULTS.values()]
+    assert sorted(kinds, key=str) == sorted(FaultKind, key=str)
+    assert sorted(_FAULTS) == sorted(_readme_fault_verbs())
+    assert sorted(_FAULTS) == sorted(_bench_fault_verbs())
+
+
+# A valid value for each validator a fault key can require.
+_SAMPLE_VALUES = {"int": "7", "duration": "601s"}
+
+
+@pytest.mark.parametrize("verb", list(_FAULTS))
+def test_fault_row_round_trips(verb):
+    kind, grammar = _FAULTS[verb]
+    words = [verb] + ["alice" for _ in grammar.positionals]
+    words += [f"{key}={_SAMPLE_VALUES[grammar.keys[key]]}"
+              for key in grammar.required]
+    spec = parse_fault(" ".join(words))
+    assert spec.kind is kind
+    assert fault_to_command(spec).verb == verb
+
+
+def _spec_by_hand(text: str) -> FaultSpec:
+    """The FaultSpec a caller would build without the parser: bare words
+    are the actor's name, ``key=value`` words are params."""
+    verb, *words = text.split()
+    params = dict(w.split("=", 1) if "=" in w else ("name", w) for w in words)
+    return FaultSpec(_FAULTS[verb][0], params)
+
+
+@pytest.mark.parametrize("text,valid", [
+    ("tamper-visa alice byte=7", True),
+    ("wrong-time alice", True),
+    ("wrong-image-answer alice", True),
+    ("replay-otp alice", True),
+    ("oversleep alice", True),
+    ("oversleep alice wait=2h", True),
+    ("skip-sync", True),
+    # missing name
+    ("tamper-visa byte=7", False),
+    ("wrong-time", False),
+    ("wrong-image-answer", False),
+    ("replay-otp", False),
+    ("oversleep wait=5s", False),
+    ("wrong-time 9lives", False),
+    # bad or missing byte
+    ("tamper-visa alice", False),
+    ("tamper-visa alice byte=x", False),
+    ("tamper-visa alice byte=-1", False),
+    ("tamper-visa alice byte=99999999999999999999", False),
+    # bad wait
+    ("oversleep alice wait=soon", False),
+    ("oversleep alice wait=5y", False),
+    ("oversleep alice wait=", False),
+    # unknown key
+    ("tamper-visa alice byte=7 page=3", False),
+    ("wrong-time alice speed=2", False),
+    ("wrong-image-answer alice tries=3", False),
+    ("replay-otp alice code=123456", False),
+    ("oversleep alice nap=5s", False),
+    ("skip-sync alice", False),
+])
+def test_fault_spec_accepts_what_parse_fault_accepts(text, valid):
+    if valid:
+        assert _spec_by_hand(text) == parse_fault(text)
+        return
+    with pytest.raises(ScenarioParseError):
+        parse_fault(text)
+    with pytest.raises(ValueError):
+        _spec_by_hand(text)
+
+
+def test_fault_spec_gets_its_verbs_defaults():
+    by_hand = FaultSpec(FaultKind.OVERSLEEP_SESSION, {"name": "alice"})
+    parsed = parse_fault("oversleep alice")
+    assert by_hand == parsed
+    for seed in (1, 2):
+        scenario = load_scenario(HAPPY, seed)
+        assert (report_bytes(run(scenario, (by_hand,))[1])
+                == report_bytes(run(scenario, (parsed,))[1]))
+
+
+@pytest.mark.parametrize("kind,params", [
+    (FaultKind.TAMPER_VISA_BYTE, {"name": "alice", "byte": "x"}),
+    (FaultKind.TAMPER_VISA_BYTE, {"name": "alice", "byte": 7}),
+    (FaultKind.WRONG_TIME, {"name": "alice", "speed": "2"}),
+    (FaultKind.SKIP_SYNC, {"name": "alice"}),
+], ids=["bad-byte", "byte-not-text", "unknown-key", "skip-sync-actor"])
+def test_fault_spec_refuses_what_the_grammar_refuses(kind, params):
+    with pytest.raises(ValueError):
+        FaultSpec(kind, params)
+
+
+def _run_with_fault_between_checks(fault: str, seed: int = 1):
+    marker = "depart alice BLR\n"
+    assert HAPPY.count(marker) == 1
+    text = HAPPY.replace(marker, f"{marker}{fault}\n")
+    world, events = run(load_scenario(text, seed))
+    outcomes = [e.details["outcome"] for e in events
+                if e.event == "check-outcome"]
+    details = [e.details.get("detail", "") for e in events]
+    return world, outcomes, details
+
+
+def test_replay_armed_between_checks_presents_departure_otp(monkeypatch):
+    presented = []
+    original = authflow.redeem_otp
+
+    def recording_redeem(store, code, transaction_id):
+        presented.append((transaction_id, code))
+        return original(store, code, transaction_id)
+
+    monkeypatch.setattr(authflow, "redeem_otp", recording_redeem)
+    world, outcomes, details = _run_with_fault_between_checks(
+        "replay-otp alice")
+    assert outcomes == ["PERMIT", "PERMIT"]
+    assert sum(d.startswith("otp-rejected") for d in details) == 1
+    departure_tx = presented[0][0]
+    arrival_tx, replayed = presented[1]
+    assert arrival_tx != departure_tx
+    assert replayed == world.otp_store.get(departure_tx).code
+    assert presented[2] == (arrival_tx, world.otp_store.get(arrival_tx).code)
+
+
+def test_oversleep_armed_between_checks_idles_once():
+    _, outcomes, details = _run_with_fault_between_checks(
+        "oversleep alice wait=700s")
+    assert sum(d.startswith("agent-idle") for d in details) == 1
+    assert outcomes == ["PERMIT", "PERMIT"]
+
+
+def test_wrong_time_armed_between_checks_locks_the_arrival():
+    world, outcomes, _ = _run_with_fault_between_checks("wrong-time alice")
+    assert outcomes == ["PERMIT", "LOCK_AND_ALERT"]
+    assert world.traveler("alice").device.locked
 
 
 def test_runtime_error_carries_index_and_world():

@@ -1,8 +1,10 @@
 """Line protocol handlers and the TCP wrapper around them."""
 
 import random
+import re
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,9 @@ from cloudpass.clouds import AirportCloud, EmbassyCloud
 from cloudpass.model import MAX_IMAGE_BYTES, content_hash
 from cloudpass.wire import (MAX_LINE_BYTES, CloudServer, handle_airport_line,
                             handle_embassy_line)
+
+
+_WIRE_DOC = (Path(__file__).resolve().parents[1] / "docs" / "wire.md").read_text()
 
 
 @pytest.fixture
@@ -49,6 +54,29 @@ def test_empty_line(embassy):
 def test_wrong_arg_count(embassy):
     assert ask(embassy, "PING extra") == "ERR BAD_ARGS"
     assert ask(embassy, "SUBMIT alice") == "ERR BAD_ARGS"
+
+
+def _documented_ops(role: str) -> dict[str, int]:
+    """op -> argument count, from the role's table in docs/wire.md."""
+    section = _WIRE_DOC.split(f"## {role} role", 1)[1].split("\n## ", 1)[0]
+    ops = {}
+    for request in re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE):
+        ops[request.split()[0]] = len(re.findall(r"<[^>]+>", request))
+    return ops
+
+
+@pytest.mark.parametrize("role", ["Embassy", "Airport"])
+def test_documented_arity_is_enforced(role, embassy, airport):
+    cloud, other = ((embassy, airport) if role == "Embassy"
+                    else (airport, embassy))
+    ops = _documented_ops(role)
+    other_ops = _documented_ops("Airport" if role == "Embassy" else "Embassy")
+    assert {"PING", "SNAPSHOT"} <= ops.keys() & other_ops.keys()
+    for op, count in ops.items():
+        for wrong in {count - 1, count + 1} - {-1}:
+            assert ask(cloud, " ".join([op] + ["x"] * wrong)) == "ERR BAD_ARGS"
+    for op in other_ops.keys() - ops.keys():
+        assert ask(cloud, op) == "ERR BAD_OP"
 
 
 def test_bad_hex(embassy):
