@@ -515,7 +515,10 @@ class _Reader:
         return bytes(self.take(self.u32()))
 
     def text(self) -> str:
-        return self.raw().decode("utf-8")
+        try:
+            return self.raw().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError("BAD_UTF8", f"BAD_UTF8: {exc.reason}") from None
 
     def enum(self, cls):
         name = self.text()
@@ -706,13 +709,18 @@ def _device_r(r: _Reader) -> DeviceState:
     device_id = r.text()
     offset = r.i64()
     locked = r.boolean()
+    from .authflow import Session
     passport = r.opt(lambda: _read_record(r, Passport))
     visas = {}
     for _ in range(r.u32()):
         key = r.text()
+        if visas and key <= key_before:
+            raise ValidationError("MAP_KEYS_NOT_SORTED",
+                                  f"{key!r} after {key_before!r}")
         visas[key] = _read_record(r, VisaImage)
+        key_before = key
     images = tuple(_read_record(r, AuthImage) for _ in range(r.u32()))
-    session = r.opt(lambda: _read_record(r))
+    session = r.opt(lambda: _read_record(r, Session))
     device = DeviceState(device_id, offset, images)
     device.locked = locked
     device.passport = passport

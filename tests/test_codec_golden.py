@@ -22,15 +22,19 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudpass import model
 from cloudpass.authflow import (CaptchaChallenge, Session, SessionState,
                                 make_auth_image)
+from cloudpass.errors import ValidationError
 from cloudpass.model import (AUTH_IMAGE_COUNT, DeviceState, IdKind,
                              StampEntry, StampKind, TrackingId, VisaImage,
                              VisaPresentation, VisaRecord, VisaStatus,
-                             add_stamp, canonical_serialize, new_passport,
-                             place_visa, summarize)
+                             add_stamp, canonical_deserialize,
+                             canonical_serialize, new_passport, place_visa,
+                             summarize)
 from cloudpass.qrlink import LinkToken, ResourceKind
 
 _DIGESTS = Path(__file__).resolve().parent / "golden" / "codec_digests.json"
@@ -102,6 +106,51 @@ def test_codec_bytes_pinned(name):
     record = records()[name]
     assert type(record).__name__ == name
     assert _digest(record) == _pinned()[name]
+
+
+# ---------------------------------------------------------------------------
+# The decoder accepts exactly the bytes the encoder produces
+
+
+_ENCODED = {name: canonical_serialize(record) for name, record in records().items()}
+
+
+def _refused_or_canonical(data: bytes) -> None:
+    try:
+        record = canonical_deserialize(data)
+    except ValidationError:
+        return
+    assert canonical_serialize(record) == data
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODED))
+def test_every_prefix_and_byte_flip_is_refused_or_canonical(name):
+    """Bit 0 turns a byte into its neighbour (a key, a digit, a tag, a
+    bool); bit 7 turns ASCII into a stray UTF-8 continuation byte. The
+    property below draws the other flips."""
+    data = _ENCODED[name]
+    _refused_or_canonical(data)
+    for end in range(len(data)):
+        _refused_or_canonical(data[:end])
+    for pos in range(len(data)):
+        for mask in (0x01, 0x80):
+            flipped = bytearray(data)
+            flipped[pos] ^= mask
+            _refused_or_canonical(bytes(flipped))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ENCODED)), st.data())
+def test_decoder_accepts_only_canonical_bytes(name, data):
+    """Several arbitrary byte edits of a pinned encoding, then a cut."""
+    raw = bytearray(_ENCODED[name])
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                         st.integers(1, 255)),
+                               min_size=1, max_size=4))
+    for pos, mask in edits:
+        raw[pos] ^= mask
+    cut = data.draw(st.integers(0, len(raw)))
+    _refused_or_canonical(bytes(raw[:cut]))
 
 
 if __name__ == "__main__":

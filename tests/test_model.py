@@ -340,6 +340,38 @@ def test_deserialize_unknown_tag_rejected():
     assert err.value.code == "UNKNOWN_TAG"
 
 
+def test_device_session_must_be_a_session():
+    device = DeviceState("d1", 0, _images())
+    device.session = StampEntry(StampKind.ARRIVAL, "JFK", 0)
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(canonical_serialize(device))
+    assert err.value.code == "WRONG_RECORD_TYPE"
+
+
+@pytest.mark.parametrize("second", [b"V0", b"V1"], ids=["unsorted", "repeated"])
+def test_device_visa_keys_must_strictly_increase(second):
+    # Two length-2 keys: rename the second, so the map holds V1 then V0
+    # (unsorted) or V1 twice (repeated). Neither is an encoder's output.
+    device = DeviceState("d1", 0, _images())
+    device.visas = {"V1": VisaImage.of(b"one"), "V2": VisaImage.of(b"two")}
+    raw = canonical_serialize(device)
+    key = struct.pack(">I", 2)
+    assert raw.count(key + b"V2") == 1
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(raw.replace(key + b"V2", key + second))
+    assert err.value.code == "MAP_KEYS_NOT_SORTED"
+
+
+@pytest.mark.parametrize("field", [b"ABCDEF123456", b"VISA_APPLICATION"],
+                         ids=["str", "enum-name"])
+def test_invalid_utf8_is_validation_error(field):
+    raw = canonical_serialize(TrackingId("ABCDEF123456", IdKind.VISA_APPLICATION))
+    bad = b"\xff" + field[1:]
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(raw.replace(field, bad))
+    assert err.value.code == "BAD_UTF8"
+
+
 def test_register_codec_duplicate_tag_rejected():
     class Doomed:
         pass
