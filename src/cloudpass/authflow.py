@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
 from .errors import AuthError
-from .model import (AUTH_IMAGE_COUNT, AuthImage, DeviceState, content_hash,
-                    register_codec)
+from .model import (AUTH_IMAGE_COUNT, AuthImage, DeviceState, _read_record,
+                    _write_record, content_hash, register_codec)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -153,9 +153,10 @@ def open_session(device: DeviceState, now: int, rng) -> Session:
         raise AuthError("DEVICE_LOCKED")
     if device.passport is None:
         raise AuthError("NO_PASSPORT_INSTALLED")
-    if device.session is not None:
-        device.session = replace(device.session, state=SessionState.TERMINATED,
-                                 pending_captcha=None, pending_image_index=None)
+    previous = device.session
+    if previous is not None:
+        device.session = Session(previous.session_id, previous.device_id,
+                                 SessionState.TERMINATED, previous.activated_at)
     session_id = f"s-{rng.getrandbits(32):08x}"
     captcha = CaptchaChallenge(
         f"c-{rng.getrandbits(32):08x}",
@@ -172,8 +173,8 @@ def check_timeout(session: Session, now: int) -> Session:
     if session.state in (SessionState.EXPIRED, SessionState.TERMINATED):
         return session
     if now >= session.activated_at + SESSION_TTL_S:
-        return replace(session, state=SessionState.EXPIRED,
-                       pending_captcha=None, pending_image_index=None)
+        return Session(session.session_id, session.device_id,
+                       SessionState.EXPIRED, session.activated_at)
     return session
 
 
@@ -207,8 +208,9 @@ def verify_time_auth(session: Session, submitted_time: str, captcha_answer: str,
     drift = abs(submitted - shown)
     if min(drift, _MINUTES_PER_DAY - drift) > _TIME_TOLERANCE_MIN:
         raise AuthError("BAD_TIME", f"device shows {device.displayed_time(now)}")
-    session = replace(session, state=SessionState.CREDENTIALS_PENDING,
-                      pending_captcha=None)
+    session = Session(session.session_id, session.device_id,
+                      SessionState.CREDENTIALS_PENDING, session.activated_at,
+                      None, session.pending_image_index)
     device.session = session
     return session
 
@@ -221,7 +223,9 @@ def verify_credentials(session: Session, username: str, password: str,
     credential = enrolled.get(username)
     if credential is None or not _password_matches(credential, password):
         raise AuthError("BAD_CREDENTIALS")
-    session = replace(session, state=SessionState.PASSPORT_VISIBLE)
+    session = Session(session.session_id, session.device_id,
+                      SessionState.PASSPORT_VISIBLE, session.activated_at,
+                      session.pending_captcha, session.pending_image_index)
     device.session = session
     return session
 
@@ -231,8 +235,9 @@ def begin_image_auth(session: Session, device: DeviceState, rng,
     """Level 2: pick one of the ten enrolled pictures uniformly."""
     session = _gate(session, SessionState.PASSPORT_VISIBLE, device, now)
     index = rng.randrange(AUTH_IMAGE_COUNT)
-    session = replace(session, state=SessionState.IMAGE_AUTH_PENDING,
-                      pending_image_index=index)
+    session = Session(session.session_id, session.device_id,
+                      SessionState.IMAGE_AUTH_PENDING, session.activated_at,
+                      session.pending_captcha, index)
     device.session = session
     return session, index
 
@@ -245,8 +250,9 @@ def verify_image_answer(session: Session, device: DeviceState, answer: str,
     expected = device.auth_images[session.pending_image_index]
     if _hash_answer(answer) != expected.answer_hash:
         raise AuthError("BAD_ANSWER")
-    session = replace(session, state=SessionState.VISA_VISIBLE,
-                      pending_image_index=None)
+    session = Session(session.session_id, session.device_id,
+                      SessionState.VISA_VISIBLE, session.activated_at,
+                      session.pending_captcha)
     device.session = session
     return session
 
@@ -294,7 +300,6 @@ def _captcha_r(r) -> CaptchaChallenge:
 
 
 def _session_w(w, s: Session) -> None:
-    from .model import _write_record
     w.text(s.session_id)
     w.text(s.device_id)
     w.enum(s.state)
@@ -304,7 +309,6 @@ def _session_w(w, s: Session) -> None:
 
 
 def _session_r(r) -> Session:
-    from .model import _read_record
     return Session(r.text(), r.text(), r.enum(SessionState), r.i64(),
                    r.opt(lambda: _read_record(r, CaptchaChallenge)),
                    r.opt(r.i64))

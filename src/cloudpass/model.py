@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Collection, Iterable
 
@@ -293,6 +293,8 @@ class DeviceState:
     everything it holds is an immutable value that can be shared freely.
 
     A locked device refuses every operation except reading its fields.
+    Because it is mutable, it checks itself when built and again each
+    time it is encoded.
     """
 
     __slots__ = ("device_id", "clock_offset_min", "locked", "passport",
@@ -352,6 +354,9 @@ class PassportSummary:
     expiry_date: int
     status: PassportStatus
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         _require(bool(self.passport_no), "EMPTY_PASSPORT_NO", "")
         _require(bool(self.holder_name), "EMPTY_HOLDER_NAME", "")
@@ -359,16 +364,18 @@ class PassportSummary:
 
 @dataclass(frozen=True)
 class VisaPresentation:
-    """Body of a check response: summary, chosen visa, and its image."""
+    """Body of a check response: summary, chosen visa, and its image.
+    The summary and the image checked themselves when they were built."""
 
     passport: PassportSummary
     visa_id: str
     image: VisaImage
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        self.passport.validate()
         _require(bool(self.visa_id), "EMPTY_VISA_ID", "")
-        self.image.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +412,31 @@ def place_visa(passport: Passport, visa_id: str, page_no: int,
     if page.content is not PageContent.EMPTY:
         raise ValidationError("PAGE_OCCUPIED",
                               f"page {page_no} is {page.content.value}")
-    pages = list(passport.pages)
-    pages[page_no - 1] = replace(page, visa_id=visa_id)
-    return replace(passport, pages=tuple(pages))
+    return _with_page(passport, PassportPage(page_no, visa_id))
 
 
 def add_stamp(passport: Passport, page_no: int, stamp: StampEntry) -> Passport:
     """Append a stamp to a page. Stamp times never go backwards within
     one passport, regardless of which page they land on."""
     page = passport.page(page_no)
-    history = passport.all_stamps()
-    if history and stamp.stamped_at < max(s.stamped_at for s in history):
-        raise ValidationError("STAMP_OUT_OF_ORDER",
-                              f"{stamp.stamped_at} is before an existing stamp")
-    pages = list(passport.pages)
-    pages[page_no - 1] = replace(page, stamps=page.stamps + (stamp,))
-    return replace(passport, pages=tuple(pages))
+    # A page's stamps are sorted, so its last stamp is its latest.
+    for p in passport.pages:
+        if p.stamps and stamp.stamped_at < p.stamps[-1].stamped_at:
+            raise ValidationError("STAMP_OUT_OF_ORDER",
+                                  f"{stamp.stamped_at} is before an existing stamp")
+    return _with_page(passport, PassportPage(page_no, page.visa_id,
+                                             page.stamps + (stamp,)))
+
+
+def _with_page(passport: Passport, page: PassportPage) -> Passport:
+    """The passport with ``page`` in place of the page of the same number."""
+    pages = passport.pages
+    i = page.page_no - 1
+    return Passport(passport.passport_no, passport.holder_name,
+                    passport.nationality, passport.issuing_authority,
+                    passport.issue_date, passport.expiry_date,
+                    pages[:i] + (page,) + pages[i + 1:],
+                    passport.bound_device, passport.status)
 
 
 def summarize(passport: Passport) -> PassportSummary:
@@ -439,6 +455,13 @@ def summarize(passport: Passport) -> PassportSummary:
 # bool = 1 byte; enums = their member name as str; optional = presence byte
 # then the value; lists = 4-byte count + elements; maps = 4-byte count +
 # key-sorted (key, value) pairs. See docs/encoding.md.
+#
+# The writer checks no record: a frozen record checked itself when it was
+# built, and a DeviceState, the one mutable record, checks itself in
+# _device_w. The reader builds records through the same constructors.
+
+
+_I64 = struct.Struct(">q")
 
 
 class _Writer:
@@ -455,7 +478,7 @@ class _Writer:
 
     def i64(self, v: int) -> None:
         try:
-            self.buf += struct.pack(">q", v)
+            self.buf += _I64.pack(v)
         except struct.error:
             raise ValidationError("I64_OUT_OF_RANGE",
                                   f"I64_OUT_OF_RANGE: {v!r}") from None
@@ -464,11 +487,15 @@ class _Writer:
         self.buf.append(1 if v else 0)
 
     def raw(self, v: bytes) -> None:
-        self.u32(len(v))
-        self.buf += v
+        buf = self.buf
+        buf += len(v).to_bytes(4, "big")
+        buf += v
 
     def text(self, v: str) -> None:
-        self.raw(v.encode("utf-8"))
+        data = v.encode("utf-8")
+        buf = self.buf
+        buf += len(data).to_bytes(4, "big")
+        buf += data
 
     def enum(self, v: Enum) -> None:
         self.text(v.name)
@@ -489,21 +516,31 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValidationError("TRUNCATED_ENCODING",
-                                  f"need {n} bytes at offset {self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+        pos = self.pos
+        end = pos + n
+        if end > len(self.data):
+            raise _truncated(n, pos)
+        self.pos = end
+        return self.data[pos:end]
 
     def u8(self) -> int:
         return self.take(1)[0]
 
     def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
+        pos = self.pos
+        end = pos + 4
+        if end > len(self.data):
+            raise _truncated(4, pos)
+        self.pos = end
+        return int.from_bytes(self.data[pos:end], "big")
 
     def i64(self) -> int:
-        return struct.unpack(">q", self.take(8))[0]
+        pos = self.pos
+        end = pos + 8
+        if end > len(self.data):
+            raise _truncated(8, pos)
+        self.pos = end
+        return _I64.unpack_from(self.data, pos)[0]
 
     def boolean(self) -> bool:
         v = self.u8()
@@ -515,8 +552,16 @@ class _Reader:
         return bytes(self.take(self.u32()))
 
     def text(self) -> str:
+        data = self.data
+        pos = self.pos + 4
+        if pos > len(data):
+            raise _truncated(4, self.pos)
+        end = pos + int.from_bytes(data[pos - 4:pos], "big")
+        if end > len(data):
+            raise _truncated(end - pos, pos)
+        self.pos = end
         try:
-            return self.raw().decode("utf-8")
+            return str(data[pos:end], "utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError("BAD_UTF8", f"BAD_UTF8: {exc.reason}") from None
 
@@ -536,6 +581,10 @@ class _Reader:
         return read()
 
 
+def _truncated(n: int, pos: int) -> ValidationError:
+    return ValidationError("TRUNCATED_ENCODING", f"need {n} bytes at offset {pos}")
+
+
 _CODEC_BY_TYPE: dict[type, tuple[int, Callable, Callable]] = {}
 _CODEC_BY_TAG: dict[int, tuple[type, Callable, Callable]] = {}
 
@@ -549,17 +598,18 @@ def register_codec(cls: type, tag: int, write_body: Callable, read_body: Callabl
 
 
 def _write_record(w: _Writer, record) -> None:
+    """Append the record's envelope to ``w``: the body goes straight into
+    the buffer behind a zero length, which is filled in afterwards."""
     try:
         tag, write_body, _ = _CODEC_BY_TYPE[type(record)]
     except KeyError:
         raise ValidationError("NO_CODEC", type(record).__name__) from None
-    if hasattr(record, "validate"):
-        record.validate()
-    body = _Writer()
-    write_body(body, record)
-    w.u8(tag)
-    w.u32(len(body.buf))
-    w.buf += body.buf
+    buf = w.buf
+    buf.append(tag)
+    start = len(buf) + 4
+    buf += b"\0\0\0\0"
+    write_body(w, record)
+    buf[start - 4:start] = (len(buf) - start).to_bytes(4, "big")
 
 
 def _read_record(r: _Reader, expected: type | None = None):
@@ -691,6 +741,7 @@ def _auth_image_r(r: _Reader) -> AuthImage:
 
 
 def _device_w(w: _Writer, d: DeviceState) -> None:
+    d.validate()
     w.text(d.device_id)
     w.i64(d.clock_offset_min)
     w.boolean(d.locked)

@@ -20,9 +20,8 @@ from enum import IntEnum
 
 from .authflow import SessionState
 from .errors import NfcError
-from .model import (DeviceState, PageContent, StampEntry, VisaPresentation,
-                    add_stamp, canonical_deserialize, canonical_serialize,
-                    summarize)
+from .model import (DeviceState, StampEntry, VisaPresentation, add_stamp,
+                    canonical_deserialize, canonical_serialize, summarize)
 
 __all__ = [
     "MAX_RANGE_CM",
@@ -128,8 +127,7 @@ def tap_check(channel: NfcChannel, device: DeviceState):
     passport = device.passport
     if passport is None:
         raise NfcError("NO_PASSPORT_INSTALLED")
-    page = next((p for p in passport.pages
-                 if p.content is PageContent.VISA_SLOT), None)
+    page = next((p for p in passport.pages if p.visa_id is not None), None)
     if page is None:
         raise NfcError("NO_VISA_PLACED")
     image = device.visas.get(page.visa_id)

@@ -139,7 +139,7 @@ def test_every_prefix_and_byte_flip_is_refused_or_canonical(name):
             _refused_or_canonical(bytes(flipped))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(_ENCODED)), st.data())
 def test_decoder_accepts_only_canonical_bytes(name, data):
     """Several arbitrary byte edits of a pinned encoding, then a cut."""

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from cloudpass import model
 from cloudpass.errors import ValidationError
 from cloudpass.model import (DeviceState, IdKind, PageContent, Passport,
-                             PassportPage, PassportStatus, StampEntry,
+                             PassportPage, PassportStatus, PassportSummary,
+                             StampEntry,
                              StampKind, TrackingId, VisaImage,
                              VisaPresentation, VisaRecord, VisaStatus,
                              add_stamp, canonical_deserialize,
@@ -150,6 +151,18 @@ def test_stamps_monotonic_across_pages():
     assert err.value.code == "STAMP_OUT_OF_ORDER"
     p = add_stamp(p, 5, StampEntry(StampKind.ARRIVAL, "JFK", 100))
     assert len(p.all_stamps()) == 2
+
+
+def test_stamp_refused_before_latest_on_another_page():
+    p = place_visa(_passport(), "V1", 3, {"V1", "V2"})
+    p = place_visa(p, "V2", 5, {"V1", "V2"})
+    p = add_stamp(p, 3, StampEntry(StampKind.DEPARTURE, "BLR", 100))
+    p = add_stamp(p, 5, StampEntry(StampKind.ARRIVAL, "JFK", 300))
+    with pytest.raises(ValidationError) as err:
+        add_stamp(p, 3, StampEntry(StampKind.DEPARTURE, "JFK", 200))
+    assert err.value.code == "STAMP_OUT_OF_ORDER"
+    p = add_stamp(p, 3, StampEntry(StampKind.DEPARTURE, "JFK", 300))
+    assert [s.stamped_at for s in p.page(3).stamps] == [100, 300]
 
 
 def test_stamp_airport_format():
@@ -338,6 +351,68 @@ def test_deserialize_unknown_tag_rejected():
     with pytest.raises(ValidationError) as err:
         canonical_deserialize(b"\xee\x00\x00\x00\x00")
     assert err.value.code == "UNKNOWN_TAG"
+
+
+def _unchecked(cls, **fields):
+    """A record made without running its constructor's check: what a
+    decoder can be handed, since the writer does not check records."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+_SUMMARY = dict(passport_no="P1234567", holder_name="alice", nationality="IN",
+                issuing_authority="IN", issue_date=0, expiry_date=10**9,
+                status=PassportStatus.ACTIVE)
+
+
+@pytest.mark.parametrize("field,code", [("passport_no", "EMPTY_PASSPORT_NO"),
+                                        ("holder_name", "EMPTY_HOLDER_NAME")])
+def test_summary_refuses_empty_identity_when_built_and_decoded(field, code):
+    fields = {**_SUMMARY, field: ""}
+    with pytest.raises(ValidationError) as err:
+        PassportSummary(**fields)
+    assert err.value.code == code
+    summary = _unchecked(PassportSummary, **fields)
+    presentation = _unchecked(VisaPresentation, passport=summary, visa_id="V1",
+                              image=VisaImage.of(b"x"))
+    for record in (summary, presentation):
+        with pytest.raises(ValidationError) as err:
+            canonical_deserialize(canonical_serialize(record))
+        assert err.value.code == code
+
+
+def test_presentation_refuses_empty_visa_id_when_built_and_decoded():
+    summary, image = PassportSummary(**_SUMMARY), VisaImage.of(b"x")
+    with pytest.raises(ValidationError) as err:
+        VisaPresentation(summary, "", image)
+    assert err.value.code == "EMPTY_VISA_ID"
+    presentation = _unchecked(VisaPresentation, passport=summary, visa_id="",
+                              image=image)
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(canonical_serialize(presentation))
+    assert err.value.code == "EMPTY_VISA_ID"
+
+
+def _visa_not_downloaded(device):
+    device.passport = place_visa(_passport(), "V1", 3, {"V1"})
+
+
+def _nine_auth_images(device):
+    device.auth_images = device.auth_images[:9]
+
+
+@pytest.mark.parametrize("break_device,code", [
+    (_visa_not_downloaded, "VISA_NOT_DOWNLOADED"),
+    (_nine_auth_images, "BAD_AUTH_IMAGE_SET"),
+], ids=["visa-not-downloaded", "nine-auth-images"])
+def test_serialize_refuses_invalid_device(break_device, code):
+    device = DeviceState("d1", 0, _images())
+    break_device(device)
+    with pytest.raises(ValidationError) as err:
+        canonical_serialize(device)
+    assert err.value.code == code
 
 
 def test_device_session_must_be_a_session():
