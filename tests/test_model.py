@@ -12,8 +12,7 @@ from cloudpass import model
 from cloudpass.errors import ValidationError
 from cloudpass.model import (DeviceState, IdKind, PageContent, Passport,
                              PassportPage, PassportStatus, PassportSummary,
-                             StampEntry,
-                             StampKind, TrackingId, VisaImage,
+                             StampEntry, StampKind, TrackingId, VisaImage,
                              VisaPresentation, VisaRecord, VisaStatus,
                              add_stamp, canonical_deserialize,
                              canonical_serialize, content_hash,
