@@ -60,7 +60,7 @@ CAPTCHA_LENGTH = 6
 
 OTP_DIGITS = 6
 
-_TIME_RE = re.compile(r"^([01][0-9]|2[0-3]):([0-5][0-9])$")
+_TIME_RE = re.compile(r"([01][0-9]|2[0-3]):([0-5][0-9])")
 _MINUTES_PER_DAY = 1440
 _TIME_TOLERANCE_MIN = 1
 
@@ -200,7 +200,7 @@ def verify_time_auth(session: Session, submitted_time: str, captcha_answer: str,
     assert session.pending_captcha is not None
     if captcha_answer != session.pending_captcha.text:
         raise AuthError("BAD_CAPTCHA")
-    match = _TIME_RE.match(submitted_time)
+    match = _TIME_RE.fullmatch(submitted_time)
     if not match:
         raise AuthError("BAD_TIME", f"not a 24h HH:MM time: {submitted_time!r}")
     submitted = int(match.group(1)) * 60 + int(match.group(2))

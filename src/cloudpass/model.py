@@ -57,10 +57,12 @@ TRACKING_LENGTH = 12
 PASSPORT_PAGE_COUNT = 32
 AUTH_IMAGE_COUNT = 10
 
-_TRACKING_RE = re.compile(r"^[A-Z0-9]{12}$")
-_COUNTRY_RE = re.compile(r"^[A-Z]{2,3}$")
-_AIRPORT_RE = re.compile(r"^[A-Z]{3}$")
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
+# Used with fullmatch: a pattern ending in ``$`` also matches before a
+# final newline.
+_TRACKING_RE = re.compile(r"[A-Z0-9]{12}")
+_COUNTRY_RE = re.compile(r"[A-Z]{2,3}")
+_AIRPORT_RE = re.compile(r"[A-Z]{3}")
+_HEX64_RE = re.compile(r"[0-9a-f]{64}")
 
 # Integers travel as i64 in the canonical encoding; dates must fit one
 # when issued, so no later encoding of the document can fail.
@@ -119,7 +121,7 @@ class TrackingId:
         self.validate()
 
     def validate(self) -> None:
-        _require(bool(_TRACKING_RE.match(self.value)), "BAD_TRACKING_FORMAT",
+        _require(bool(_TRACKING_RE.fullmatch(self.value)), "BAD_TRACKING_FORMAT",
                  f"tracking id must be 12 chars of A-Z0-9, got {self.value!r}")
         _require(isinstance(self.kind, IdKind), "BAD_TRACKING_KIND", repr(self.kind))
 
@@ -135,7 +137,7 @@ class StampEntry:
 
     def validate(self) -> None:
         _require(isinstance(self.kind, StampKind), "BAD_STAMP_KIND", repr(self.kind))
-        _require(bool(_AIRPORT_RE.match(self.airport)), "BAD_AIRPORT_CODE",
+        _require(bool(_AIRPORT_RE.fullmatch(self.airport)), "BAD_AIRPORT_CODE",
                  f"airport must be 3 uppercase letters, got {self.airport!r}")
         _require(self.stamped_at >= 0, "NEGATIVE_TIMESTAMP", str(self.stamped_at))
 
@@ -168,6 +170,10 @@ class PassportPage:
                  f"page {self.page_no} stamps must be non-decreasing")
 
 
+# The pages of every new passport, each checked once, here.
+_BLANK_PAGES = tuple(PassportPage(n) for n in range(1, PASSPORT_PAGE_COUNT + 1))
+
+
 @dataclass(frozen=True)
 class Passport:
     passport_no: str
@@ -187,9 +193,9 @@ class Passport:
     def validate(self) -> None:
         _require(bool(self.passport_no), "EMPTY_PASSPORT_NO", "")
         _require(bool(self.holder_name), "EMPTY_HOLDER_NAME", "")
-        _require(bool(_COUNTRY_RE.match(self.nationality)), "BAD_COUNTRY_CODE",
+        _require(bool(_COUNTRY_RE.fullmatch(self.nationality)), "BAD_COUNTRY_CODE",
                  repr(self.nationality))
-        _require(bool(_COUNTRY_RE.match(self.issuing_authority)), "BAD_COUNTRY_CODE",
+        _require(bool(_COUNTRY_RE.fullmatch(self.issuing_authority)), "BAD_COUNTRY_CODE",
                  repr(self.issuing_authority))
         _require(self.expiry_date > self.issue_date, "EXPIRY_NOT_AFTER_ISSUE",
                  f"issue {self.issue_date} expiry {self.expiry_date}")
@@ -231,7 +237,7 @@ class VisaImage:
 
     def validate(self) -> None:
         _require(bool(self.media_type), "EMPTY_MEDIA_TYPE", "")
-        _require(bool(_HEX64_RE.match(self.content_hash)), "BAD_HASH_FORMAT",
+        _require(bool(_HEX64_RE.fullmatch(self.content_hash)), "BAD_HASH_FORMAT",
                  repr(self.content_hash))
         _require(self.content_hash == content_hash(self.data), "HASH_MISMATCH",
                  "stored hash does not match image bytes")
@@ -254,16 +260,16 @@ class VisaRecord:
     def validate(self) -> None:
         _require(bool(self.visa_id), "EMPTY_VISA_ID", "")
         _require(bool(self.passport_no), "EMPTY_PASSPORT_NO", "")
-        _require(bool(_COUNTRY_RE.match(self.issuing_country)), "BAD_COUNTRY_CODE",
+        _require(bool(_COUNTRY_RE.fullmatch(self.issuing_country)), "BAD_COUNTRY_CODE",
                  repr(self.issuing_country))
-        _require(bool(_COUNTRY_RE.match(self.destination_country)), "BAD_COUNTRY_CODE",
+        _require(bool(_COUNTRY_RE.fullmatch(self.destination_country)), "BAD_COUNTRY_CODE",
                  repr(self.destination_country))
         _require(self.valid_to > self.valid_from, "VISA_WINDOW_EMPTY",
                  f"from {self.valid_from} to {self.valid_to}")
         _require(self.valid_from >= I64_MIN and self.valid_to <= I64_MAX,
                  "DATE_OUT_OF_RANGE",
                  f"from {self.valid_from} to {self.valid_to} must fit i64")
-        _require(bool(_HEX64_RE.match(self.image_hash)), "BAD_HASH_FORMAT",
+        _require(bool(_HEX64_RE.fullmatch(self.image_hash)), "BAD_HASH_FORMAT",
                  repr(self.image_hash))
         _require(isinstance(self.status, VisaStatus), "BAD_STATUS", repr(self.status))
 
@@ -281,9 +287,9 @@ class AuthImage:
 
     def validate(self) -> None:
         _require(0 <= self.index < AUTH_IMAGE_COUNT, "BAD_IMAGE_INDEX", str(self.index))
-        _require(bool(_HEX64_RE.match(self.image_hash)), "BAD_HASH_FORMAT",
+        _require(bool(_HEX64_RE.fullmatch(self.image_hash)), "BAD_HASH_FORMAT",
                  repr(self.image_hash))
-        _require(bool(_HEX64_RE.match(self.answer_hash)), "BAD_HASH_FORMAT",
+        _require(bool(_HEX64_RE.fullmatch(self.answer_hash)), "BAD_HASH_FORMAT",
                  repr(self.answer_hash))
 
 
@@ -391,12 +397,13 @@ def new_tracking_id(kind: IdKind, rng, issued: Collection[str] = frozenset()) ->
 
 
 def new_passport(passport_no: str, holder_name: str, nationality: str,
-                 issuing_authority: str, issue_date: int, expiry_date: int,
-                 page_count: int = PASSPORT_PAGE_COUNT) -> Passport:
-    """A freshly issued passport: fixed page count, all pages empty, unbound."""
-    pages = tuple(PassportPage(n) for n in range(1, page_count + 1))
+                 issuing_authority: str, issue_date: int, expiry_date: int) -> Passport:
+    """A freshly issued passport: fixed page count, all pages empty, unbound.
+    Every new passport shares one tuple of blank pages; pages are frozen,
+    so placing a visa or a stamp replaces a page and never changes it."""
     return Passport(passport_no, holder_name, nationality, issuing_authority,
-                    issue_date, expiry_date, pages, None, PassportStatus.ACTIVE)
+                    issue_date, expiry_date, _BLANK_PAGES, None,
+                    PassportStatus.ACTIVE)
 
 
 def place_visa(passport: Passport, visa_id: str, page_no: int,

@@ -11,6 +11,13 @@ version 1-9 count-indicator widths. The method follows Nayuki, "Optimal
 text segmentation for QR Codes"; the mode costs are those of ISO/IEC
 18004 section 7.4.
 
+Link tokens are hex, mostly long digit runs, so the pass skips ahead
+inside a digit run: once the costs relative to the cheapest closable
+state repeat after six digits, each later group of six repeats those six
+choices and adds the same bits to every cost. That is exact, because
+every digit applies the same min-plus step and only differences between
+costs decide a step; see ``encode_payload``.
+
 Download links are MAC-style tokens: the authority signs the token's
 canonical bytes with its secret, and resolution checks the signature
 before looking the resource up. Payloads are signed but readable; there
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import hashlib
+import re
 
 from .errors import QrError, ValidationError
 from .model import _Writer, canonical_deserialize, canonical_serialize, register_codec
@@ -48,6 +56,8 @@ __all__ = [
 MODE_INDICATOR_BITS = 4
 
 ALNUM_BYTES = frozenset(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ $%*+-./:")
+_ALNUM_DELETE = bytes(sorted(ALNUM_BYTES))   # for bytes.translate
+_DIGIT_RUN = re.compile(rb"[0-9]*")
 
 # Valid double-byte values, big-endian, for kanji segments.
 _KANJI_RANGES = ((0x8140, 0x9FFC), (0xE040, 0xEBBF))
@@ -72,11 +82,11 @@ _TEXT_MODE_NAMES = {m.value: m for m in QrMode}
 
 
 def _is_numeric(data: bytes) -> bool:
-    return all(0x30 <= b <= 0x39 for b in data)
+    return not data or data.isdigit()
 
 
 def _is_alnum(data: bytes) -> bool:
-    return all(b in ALNUM_BYTES for b in data)
+    return not data.translate(None, _ALNUM_DELETE)
 
 
 def _pair_ok(hi: int, lo: int) -> bool:
@@ -110,6 +120,15 @@ def _as_bytes(data) -> bytes:
     return bytes(data)
 
 
+# What each mode admits; a segment checks its payload when it is built.
+_SEGMENT_CHECKS = {
+    QrMode.NUMERIC: _is_numeric,
+    QrMode.ALPHANUMERIC: _is_alnum,
+    QrMode.BYTE: lambda _: True,
+    QrMode.KANJI: _is_kanji,
+}
+
+
 @dataclass(frozen=True)
 class QrSegment:
     mode: QrMode
@@ -119,13 +138,7 @@ class QrSegment:
         object.__setattr__(self, "payload", bytes(self.payload))
         if not self.payload:
             raise QrError("EMPTY_INPUT", "segment payload is empty")
-        ok = {
-            QrMode.NUMERIC: _is_numeric,
-            QrMode.ALPHANUMERIC: _is_alnum,
-            QrMode.BYTE: lambda _: True,
-            QrMode.KANJI: _is_kanji,
-        }[self.mode](self.payload)
-        if not ok:
+        if not _SEGMENT_CHECKS[self.mode](self.payload):
             raise QrError("BAD_SEGMENT_CHAR",
                           f"payload not valid for {self.mode.name}")
 
@@ -231,6 +244,16 @@ def encode_payload(data) -> QrPayload:
     On equal cost, extending beats opening and the lower state wins, so the
     result is deterministic.
 
+    Inside a run of digits the pass skips ahead. Each digit maps the
+    costs by the same min-plus step, which commutes with adding one
+    constant to every cost, and every choice depends only on differences
+    between costs. So when the costs relative to ``closed`` equal those
+    six digits earlier, each later group of six digits makes the same
+    choices as the last six bytes and adds the same growth to every cost.
+    Whole groups of the rest of the run are appended at once, the rest
+    goes byte by byte. From a run's second digit on, the kanji states
+    are exactly ``_UNREACHABLE``, so they are left as they are.
+
     References: Nayuki, "Optimal text segmentation for QR Codes"
     (https://www.nayuki.io/page/optimal-text-segmentation-for-qr-codes);
     mode and count-indicator costs from ISO/IEC 18004 section 7.4.
@@ -244,15 +267,21 @@ def encode_payload(data) -> QrPayload:
     closed = 0
     opened = []      # per byte: bit s set if state s opened a segment there
     closed_at = []   # per byte: the closable state that ``closed`` came from
-    for i, c in enumerate(raw):
+    run = 0          # digits in the run that ends at this byte
+    mark = mark_closed = None   # relative costs and ``closed`` 6 digits ago
+    i = 0
+    while i < n:
+        c = raw[i]
         mask = 0
         if 0x30 <= c <= 0x39:
+            run += 1
             cost = num0 + 4
             if closed + _OPEN_NUM < cost:
                 cost = closed + _OPEN_NUM
                 mask = 1 << _NUM1
             num0, num1, num2 = num2 + 3, cost, num1 + 3
         else:
+            run = 0
             num0 = num1 = num2 = _UNREACHABLE
         if c in ALNUM_BYTES:
             cost = aln0 + 6
@@ -290,6 +319,25 @@ def encode_payload(data) -> QrPayload:
             closed, state = kanji, _KANJI
         opened.append(mask)
         closed_at.append(state)
+        i += 1
+
+        # Every six digits, compare the costs relative to ``closed`` with
+        # those six digits earlier; from the twelfth digit on, those were
+        # taken inside this run.
+        if run and not run % 6:
+            costs = (num0 - closed, num1 - closed, num2 - closed,
+                     aln0 - closed, aln1 - closed, byte - closed)
+            if run >= 12 and costs == mark:
+                groups = (_DIGIT_RUN.match(raw, i).end() - i) // 6
+                opened += opened[-6:] * groups
+                closed_at += closed_at[-6:] * groups
+                growth = (closed - mark_closed) * groups
+                num0, num1, num2 = num0 + growth, num1 + growth, num2 + growth
+                aln0, aln1, byte = aln0 + growth, aln1 + growth, byte + growth
+                closed += growth
+                i += 6 * groups
+                run += 6 * groups
+            mark, mark_closed = costs, closed
 
     segments = []
     end = n

@@ -32,17 +32,18 @@ __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "FaultSpec",
            "fault_to_command"]
 
 _TOKEN_RE = re.compile(r"\S+")
-_KEY_VALUE_RE = re.compile(r"^([a-z][a-z0-9-]*)=(.*)$")
-_DURATION_RE = re.compile(r"^([0-9]+)(s|m|h|d)?$")
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
-_INT_RE = re.compile(r"^[0-9]+$")
-_SIGNED_RE = re.compile(r"^[+-]?[0-9]+$")
+# Matched with fullmatch, like the model's formats.
+_KEY_VALUE_RE = re.compile(r"([a-z][a-z0-9-]*)=(.*)")
+_DURATION_RE = re.compile(r"([0-9]+)(s|m|h|d)?")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+_INT_RE = re.compile(r"[0-9]+")
+_SIGNED_RE = re.compile(r"[+-]?[0-9]+")
 
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, None: 1}
 
 
 def parse_duration(text: str) -> int:
-    match = _DURATION_RE.match(text)
+    match = _DURATION_RE.fullmatch(text)
     if not match:
         raise ValueError(f"bad duration {text!r}")
     return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
@@ -60,20 +61,20 @@ def _in_i64(literal: str, low: int = I64_MIN, high: int = I64_MAX) -> bool:
 
 
 def _check_duration(text: str) -> bool:
-    match = _DURATION_RE.match(text)
+    match = _DURATION_RE.fullmatch(text)
     return (bool(match) and _in_i64(match.group(1))
             and parse_duration(text) <= I64_MAX)
 
 
 _VALIDATORS = {
     "word": lambda v: bool(v),
-    "name": lambda v: bool(_NAME_RE.match(v)),
-    "airport": lambda v: bool(_AIRPORT_RE.match(v)),
-    "country": lambda v: bool(_COUNTRY_RE.match(v)),
-    "int": lambda v: bool(_INT_RE.match(v)) and _in_i64(v),
-    "image-size": lambda v: (bool(_INT_RE.match(v))
+    "name": lambda v: bool(_NAME_RE.fullmatch(v)),
+    "airport": lambda v: bool(_AIRPORT_RE.fullmatch(v)),
+    "country": lambda v: bool(_COUNTRY_RE.fullmatch(v)),
+    "int": lambda v: bool(_INT_RE.fullmatch(v)) and _in_i64(v),
+    "image-size": lambda v: (bool(_INT_RE.fullmatch(v))
                              and _in_i64(v, 1, MAX_IMAGE_BYTES)),
-    "signed-int": lambda v: bool(_SIGNED_RE.match(v)) and _in_i64(v),
+    "signed-int": lambda v: bool(_SIGNED_RE.fullmatch(v)) and _in_i64(v),
     "duration": _check_duration,
 }
 
@@ -205,7 +206,7 @@ def _parse_line(line: str, line_no: int) -> ScenarioCommand | None:
     positionals = list(spec.positionals)
     seen_key = False
     for token, column in tokens[1:]:
-        kv = _KEY_VALUE_RE.match(token)
+        kv = _KEY_VALUE_RE.fullmatch(token)
         if kv:
             seen_key = True
             key, value = kv.group(1), kv.group(2)

@@ -10,11 +10,16 @@ import random
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import settings
 
 from cloudpass import authflow, clouds, immigration, model
 from cloudpass.clouds import AirportCloud, EmbassyCloud, ManifestEntry, TravelManifest
 from cloudpass.model import DeviceState, IdKind
 from cloudpass.simnet.clock import VirtualClock
+
+# Tier-1 runs Hypothesis's default profile; ``--hypothesis-profile=long``
+# gives every property without its own example count 5,000 examples.
+settings.register_profile("long", max_examples=5000, deadline=None)
 
 
 @dataclass

@@ -142,7 +142,8 @@ def test_time_auth_midnight_wrap():
 
 def test_time_auth_rejects_malformed_time():
     k = fresh(offset_min=0)
-    for bad in ("24:00", "3:5", "12:60", "noon", ""):
+    # "00:00" is the displayed time; only its trailing newline is wrong.
+    for bad in ("24:00", "3:5", "12:60", "noon", "", "00:00\n"):
         s = open_at(k, 0)
         with pytest.raises(AuthError) as err:
             verify_time_auth(s, bad, s.pending_captcha.text, k.device, 0)

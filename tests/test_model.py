@@ -100,6 +100,31 @@ def test_new_passport_shape():
     assert p.bound_device is None
 
 
+def test_new_passports_share_blank_pages():
+    a = _passport()
+    b = new_passport("P7654321", "bob", "US", "US", 0, 10**9)
+    assert all(x is y for x, y in zip(a.pages, b.pages, strict=True))
+    a_bytes, b_bytes = canonical_serialize(a), canonical_serialize(b)
+    changed = place_visa(a, "V1", 3, {"V1"})
+    changed = add_stamp(changed, 4, StampEntry(StampKind.ARRIVAL, "JFK", 100))
+    assert changed.page(3).visa_id == "V1" and changed.page(4).stamps
+    assert canonical_serialize(a) == a_bytes
+    assert canonical_serialize(b) == b_bytes
+    assert all(pg.content is PageContent.EMPTY for pg in a.pages + b.pages)
+    assert canonical_serialize(_passport()) == a_bytes
+
+
+def test_passport_refuses_tampered_shared_pages():
+    p = _passport()
+    for pages in (p.pages[:4] + p.pages[5:], p.pages + p.pages[-1:],
+                  (p.pages[1], p.pages[0]) + p.pages[2:]):
+        with pytest.raises(ValidationError) as err:
+            Passport(p.passport_no, p.holder_name, p.nationality,
+                     p.issuing_authority, p.issue_date, p.expiry_date, pages,
+                     None, PassportStatus.ACTIVE)
+        assert err.value.code == "PAGES_NOT_CONTIGUOUS"
+
+
 def test_place_visa_on_page_3():
     p = place_visa(_passport(), "V1", 3, {"V1"})
     assert p.page(3).content is PageContent.VISA_SLOT
@@ -380,6 +405,31 @@ def test_summary_refuses_empty_identity_when_built_and_decoded(field, code):
         with pytest.raises(ValidationError) as err:
             canonical_deserialize(canonical_serialize(record))
         assert err.value.code == code
+
+
+# ``$`` also matches before a final newline, so each format is checked
+# with a trailing newline, both when built and when decoded (the writer
+# checks nothing, so the decoder is the route in from outside).
+@pytest.mark.parametrize("cls,fields,code", [
+    (TrackingId, dict(value="ABCDEF123456\n", kind=IdKind.PASSPORT_APPLICATION),
+     "BAD_TRACKING_FORMAT"),
+    (StampEntry, dict(kind=StampKind.ARRIVAL, airport="JFK\n", stamped_at=0),
+     "BAD_AIRPORT_CODE"),
+    (VisaRecord, dict(visa_id="V1", passport_no="P1", issuing_country="IN\n",
+                      destination_country="US", valid_from=0, valid_to=1,
+                      image_hash=EMPTY_SHA256, status=VisaStatus.ISSUED),
+     "BAD_COUNTRY_CODE"),
+    (model.AuthImage, dict(index=0, image_hash=EMPTY_SHA256 + "\n",
+                           answer_hash=EMPTY_SHA256),
+     "BAD_HASH_FORMAT"),
+], ids=["tracking", "airport", "country", "hex64"])
+def test_formats_refuse_trailing_newline_when_built_and_decoded(cls, fields, code):
+    with pytest.raises(ValidationError) as err:
+        cls(**fields)
+    assert err.value.code == code
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(canonical_serialize(_unchecked(cls, **fields)))
+    assert err.value.code == code
 
 
 def test_presentation_refuses_empty_visa_id_when_built_and_decoded():

@@ -13,9 +13,10 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudpass import qrlink as q
 from cloudpass.errors import QrError
 from cloudpass.qrlink import (LinkToken, QrMode, QrPayload, QrSegment,
                               ResourceKind, classify_mode, decode_payload,
@@ -79,6 +80,77 @@ def oracle_min_bits(data: bytes) -> int:
     return int(best(0))
 
 
+# -- reference automaton -------------------------------------------------------
+#
+# ``encode_payload``'s automaton stepped once per byte, with no skip ahead
+# inside digit runs. The skip must give the same segments, not just the
+# same bit total, so the two are compared segment by segment.
+
+
+def reference_segments(raw: bytes):
+    """(mode, payload) pairs and total bits of the per-byte automaton."""
+    n = len(raw)
+    num0 = num1 = num2 = aln0 = aln1 = byte = kanji = half = q._UNREACHABLE
+    closed = 0
+    opened = []
+    closed_at = []
+    for i, c in enumerate(raw):
+        mask = 0
+        if 0x30 <= c <= 0x39:
+            cost = num0 + 4
+            if closed + q._OPEN_NUM < cost:
+                cost = closed + q._OPEN_NUM
+                mask = 1 << q._NUM1
+            num0, num1, num2 = num2 + 3, cost, num1 + 3
+        else:
+            num0 = num1 = num2 = q._UNREACHABLE
+        if c in _ALNUM:
+            cost = aln0 + 6
+            if closed + q._OPEN_ALN < cost:
+                cost = closed + q._OPEN_ALN
+                mask |= 1 << q._ALN1
+            aln0, aln1 = aln1 + 5, cost
+        else:
+            aln0 = aln1 = q._UNREACHABLE
+        byte += 8
+        if closed + q._OPEN_BYTE < byte:
+            byte = closed + q._OPEN_BYTE
+            mask |= 1 << q._BYTE
+        if c >= 0x81 and i + 1 < n and _kanji_ok(raw[i:i + 2]):
+            cost = kanji + 13
+            if closed + q._OPEN_KANJI < cost:
+                cost = closed + q._OPEN_KANJI
+                mask |= 1 << q._KANJI_HALF
+            kanji, half = half, cost
+        else:
+            kanji, half = half, q._UNREACHABLE
+
+        closed, state = num0, q._NUM0
+        for cost, s in ((num1, q._NUM1), (num2, q._NUM2), (aln0, q._ALN0),
+                        (aln1, q._ALN1), (byte, q._BYTE), (kanji, q._KANJI)):
+            if cost < closed:
+                closed, state = cost, s
+        opened.append(mask)
+        closed_at.append(state)
+
+    segments = []
+    end = n
+    state = closed_at[-1]
+    for i in range(n - 1, -1, -1):
+        if opened[i] >> state & 1:
+            segments.append((q._STATE_MODE[state], raw[i:end]))
+            end = i
+            state = closed_at[i - 1]
+        else:
+            state = q._PREVIOUS[state]
+    segments.reverse()
+    return segments, closed
+
+
+def _segments(payload: QrPayload):
+    return [(s.mode, s.payload) for s in payload.segments], payload.total_bits
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -129,6 +201,12 @@ def test_cost_byte_single():
 def test_cost_kanji_pair():
     seg = QrSegment(QrMode.KANJI, b"\x81\x40")
     assert segment_cost(seg) == 4 + 8 + 13 == 25
+
+
+def test_segment_checks_match_byte_loops():
+    for data in [b"", *(bytes([b]) for b in range(256))]:
+        assert q._is_numeric(data) == all(0x30 <= b <= 0x39 for b in data)
+        assert q._is_alnum(data) == all(b in _ALNUM for b in data)
 
 
 def test_segment_alphabet_enforced():
@@ -212,6 +290,33 @@ def test_encode_long_digit_run_closed_form():
     assert payload.total_bits == 14 + 10 * 10_000 == 100_014
     assert [seg.mode for seg in payload.segments] == [QrMode.NUMERIC]
     assert decode_payload(payload) == data
+
+
+# A digit run alone, and after and before a byte of each other kind: a
+# lowercase letter (BYTE), an uppercase one (ALPHANUMERIC), a kanji pair
+# and a lone kanji lead byte.
+_AFFIXES = (b"", b"a", b"A", b"\x81\x40", b"\x81")
+
+
+@pytest.mark.parametrize("suffix", _AFFIXES)
+@pytest.mark.parametrize("prefix", _AFFIXES)
+def test_digit_run_skip_matches_reference(prefix, suffix):
+    rng = random.Random(prefix + suffix)
+    for length in range(1, 201):
+        data = prefix + bytes(rng.choices(b"0123456789", k=length)) + suffix
+        assert _segments(encode_payload(data)) == reference_segments(data), data
+
+
+_DIGIT_HEAVY = st.lists(
+    st.one_of(st.binary(min_size=1, max_size=1),
+              st.text("0123456789", min_size=1, max_size=60).map(str.encode)),
+    min_size=1, max_size=8).map(b"".join)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_DIGIT_HEAVY)
+def test_digit_heavy_mixes_match_reference(data):
+    assert _segments(encode_payload(data)) == reference_segments(data)
 
 
 @pytest.mark.parametrize("data", [
@@ -363,7 +468,13 @@ def test_token_wire_garbage_rejected():
 def test_token_payload_bits_pinned():
     auth = _Authority(authority_id="US", secret=bytes(16))
     token = mint_link_token(auth, ResourceKind.VISA_IMAGE, "V0ABCDEF")
-    assert token_to_payload(token).total_bits == 795
+    payload = token_to_payload(token)
+    assert payload.total_bits == 795
+    assert payload.to_text() == (
+        "NUM:30000000640000000255530000000|BYTE:61|NUM:564953415|"
+        "BYTE:6634393464|NUM:41474500000008563041424344454600000040366163"
+        "306462396531626466643865653233303161636665623439663730383364396531"
+        "39343332393930363136633866393961383863613634376165323662")
 
 
 def test_token_payload_round_trip():

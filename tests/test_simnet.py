@@ -25,7 +25,7 @@ from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind, FaultSpec,
                               parse_fault, render_iso, run)
 from cloudpass.simnet.cli import main as cli_main
 from cloudpass.simnet.clock import CLOCK_MAX
-from cloudpass.simnet.scenario import _FAULTS
+from cloudpass.simnet.scenario import _FAULTS, _VALIDATORS
 
 from test_golden import _cases as golden_cases
 
@@ -50,7 +50,7 @@ def test_parse_duration(text, seconds):
     assert parse_duration(text) == seconds
 
 
-@pytest.mark.parametrize("text", ["", "-5", "2 h", "h", "1.5h", "2w"])
+@pytest.mark.parametrize("text", ["", "-5", "2 h", "h", "1.5h", "2w", "2h\n"])
 def test_parse_duration_rejects(text):
     with pytest.raises(ValueError):
         parse_duration(text)
@@ -254,6 +254,20 @@ def test_parse_fault_round_trips_to_command():
 def test_parse_fault_rejects_non_fault_verbs():
     with pytest.raises(ScenarioParseError):
         parse_fault("advance-clock 2h")
+
+
+@pytest.mark.parametrize("validator,value", [
+    ("name", "alice"), ("airport", "BLR"), ("country", "IN"), ("int", "7"),
+    ("image-size", "256"), ("signed-int", "-5"), ("duration", "2h"),
+])
+def test_grammar_validators_refuse_trailing_newline(validator, value):
+    assert _VALIDATORS[validator](value)
+    assert not _VALIDATORS[validator](value + "\n")
+
+
+def test_fault_spec_refuses_trailing_newline():
+    with pytest.raises(ValueError):
+        FaultSpec(FaultKind.TAMPER_VISA_BYTE, {"name": "alice\n", "byte": "7\n"})
 
 
 def test_fault_spec_requires_actor():
