@@ -25,8 +25,8 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import AuthError
-from .model import (AUTH_IMAGE_COUNT, AuthImage, DeviceState, _read_record,
-                    _write_record, content_hash, register_codec)
+from .model import (AUTH_IMAGE_COUNT, AuthImage, DeviceState, content_hash,
+                    fields_codec, register_codec)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -286,33 +286,8 @@ def redeem_otp(store: OtpStore, code: str, transaction_id: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Canonical encoding hooks (device state embeds its session snapshot)
+# Canonical encoding (device state embeds its session snapshot)
 
 
-def _captcha_w(w, c: CaptchaChallenge) -> None:
-    w.text(c.challenge_id)
-    w.text(c.text)
-    w.i64(c.issued_at)
-
-
-def _captcha_r(r) -> CaptchaChallenge:
-    return CaptchaChallenge(r.text(), r.text(), r.i64())
-
-
-def _session_w(w, s: Session) -> None:
-    w.text(s.session_id)
-    w.text(s.device_id)
-    w.enum(s.state)
-    w.i64(s.activated_at)
-    w.opt(s.pending_captcha, lambda c: _write_record(w, c))
-    w.opt(s.pending_image_index, w.i64)
-
-
-def _session_r(r) -> Session:
-    return Session(r.text(), r.text(), r.enum(SessionState), r.i64(),
-                   r.opt(lambda: _read_record(r, CaptchaChallenge)),
-                   r.opt(r.i64))
-
-
-register_codec(CaptchaChallenge, 0x21, _captcha_w, _captcha_r)
-register_codec(Session, 0x22, _session_w, _session_r)
+register_codec(CaptchaChallenge, 0x21, *fields_codec(CaptchaChallenge))
+register_codec(Session, 0x22, *fields_codec(Session))

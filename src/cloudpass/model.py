@@ -13,11 +13,15 @@ They are rendered as ISO-8601 only when a report is written.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 import struct
+import types
+import typing
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Collection, Iterable
 
 from .errors import ValidationError
@@ -50,6 +54,7 @@ __all__ = [
     "canonical_serialize",
     "canonical_deserialize",
     "register_codec",
+    "fields_codec",
 ]
 
 TRACKING_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -653,100 +658,62 @@ def canonical_deserialize(data: bytes):
     return record
 
 
-# -- per-type bodies, fields strictly in declaration order ------------------
+# -- record bodies ------------------------------------------------------------
 
 
-def _tracking_w(w: _Writer, t: TrackingId) -> None:
-    w.text(t.value)
-    w.enum(t.kind)
+_PRIMITIVES = {str: "text", int: "i64", bytes: "raw", bool: "boolean"}
 
 
-def _tracking_r(r: _Reader) -> TrackingId:
-    return TrackingId(r.text(), r.enum(IdKind))
+def _field_codec(hint) -> tuple[Callable, Callable]:
+    """(write, read) for one field type; TypeError if it has no encoding."""
+    if hint in _PRIMITIVES:
+        name = _PRIMITIVES[hint]
+        return getattr(_Writer, name), getattr(_Reader, name)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return _Writer.enum, partial(_Reader.enum, cls=hint)
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        return _write_record, partial(_read_record, expected=hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
+        write, read = _field_codec(args[0])
+        return (lambda w, v: w.opt(v, partial(write, w)),
+                lambda r: r.opt(partial(read, r)))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        write, read = _field_codec(args[0])
+
+        def write_list(w: _Writer, values: tuple) -> None:
+            w.u32(len(values))
+            for v in values:
+                write(w, v)
+        return write_list, lambda r: tuple([read(r) for _ in range(r.u32())])
+    raise TypeError(hint)
 
 
-def _stamp_w(w: _Writer, s: StampEntry) -> None:
-    w.enum(s.kind)
-    w.text(s.airport)
-    w.i64(s.stamped_at)
+def fields_codec(cls: type) -> tuple[Callable, Callable]:
+    """Body writer and reader for a dataclass record: its fields in
+    declaration order, each encoded by its annotated type. The reader
+    builds the record through ``cls``, so decoded input meets the same
+    checks as a record built in code. A field type with no encoding is a
+    TypeError here, before any record is encoded."""
+    hints = typing.get_type_hints(cls)
+    writers, readers = [], []
+    for field in dataclasses.fields(cls):
+        try:
+            write, read = _field_codec(hints[field.name])
+        except TypeError:
+            raise TypeError(f"{cls.__name__}.{field.name}: no canonical "
+                            f"encoding for {hints[field.name]!r}") from None
+        writers.append((field.name, write))
+        readers.append(read)
+
+    def write_body(w: _Writer, record) -> None:
+        for name, write in writers:
+            write(w, getattr(record, name))
+    return write_body, lambda r: cls(*[read(r) for read in readers])
 
 
-def _stamp_r(r: _Reader) -> StampEntry:
-    return StampEntry(r.enum(StampKind), r.text(), r.i64())
-
-
-def _page_w(w: _Writer, p: PassportPage) -> None:
-    w.i64(p.page_no)
-    w.opt(p.visa_id, w.text)
-    w.u32(len(p.stamps))
-    for s in p.stamps:
-        _write_record(w, s)
-
-
-def _page_r(r: _Reader) -> PassportPage:
-    page_no = r.i64()
-    visa_id = r.opt(r.text)
-    stamps = tuple(_read_record(r, StampEntry) for _ in range(r.u32()))
-    return PassportPage(page_no, visa_id, stamps)
-
-
-def _passport_w(w: _Writer, p: Passport) -> None:
-    w.text(p.passport_no)
-    w.text(p.holder_name)
-    w.text(p.nationality)
-    w.text(p.issuing_authority)
-    w.i64(p.issue_date)
-    w.i64(p.expiry_date)
-    w.u32(len(p.pages))
-    for page in p.pages:
-        _write_record(w, page)
-    w.opt(p.bound_device, w.text)
-    w.enum(p.status)
-
-
-def _passport_r(r: _Reader) -> Passport:
-    return Passport(
-        r.text(), r.text(), r.text(), r.text(), r.i64(), r.i64(),
-        tuple(_read_record(r, PassportPage) for _ in range(r.u32())),
-        r.opt(r.text), r.enum(PassportStatus))
-
-
-def _visa_image_w(w: _Writer, v: VisaImage) -> None:
-    w.raw(v.data)
-    w.text(v.media_type)
-    w.text(v.content_hash)
-
-
-def _visa_image_r(r: _Reader) -> VisaImage:
-    return VisaImage(r.raw(), r.text(), r.text())
-
-
-def _visa_record_w(w: _Writer, v: VisaRecord) -> None:
-    w.text(v.visa_id)
-    w.text(v.passport_no)
-    w.text(v.issuing_country)
-    w.text(v.destination_country)
-    w.i64(v.valid_from)
-    w.i64(v.valid_to)
-    w.text(v.image_hash)
-    w.enum(v.status)
-
-
-def _visa_record_r(r: _Reader) -> VisaRecord:
-    return VisaRecord(r.text(), r.text(), r.text(), r.text(),
-                      r.i64(), r.i64(), r.text(), r.enum(VisaStatus))
-
-
-def _auth_image_w(w: _Writer, a: AuthImage) -> None:
-    w.i64(a.index)
-    w.text(a.image_hash)
-    w.text(a.answer_hash)
-
-
-def _auth_image_r(r: _Reader) -> AuthImage:
-    return AuthImage(r.i64(), r.text(), r.text())
-
-
+# The one hand-written body: a DeviceState is mutable, holds a map, and
+# checks itself each time it is encoded.
 def _device_w(w: _Writer, d: DeviceState) -> None:
     d.validate()
     w.text(d.device_id)
@@ -788,39 +755,13 @@ def _device_r(r: _Reader) -> DeviceState:
     return device
 
 
-def _summary_w(w: _Writer, s: PassportSummary) -> None:
-    w.text(s.passport_no)
-    w.text(s.holder_name)
-    w.text(s.nationality)
-    w.text(s.issuing_authority)
-    w.i64(s.issue_date)
-    w.i64(s.expiry_date)
-    w.enum(s.status)
-
-
-def _summary_r(r: _Reader) -> PassportSummary:
-    return PassportSummary(r.text(), r.text(), r.text(), r.text(),
-                           r.i64(), r.i64(), r.enum(PassportStatus))
-
-
-def _presentation_w(w: _Writer, p: VisaPresentation) -> None:
-    _write_record(w, p.passport)
-    w.text(p.visa_id)
-    _write_record(w, p.image)
-
-
-def _presentation_r(r: _Reader) -> VisaPresentation:
-    return VisaPresentation(_read_record(r, PassportSummary), r.text(),
-                            _read_record(r, VisaImage))
-
-
-register_codec(TrackingId, 0x01, _tracking_w, _tracking_r)
-register_codec(StampEntry, 0x02, _stamp_w, _stamp_r)
-register_codec(PassportPage, 0x03, _page_w, _page_r)
-register_codec(Passport, 0x04, _passport_w, _passport_r)
-register_codec(VisaImage, 0x05, _visa_image_w, _visa_image_r)
-register_codec(VisaRecord, 0x06, _visa_record_w, _visa_record_r)
-register_codec(AuthImage, 0x07, _auth_image_w, _auth_image_r)
+register_codec(TrackingId, 0x01, *fields_codec(TrackingId))
+register_codec(StampEntry, 0x02, *fields_codec(StampEntry))
+register_codec(PassportPage, 0x03, *fields_codec(PassportPage))
+register_codec(Passport, 0x04, *fields_codec(Passport))
+register_codec(VisaImage, 0x05, *fields_codec(VisaImage))
+register_codec(VisaRecord, 0x06, *fields_codec(VisaRecord))
+register_codec(AuthImage, 0x07, *fields_codec(AuthImage))
 register_codec(DeviceState, 0x08, _device_w, _device_r)
-register_codec(PassportSummary, 0x09, _summary_w, _summary_r)
-register_codec(VisaPresentation, 0x0A, _presentation_w, _presentation_r)
+register_codec(PassportSummary, 0x09, *fields_codec(PassportSummary))
+register_codec(VisaPresentation, 0x0A, *fields_codec(VisaPresentation))

@@ -33,7 +33,8 @@ import hashlib
 import re
 
 from .errors import QrError, ValidationError
-from .model import _Writer, canonical_deserialize, canonical_serialize, register_codec
+from .model import (_Writer, canonical_deserialize, canonical_serialize,
+                    fields_codec, register_codec)
 
 __all__ = [
     "QrMode",
@@ -435,15 +436,4 @@ def token_from_payload(payload: QrPayload) -> LinkToken:
     return token_from_wire(decode_payload(payload).decode("ascii"))
 
 
-def _token_w(w, t: LinkToken) -> None:
-    w.text(t.authority_id)
-    w.enum(t.resource_kind)
-    w.text(t.resource_id)
-    w.text(t.signature)
-
-
-def _token_r(r) -> LinkToken:
-    return LinkToken(r.text(), r.enum(ResourceKind), r.text(), r.text())
-
-
-register_codec(LinkToken, 0x30, _token_w, _token_r)
+register_codec(LinkToken, 0x30, *fields_codec(LinkToken))

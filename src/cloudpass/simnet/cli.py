@@ -49,18 +49,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
+    """The file as text; a byte that is not UTF-8 is a parse error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         print(f"cloudpass: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines split as load_scenario splits them; the "?" holds the
+        # bad byte's place, so the last line's length is its column.
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ScenarioParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                                 len(lines), len(lines[-1])) from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    text = _read_text(args.scenario)
     try:
-        scenario = load_scenario(text, seed=args.seed)
+        scenario = load_scenario(_read_text(args.scenario), seed=args.seed)
         faults = tuple(parse_fault(spec) for spec in args.fault)
     except ScenarioParseError as exc:
         print(f"cloudpass: {exc}", file=sys.stderr)
@@ -83,9 +91,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = _read_text(args.scenario)
     try:
-        scenario = load_scenario(text)
+        scenario = load_scenario(_read_text(args.scenario))
     except ScenarioParseError as exc:
         print(f"cloudpass: {exc}", file=sys.stderr)
         return EXIT_PARSE

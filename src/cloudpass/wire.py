@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import socketserver
 import threading
 
@@ -30,6 +31,10 @@ __all__ = ["MAX_LINE_BYTES", "handle_embassy_line", "handle_airport_line",
 # separators and a CRLF terminator.
 MAX_LINE_BYTES = 2 * MAX_IMAGE_BYTES + 4096
 
+# Integer arguments, as in the scenario grammar: no "_" separators and no
+# digits outside ASCII, both of which int() would accept.
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
 
 class _BadRequest(Exception):
     def __init__(self, code: str):
@@ -37,10 +42,12 @@ class _BadRequest(Exception):
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise _BadRequest("BAD_ARGS") from None
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise _BadRequest("BAD_ARGS")
 
 
 def _hex(text: str) -> bytes:

@@ -15,10 +15,14 @@ and say in the change why the bytes moved.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import re
 import sys
+import typing
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -106,6 +110,67 @@ def test_codec_bytes_pinned(name):
     record = records()[name]
     assert type(record).__name__ == name
     assert _digest(record) == _pinned()[name]
+
+
+# ---------------------------------------------------------------------------
+# The documented layout is the declared one
+
+
+_ENCODING_DOC = (Path(__file__).resolve().parents[1] / "docs"
+                 / "encoding.md").read_text()
+
+
+def _documented_records() -> list[tuple[int, str, list[tuple[str, str]]]]:
+    """(tag, record, [(field, kind)]) per row of the "Tags and field
+    order" table in docs/encoding.md."""
+    section = _ENCODING_DOC.split("## Tags and field order", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(0x[0-9A-Fa-f]{2})` \| (\w+) \| (.*) \|$",
+                      section, re.MULTILINE)
+    return [(int(tag, 16), name,
+             [tuple(field.split(" ", 1)) for field in fields.split(", ")])
+            for tag, name, fields in rows]
+
+
+def _declared_kind(hint) -> str:
+    """A field type as the docs table writes it."""
+    simple = {str: "str", int: "i64", bytes: "bytes", bool: "bool"}
+    if hint in simple:
+        return simple[hint]
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return "enum"
+    if hint in model._CODEC_BY_TYPE:
+        return f"0x{model._CODEC_BY_TYPE[hint][0]:02X}"
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return "list of " + _declared_kind(args[0])
+    return "opt " + _declared_kind(args[0])
+
+
+def test_documented_layout_is_declared():
+    documented = _documented_records()
+    registered = {tag: cls.__name__
+                  for cls, (tag, _, _) in model._CODEC_BY_TYPE.items()}
+    assert {tag: name for tag, name, _ in documented} == registered
+    for tag, name, fields in documented:
+        cls = model._CODEC_BY_TAG[tag][0]
+        if cls is DeviceState:
+            # The one hand-written body: its slots, in order.
+            assert [field for field, _ in fields] == list(DeviceState.__slots__)
+            continue
+        hints = typing.get_type_hints(cls)
+        assert fields == [(f.name, _declared_kind(hints[f.name]))
+                          for f in dataclasses.fields(cls)], name
+
+
+@pytest.mark.parametrize("kind", [float, dict[str, int], list[int]],
+                         ids=["float", "dict", "list"])
+def test_field_without_encoding_is_refused_when_built(kind):
+    # Not registered: the registry is what the pins above read.
+    Throwaway = dataclasses.make_dataclass(
+        "Throwaway", [("name", str), ("amount", kind)], frozen=True)
+    with pytest.raises(TypeError, match=r"^Throwaway\.amount: no canonical"):
+        model.fields_codec(Throwaway)
 
 
 # ---------------------------------------------------------------------------

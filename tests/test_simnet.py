@@ -721,6 +721,15 @@ def test_cli_parse_error_exit_1(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_non_utf8_scenario_exit_1(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.cps"
+    bad.write_bytes("embassy IN\nairport é".encode("utf-8") + b"\xff\n")
+    assert cli_main([command, "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "cloudpass: line 2, column 10: byte 0xff is not UTF-8\n")
+
+
 def test_cli_runtime_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "ghost.cps"
     bad.write_text("embassy IN\ndepart ghost BLR\n")

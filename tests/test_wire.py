@@ -1,5 +1,6 @@
 """Line protocol handlers and the TCP wrapper around them."""
 
+import hashlib
 import random
 import re
 import socket
@@ -86,6 +87,13 @@ def test_bad_hex(embassy):
 
 def test_bad_enum(embassy):
     assert ask(embassy, "SUBMIT alice DOG_LICENSE") == "ERR BAD_ARGS"
+    # Integers too: ASCII [+-]?[0-9]+ only, as in the scenario grammar.
+    tracking = ask(embassy, "SUBMIT alice PASSPORT_APPLICATION").split()[1]
+    for issued, expires in [("1_000", "2000"), ("1000", "２０００"),
+                            ("٣", "2000"), ("+", "2000"), ("9" * 5000, "1")]:
+        line = f"APPROVE_PASSPORT {tracking} P1 alice IN {issued} {expires}"
+        assert ask(embassy, line) == "ERR BAD_ARGS"
+    assert ask(embassy, f"STATUS {tracking}") == "OK SUBMITTED"
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +169,34 @@ def test_embassy_snapshot_deterministic(embassy):
     first = ask(embassy, "SNAPSHOT")
     assert first.startswith("OK ")
     assert ask(embassy, "SNAPSHOT") == first
+
+
+def _snapshot_digest(cloud) -> str:
+    reply = ask(cloud, "SNAPSHOT", random.Random(7))
+    return hashlib.sha256(reply.encode("utf-8")).hexdigest()
+
+
+def test_snapshot_replies_pinned(embassy, airport):
+    """The SNAPSHOT payload documented in docs/wire.md, one small fixed
+    store per role. A key, an ordering or a separator that moves changes
+    these digests."""
+    rng = random.Random(7)
+    passport = ask(embassy, "SUBMIT alice PASSPORT_APPLICATION", rng).split()[1]
+    ask(embassy, f"APPROVE_PASSPORT {passport} P1 alice IN 0 315360000", rng)
+    visa = ask(embassy, "SUBMIT alice VISA_APPLICATION", rng).split()[1]
+    ask(embassy, f"APPROVE_VISA {visa} V1 P1 US 0 999 {b'pixels'.hex()}", rng)
+    ask(embassy, "SUBMIT bob PASSPORT_APPLICATION", rng)
+    assert _snapshot_digest(embassy) == ("0526588ccf72364e04e71f81376f0044"
+                                       "cb44ad2a559dd453f18e66e198b286b7")
+
+    digest = content_hash(b"pixels")
+    ask(airport, f"REPLICATE V1 P1 {digest}")
+    ask(airport, f"REPLICATE V0 P0 {content_hash(b'other')}")
+    ask(airport, f"DESK_COPY V1 DEPARTURE {b'pixels'.hex()}")
+    ask(airport, f"DESK_COPY V1 ARRIVAL {b'tampered'.hex()}")
+    airport.last_sync_date = 86400
+    assert _snapshot_digest(airport) == ("065237b0a63adb9e31dd9315930aa691"
+                                       "2a35e78eb8977f060e9547774aa1d627")
 
 
 # ---------------------------------------------------------------------------
