@@ -52,6 +52,9 @@ PHASE_OUTCOME = "outcome"
 PHASES = (PHASE_AUTH, PHASE_NFC, PHASE_DESK_COPY, PHASE_COMPARE, PHASE_STAMP,
           PHASE_OUTCOME)
 
+# Virtual seconds the agent spends on each auth action.
+_STEP_S = 15
+
 
 class Outcome(Enum):
     PERMIT = "PERMIT"
@@ -116,7 +119,6 @@ class AgentScript:
     replay_otp: str | None = None       # present this stale code first
     oversleep_s: int = 0                # idle right after opening the session
     retry_after_expiry: bool = True     # reopen once if the session expires
-    step_s: int = 15                    # virtual seconds per agent action
 
 
 def _utc_time(now: int) -> str:
@@ -156,7 +158,7 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
                     return
                 continue
             return
-        clock.advance(script.step_s)
+        clock.advance(_STEP_S)
         try:
             if state is SessionState.TIME_AUTH_PENDING:
                 submitted = (_utc_time(clock.now) if script.submit_utc_time

@@ -79,9 +79,6 @@ COUNT_INDICATOR_BITS = {
     QrMode.KANJI: 8,
 }
 
-_TEXT_MODE_NAMES = {m.value: m for m in QrMode}
-
-
 def _is_numeric(data: bytes) -> bool:
     return not data or data.isdigit()
 
@@ -160,35 +157,6 @@ class QrPayload:
         expected = sum(segment_cost(s) for s in self.segments)
         if self.total_bits != expected:
             raise QrError("BAD_BIT_TOTAL", f"{self.total_bits} != {expected}")
-
-    def to_text(self) -> str:
-        """Log-friendly form, e.g. ``ALNUM:CP-|NUM:2041``. Byte and kanji
-        payloads are hex so every payload stays one printable token."""
-        parts = []
-        for seg in self.segments:
-            if seg.mode in (QrMode.NUMERIC, QrMode.ALPHANUMERIC):
-                parts.append(f"{seg.mode.value}:{seg.payload.decode('ascii')}")
-            else:
-                parts.append(f"{seg.mode.value}:{seg.payload.hex()}")
-        return "|".join(parts)
-
-    @classmethod
-    def from_text(cls, text: str) -> "QrPayload":
-        segments = []
-        for part in text.split("|"):
-            name, sep, body = part.partition(":")
-            if not sep or name not in _TEXT_MODE_NAMES:
-                raise QrError("BAD_PAYLOAD_TEXT", repr(part))
-            mode = _TEXT_MODE_NAMES[name]
-            if mode in (QrMode.NUMERIC, QrMode.ALPHANUMERIC):
-                payload = body.encode("ascii")
-            else:
-                try:
-                    payload = bytes.fromhex(body)
-                except ValueError:
-                    raise QrError("BAD_PAYLOAD_TEXT", repr(part)) from None
-            segments.append(QrSegment(mode, payload))
-        return cls(tuple(segments), sum(segment_cost(s) for s in segments))
 
 
 def classify_mode(data) -> QrMode:

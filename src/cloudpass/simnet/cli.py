@@ -61,7 +61,7 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         # Lines split as load_scenario splits them; the "?" holds the
         # bad byte's place, so the last line's length is its column.
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        lines = (data[:exc.start].decode("utf-8") + "?").split("\n")
         raise ScenarioParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
                                  len(lines), len(lines[-1])) from None
 

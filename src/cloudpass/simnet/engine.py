@@ -16,11 +16,11 @@ from ..clouds import (AirportCloud, Checkpoint, EmbassyCloud, ManifestEntry,
                       NotificationKind, TravelManifest)
 from ..errors import CloudError, CloudPassError, ScenarioRuntimeError
 from ..model import AUTH_IMAGE_COUNT, DeviceState, IdKind, VisaImage
-from ..qrlink import QrPayload, token_from_payload, token_to_payload
+from ..qrlink import token_from_payload, token_to_payload
 from .clock import VirtualClock
 from .events import EventLog, ScenarioEvent
 from .rng import ScenarioRng
-from .scenario import _FAULTS, FaultKind, FaultSpec, Scenario, fault_to_command
+from .scenario import _FAULTS, FaultKind, Scenario, ScenarioCommand
 
 __all__ = ["World", "TravelerState", "run"]
 
@@ -219,9 +219,9 @@ def _cmd_download_visa(world: World, cmd) -> None:
         raise CloudError("NO_APPLICATION", traveler.name)
     cloud = world.embassy(traveler.visa_authority)
     note = _latest_notification(cloud, traveler.name, NotificationKind.VISA_READY)
-    # The link rides a QR code: segment it, print it, scan it back.
+    # The link rides a QR code: segment it, then scan its segments back.
     qr = token_to_payload(note.payload)
-    token = token_from_payload(QrPayload.from_text(qr.to_text()))
+    token = token_from_payload(qr)
     page = int(cmd.args["page"])
     image = clouds.download_visa_image(cloud, token, traveler.device, page)
     world.emit(traveler.name, "visa-downloaded", visa_id=token.resource_id,
@@ -368,23 +368,23 @@ def _inject_faults(commands: list, faults) -> list:
     """Splice fault commands into a parsed scenario: SKIP_SYNC up front,
     actor faults right before that actor's first desk check."""
     out = list(commands)
-    for spec in faults:
-        cmd = fault_to_command(spec)
-        if spec.kind is FaultKind.SKIP_SYNC:
+    for cmd in faults:
+        if _FAULTS[cmd.verb][0] is FaultKind.SKIP_SYNC:
             out.insert(0, cmd)
             continue
         position = len(out)
         for i, existing in enumerate(out):
             if (existing.verb in _CHECK_VERBS
-                    and existing.args.get("name") == spec.params.get("name")):
+                    and existing.args.get("name") == cmd.args.get("name")):
                 position = i
                 break
         out.insert(position, cmd)
     return out
 
 
-def run(scenario: Scenario, faults: tuple[FaultSpec, ...] = ()) -> tuple[World, list[ScenarioEvent]]:
-    """Execute a validated scenario against a fresh world.
+def run(scenario: Scenario, faults: tuple[ScenarioCommand, ...] = ()) -> tuple[World, list[ScenarioEvent]]:
+    """Execute a validated scenario against a fresh world, with the
+    fault commands ``parse_fault`` built injected.
 
     Returns the final world and its ordered event log. A command failure
     surfaces as ScenarioRuntimeError carrying the failing index, with the

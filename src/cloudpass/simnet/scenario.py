@@ -1,12 +1,12 @@
 """Line-oriented scenario grammar.
 
-One command per line: ``verb subject [key=value]...``. Blank lines and
-``#`` comments are skipped. Durations take s, m, h or d suffixes
-(``2h`` is 7200 seconds; a bare number is seconds). Every number,
-durations after their unit, must fit a signed 64-bit integer, and
-``image-bytes`` must lie in [1, MAX_IMAGE_BYTES]. Everything is
-validated up front, before any command runs, and a rejection names the
-line and column it tripped on.
+One command per line: ``verb subject [key=value]...``; a line ends at
+a newline and nowhere else. Blank lines and ``#`` comments are skipped.
+Durations take s, m, h or d suffixes (``2h`` is 7200 seconds; a bare
+number is seconds). Every number, durations after their unit, must fit
+a signed 64-bit integer, and ``image-bytes`` must lie in
+[1, MAX_IMAGE_BYTES]. Everything is validated up front, before any
+command runs, and a rejection names the line and column it tripped on.
 
     embassy IN
     airport BLR
@@ -27,9 +27,8 @@ from ..errors import ScenarioParseError
 from ..model import (_AIRPORT_RE, _COUNTRY_RE, I64_MAX, I64_MIN,
                      MAX_IMAGE_BYTES)
 
-__all__ = ["Scenario", "ScenarioCommand", "FaultKind", "FaultSpec",
-           "load_scenario", "parse_duration", "parse_fault",
-           "fault_to_command"]
+__all__ = ["Scenario", "ScenarioCommand", "FaultKind", "load_scenario",
+           "parse_duration", "parse_fault"]
 
 _TOKEN_RE = re.compile(r"\S+")
 # Matched with fullmatch, like the model's formats.
@@ -111,7 +110,6 @@ _FAULTS: dict[str, tuple[FaultKind, _VerbSpec]] = {
                             defaults={"wait": "601s"})),
     "skip-sync": (FaultKind.SKIP_SYNC, _VerbSpec()),
 }
-_VERB_BY_FAULT = {kind: verb for verb, (kind, _) in _FAULTS.items()}
 
 _VERBS: dict[str, _VerbSpec] = {
     "embassy": _VerbSpec((("authority", "country"),)),
@@ -161,31 +159,6 @@ class ScenarioCommand:
 class Scenario:
     seed: int
     commands: tuple[ScenarioCommand, ...]
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """A fault with its verb's params, as text; the verb's defaults fill
-    in what ``params`` leaves out, and the grammar refuses the rest."""
-
-    kind: FaultKind
-    params: dict
-
-    def __post_init__(self):
-        verb = _VERB_BY_FAULT[self.kind]
-        grammar = _FAULTS[verb][1]
-        validators = {**dict(grammar.positionals), **grammar.keys}
-        params = {**grammar.defaults, **self.params}
-        for key, value in params.items():
-            validator = validators.get(key)
-            if validator is None:
-                raise ValueError(f"unknown key {key!r} for {verb}")
-            if not isinstance(value, str) or not _VALIDATORS[validator](value):
-                raise ValueError(f"bad {validator} value {value!r} for {key!r}")
-        for key in (*dict(grammar.positionals), *grammar.required):
-            if key not in params:
-                raise ValueError(f"{verb} needs {key!r}")
-        object.__setattr__(self, "params", params)
 
 
 def _fail(message: str, line_no: int, column: int):
@@ -238,21 +211,17 @@ def _parse_line(line: str, line_no: int) -> ScenarioCommand | None:
 def load_scenario(text: str, seed: int = 0) -> Scenario:
     """Parse and validate a whole scenario; nothing executes here."""
     commands = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         command = _parse_line(line, line_no)
         if command is not None:
             commands.append(command)
     return Scenario(seed, tuple(commands))
 
 
-def parse_fault(text: str) -> FaultSpec:
-    """One fault in command syntax, e.g. ``tamper-visa alice byte=17``."""
+def parse_fault(text: str) -> ScenarioCommand:
+    """One fault in command syntax, e.g. ``tamper-visa alice byte=17``:
+    the command the grammar parsed, its verb's defaults filled in."""
     command = _parse_line(text.strip(), 1)
     if command is None or command.verb not in _FAULTS:
         _fail(f"not a fault command: {text.strip()!r}", 1, 1)
-    return FaultSpec(_FAULTS[command.verb][0], dict(command.args))
-
-
-def fault_to_command(spec: FaultSpec) -> ScenarioCommand:
-    """The scenario command equivalent of a fault, for injection."""
-    return ScenarioCommand(_VERB_BY_FAULT[spec.kind], dict(spec.params), 0)
+    return command

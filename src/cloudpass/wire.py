@@ -184,7 +184,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 # lined up with the next request: answer once and hang up.
                 self._reply("ERR LINE_TOO_LONG")
                 return
-            line = raw.decode("utf-8", errors="replace").strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                self._reply("ERR BAD_UTF8")
+                continue
             with server.lock:
                 if isinstance(server.cloud, EmbassyCloud):
                     reply = handle_embassy_line(server.cloud, line, server.rng)

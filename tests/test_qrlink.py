@@ -363,37 +363,6 @@ def test_encode_handles_text_input(s):
 
 
 # ---------------------------------------------------------------------------
-# textual form
-
-
-def test_payload_text_round_trip():
-    payload = encode_payload("CP-2041")
-    text = payload.to_text()
-    assert QrPayload.from_text(text) == payload
-
-
-def test_payload_text_hex_for_byte_segments():
-    payload = encode_payload("hello")
-    text = payload.to_text()
-    assert text.startswith("BYTE:")
-    assert "68656c6c6f" in text
-
-
-def test_payload_text_mixed_segments():
-    payload = encode_payload("AB" + "1" * 20)
-    text = payload.to_text()
-    assert "|" in text
-    assert QrPayload.from_text(text) == payload
-
-
-def test_payload_from_text_rejects_garbage():
-    with pytest.raises(QrError):
-        QrPayload.from_text("NOPE:123")
-    with pytest.raises(QrError):
-        QrPayload.from_text("")
-
-
-# ---------------------------------------------------------------------------
 # link tokens
 
 
@@ -470,11 +439,16 @@ def test_token_payload_bits_pinned():
     token = mint_link_token(auth, ResourceKind.VISA_IMAGE, "V0ABCDEF")
     payload = token_to_payload(token)
     assert payload.total_bits == 795
-    assert payload.to_text() == (
-        "NUM:30000000640000000255530000000|BYTE:61|NUM:564953415|"
-        "BYTE:6634393464|NUM:41474500000008563041424344454600000040366163"
-        "306462396531626466643865653233303161636665623439663730383364396531"
-        "39343332393930363136633866393961383863613634376165323662")
+    tail = (b"414745000000085630414243444546000000403661633064623965316264"
+            b"666438656532333031616366656234396637303833643965313934333239"
+            b"3930363136633866393961383863613634376165323662")
+    assert [(s.mode, s.payload) for s in payload.segments] == [
+        (QrMode.NUMERIC, b"30000000640000000255530000000"),
+        (QrMode.BYTE, bytes.fromhex("61")),
+        (QrMode.NUMERIC, b"564953415"),
+        (QrMode.BYTE, bytes.fromhex("6634393464")),
+        (QrMode.NUMERIC, tail),
+    ]
 
 
 def test_token_payload_round_trip():
@@ -482,5 +456,3 @@ def test_token_payload_round_trip():
     token = mint_link_token(auth, ResourceKind.VISA_IMAGE, "V1")
     payload = token_to_payload(token)
     assert token_from_payload(payload) == token
-    # and through the textual (printed QR) form as well
-    assert token_from_payload(QrPayload.from_text(payload.to_text())) == token

@@ -18,11 +18,11 @@ from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
 from cloudpass.immigration import PHASE_AUTH, TranscriptEvent
 from cloudpass.model import MAX_IMAGE_BYTES
-from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind, FaultSpec,
+from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind,
                               ScenarioEvent, ScenarioRng, VirtualClock,
-                              emit_report, event_line, fault_to_command,
-                              load_scenario, outcome_counts, parse_duration,
-                              parse_fault, render_iso, run)
+                              emit_report, event_line, load_scenario,
+                              outcome_counts, parse_duration, parse_fault,
+                              render_iso, run)
 from cloudpass.simnet.cli import main as cli_main
 from cloudpass.simnet.clock import CLOCK_MAX
 from cloudpass.simnet.scenario import _FAULTS, _VALIDATORS
@@ -238,17 +238,32 @@ def test_i64_extremes_accepted(line):
     assert len(load_scenario(line + "\n").commands) == 1
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"],
+                         ids=["form-feed", "file-separator", "nel",
+                              "line-separator"])
+def test_line_ends_only_at_newline(separator):
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario(f"embassy IN{separator}airport BLR\n")
+    assert err.value.line == 1
+
+
+def test_crlf_scenario_reports_like_lf():
+    crlf = HAPPY.replace("\n", "\r\n")
+    assert crlf != HAPPY
+    for seed in (1, 2):
+        assert (report_bytes(run(load_scenario(crlf, seed))[1])
+                == report_bytes(run(load_scenario(HAPPY, seed))[1]))
+
+
 # ---------------------------------------------------------------------------
 # faults
 
 
 def test_parse_fault_round_trips_to_command():
-    spec = parse_fault("tamper-visa alice byte=17")
-    assert spec.kind is FaultKind.TAMPER_VISA_BYTE
-    assert spec.params["byte"] == "17"
-    command = fault_to_command(spec)
+    command = parse_fault("tamper-visa alice byte=17")
     assert command.verb == "tamper-visa"
-    assert command.args["name"] == "alice"
+    assert _FAULTS[command.verb][0] is FaultKind.TAMPER_VISA_BYTE
+    assert command.args == {"name": "alice", "byte": "17"}
 
 
 def test_parse_fault_rejects_non_fault_verbs():
@@ -265,17 +280,9 @@ def test_grammar_validators_refuse_trailing_newline(validator, value):
     assert not _VALIDATORS[validator](value + "\n")
 
 
-def test_fault_spec_refuses_trailing_newline():
-    with pytest.raises(ValueError):
-        FaultSpec(FaultKind.TAMPER_VISA_BYTE, {"name": "alice\n", "byte": "7\n"})
-
-
 def test_fault_spec_requires_actor():
-    from cloudpass.simnet import FaultSpec
     with pytest.raises(ScenarioParseError):
         parse_fault("oversleep")          # parser wants the name positional
-    with pytest.raises(ValueError):
-        FaultSpec(FaultKind.OVERSLEEP_SESSION, {})
 
 
 # ---------------------------------------------------------------------------
@@ -537,23 +544,33 @@ def test_fault_table_matches_kinds_readme_and_benchmark():
 _SAMPLE_VALUES = {"int": "7", "duration": "601s"}
 
 
-@pytest.mark.parametrize("verb", list(_FAULTS))
-def test_fault_row_round_trips(verb):
-    kind, grammar = _FAULTS[verb]
+def _sample_fault(verb: str) -> str:
+    """A valid line for a fault verb: alice as actor, required keys set."""
+    grammar = _FAULTS[verb][1]
     words = [verb] + ["alice" for _ in grammar.positionals]
     words += [f"{key}={_SAMPLE_VALUES[grammar.keys[key]]}"
               for key in grammar.required]
-    spec = parse_fault(" ".join(words))
-    assert spec.kind is kind
-    assert fault_to_command(spec).verb == verb
+    return " ".join(words)
 
 
-def _spec_by_hand(text: str) -> FaultSpec:
-    """The FaultSpec a caller would build without the parser: bare words
-    are the actor's name, ``key=value`` words are params."""
-    verb, *words = text.split()
-    params = dict(w.split("=", 1) if "=" in w else ("name", w) for w in words)
-    return FaultSpec(_FAULTS[verb][0], params)
+@pytest.mark.parametrize("verb", list(_FAULTS))
+def test_fault_row_round_trips(verb):
+    assert parse_fault(_sample_fault(verb)).verb == verb
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("verb", list(_FAULTS))
+def test_injected_fault_runs_like_the_inline_line(verb, seed):
+    line = _sample_fault(verb)
+    if _FAULTS[verb][0] is FaultKind.SKIP_SYNC:
+        inline = f"{line}\n{HAPPY}"
+    else:
+        marker = "depart alice BLR\n"
+        assert HAPPY.count(marker) == 1
+        inline = HAPPY.replace(marker, f"{line}\n{marker}")
+    injected = run(load_scenario(HAPPY, seed), (parse_fault(line),))[1]
+    written = run(load_scenario(inline, seed))[1]
+    assert report_bytes(injected) == report_bytes(written)
 
 
 @pytest.mark.parametrize("text,valid", [
@@ -589,34 +606,18 @@ def _spec_by_hand(text: str) -> FaultSpec:
     ("skip-sync alice", False),
 ])
 def test_fault_spec_accepts_what_parse_fault_accepts(text, valid):
+    """A fault spec, the text after ``--fault``, is one scenario line of
+    a fault verb: what the grammar accepts there, ``parse_fault`` does."""
     if valid:
-        assert _spec_by_hand(text) == parse_fault(text)
+        assert parse_fault(text) == load_scenario(text).commands[0]
         return
     with pytest.raises(ScenarioParseError):
         parse_fault(text)
-    with pytest.raises(ValueError):
-        _spec_by_hand(text)
 
 
 def test_fault_spec_gets_its_verbs_defaults():
-    by_hand = FaultSpec(FaultKind.OVERSLEEP_SESSION, {"name": "alice"})
-    parsed = parse_fault("oversleep alice")
-    assert by_hand == parsed
-    for seed in (1, 2):
-        scenario = load_scenario(HAPPY, seed)
-        assert (report_bytes(run(scenario, (by_hand,))[1])
-                == report_bytes(run(scenario, (parsed,))[1]))
-
-
-@pytest.mark.parametrize("kind,params", [
-    (FaultKind.TAMPER_VISA_BYTE, {"name": "alice", "byte": "x"}),
-    (FaultKind.TAMPER_VISA_BYTE, {"name": "alice", "byte": 7}),
-    (FaultKind.WRONG_TIME, {"name": "alice", "speed": "2"}),
-    (FaultKind.SKIP_SYNC, {"name": "alice"}),
-], ids=["bad-byte", "byte-not-text", "unknown-key", "skip-sync-actor"])
-def test_fault_spec_refuses_what_the_grammar_refuses(kind, params):
-    with pytest.raises(ValueError):
-        FaultSpec(kind, params)
+    assert parse_fault("oversleep alice").args == {"name": "alice",
+                                                   "wait": "601s"}
 
 
 def _run_with_fault_between_checks(fault: str, seed: int = 1):
@@ -728,6 +729,14 @@ def test_cli_non_utf8_scenario_exit_1(tmp_path, capsys, command):
     assert cli_main([command, "--scenario", str(bad)]) == 1
     assert capsys.readouterr().err == (
         "cloudpass: line 2, column 10: byte 0xff is not UTF-8\n")
+
+
+def test_cli_non_utf8_position_counts_lines_at_newline(tmp_path, capsys):
+    bad = tmp_path / "form-feed.cps"
+    bad.write_bytes(b"embassy IN\x0cairport BLR\xff\n")
+    assert cli_main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "cloudpass: line 1, column 23: byte 0xff is not UTF-8\n")
 
 
 def test_cli_runtime_error_exit_2(tmp_path, capsys):

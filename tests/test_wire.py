@@ -1,6 +1,7 @@
 """Line protocol handlers and the TCP wrapper around them."""
 
 import hashlib
+import json
 import random
 import re
 import socket
@@ -260,6 +261,25 @@ def test_server_round_trip():
             fp.write("\n")
             fp.flush()
             assert fp.readline().strip() == "ERR EMPTY_LINE"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_server_refuses_bytes_that_are_not_utf8():
+    server = CloudServer(EmbassyCloud("IN", b"socket-secret"), port=0)
+    host, port = server.server_address
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection((host, port), timeout=5) as conn:
+            conn.sendall(b"SUBMIT al\xffice PASSPORT_APPLICATION\nSNAPSHOT\n")
+            fp = conn.makefile("rb")
+            assert fp.readline() == b"ERR BAD_UTF8\n"
+            # One reply, and the connection stays open for the next line.
+            op, store = fp.readline().split()
+            assert op == b"OK"
+            assert json.loads(bytes.fromhex(store.decode()))["applications"] == {}
     finally:
         server.shutdown()
         server.server_close()
