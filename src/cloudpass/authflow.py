@@ -10,10 +10,10 @@ between; activity never extends it. Expiry is checked before anything
 else on every operation, and the boundary is closed: at exactly
 ``activated_at + 600`` the session is already expired.
 
-Sessions are immutable snapshots. Every operation takes the device whose
-session is being driven and writes the replacement snapshot back to
-``device.session`` before returning or raising, so the device always
-holds the current state.
+The device holds its one current session. Sessions are immutable
+snapshots: every operation takes the device, drives ``device.session``
+and stores the replacement there before returning or raising, so a
+snapshot kept from an earlier session drives nothing.
 """
 
 from __future__ import annotations
@@ -178,11 +178,12 @@ def check_timeout(session: Session, now: int) -> Session:
     return session
 
 
-def _gate(session: Session, expected: SessionState, device: DeviceState,
-          now: int) -> Session:
+def _gate(device: DeviceState, expected: SessionState, now: int) -> Session:
     """Expiry first, then the state precondition. Failure raises; the
     refreshed snapshot is stored on the device either way."""
-    session = check_timeout(session, now)
+    if device.session is None:
+        raise AuthError("WRONG_STATE", f"expected {expected.value}, got no session")
+    session = check_timeout(device.session, now)
     device.session = session
     if session.state is SessionState.EXPIRED:
         raise AuthError("SESSION_EXPIRED")
@@ -192,11 +193,11 @@ def _gate(session: Session, expected: SessionState, device: DeviceState,
     return session
 
 
-def verify_time_auth(session: Session, submitted_time: str, captcha_answer: str,
-                     device: DeviceState, now: int) -> Session:
+def verify_time_auth(device: DeviceState, submitted_time: str,
+                     captcha_answer: str, now: int) -> Session:
     """Level 1 step one: captcha text exactly, device-displayed time within
     one minute (24h clock, wrapping at midnight)."""
-    session = _gate(session, SessionState.TIME_AUTH_PENDING, device, now)
+    session = _gate(device, SessionState.TIME_AUTH_PENDING, now)
     assert session.pending_captcha is not None
     if captcha_answer != session.pending_captcha.text:
         raise AuthError("BAD_CAPTCHA")
@@ -215,11 +216,10 @@ def verify_time_auth(session: Session, submitted_time: str, captcha_answer: str,
     return session
 
 
-def verify_credentials(session: Session, username: str, password: str,
-                       enrolled: Mapping[str, Credential], device: DeviceState,
-                       now: int) -> Session:
+def verify_credentials(device: DeviceState, username: str, password: str,
+                       enrolled: Mapping[str, Credential], now: int) -> Session:
     """Level 1 step two: salted password check against the enrolled record."""
-    session = _gate(session, SessionState.CREDENTIALS_PENDING, device, now)
+    session = _gate(device, SessionState.CREDENTIALS_PENDING, now)
     credential = enrolled.get(username)
     if credential is None or not _password_matches(credential, password):
         raise AuthError("BAD_CREDENTIALS")
@@ -230,10 +230,9 @@ def verify_credentials(session: Session, username: str, password: str,
     return session
 
 
-def begin_image_auth(session: Session, device: DeviceState, rng,
-                     now: int) -> tuple[Session, int]:
+def begin_image_auth(device: DeviceState, rng, now: int) -> tuple[Session, int]:
     """Level 2: pick one of the ten enrolled pictures uniformly."""
-    session = _gate(session, SessionState.PASSPORT_VISIBLE, device, now)
+    session = _gate(device, SessionState.PASSPORT_VISIBLE, now)
     index = rng.randrange(AUTH_IMAGE_COUNT)
     session = Session(session.session_id, session.device_id,
                       SessionState.IMAGE_AUTH_PENDING, session.activated_at,
@@ -242,10 +241,9 @@ def begin_image_auth(session: Session, device: DeviceState, rng,
     return session, index
 
 
-def verify_image_answer(session: Session, device: DeviceState, answer: str,
-                        now: int) -> Session:
+def verify_image_answer(device: DeviceState, answer: str, now: int) -> Session:
     """Compare the normalized answer hash for the prompted picture."""
-    session = _gate(session, SessionState.IMAGE_AUTH_PENDING, device, now)
+    session = _gate(device, SessionState.IMAGE_AUTH_PENDING, now)
     assert session.pending_image_index is not None
     expected = device.auth_images[session.pending_image_index]
     if _hash_answer(answer) != expected.answer_hash:

@@ -20,8 +20,8 @@ from enum import Enum
 import json
 
 from .errors import CloudError
-from .model import (MAX_IMAGE_BYTES, DeviceState, IdKind, Passport,
-                    TrackingId, VisaImage, VisaRecord, VisaStatus,
+from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
+                    Passport, TrackingId, VisaImage, VisaRecord, VisaStatus,
                     content_hash, new_passport, new_tracking_id, place_visa)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
@@ -113,7 +113,6 @@ class EmbassyCloud:
         self.visas: dict[str, VisaRecord] = {}
         self.passports: dict[str, Passport] = {}
         self.blobs: dict[str, bytes] = {}
-        self.media_types: dict[str, str] = {}
         self.notifications_out: list[Notification] = []
 
     def has_resource(self, kind: ResourceKind, resource_id: str) -> bool:
@@ -209,8 +208,7 @@ def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
 
 def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
                  passport_no: str, destination_country: str, valid_from: int,
-                 valid_to: int, image_bytes: bytes,
-                 media_type: str = "image/png") -> Notification:
+                 valid_to: int, image_bytes: bytes) -> Notification:
     """Issue the visa, store its image blob, and queue a VISA_READY link."""
     record = _application_for_approval(cloud, tracking_value,
                                        IdKind.VISA_APPLICATION)
@@ -225,7 +223,6 @@ def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
                       VisaStatus.ISSUED)
     cloud.visas[visa_id] = visa
     cloud.blobs[image_hash] = bytes(image_bytes)
-    cloud.media_types[image_hash] = media_type
     record.status = AppStatus.APPROVED
     record.resource_id = visa_id
     token = mint_link_token(cloud, ResourceKind.VISA_IMAGE, visa_id)
@@ -270,8 +267,7 @@ def download_visa_image(cloud: EmbassyCloud, token: LinkToken,
     visa_id = resolve_link_token(token, cloud)
     record = cloud.visas[visa_id]
     data = cloud.blobs[record.image_hash]
-    image = VisaImage(data, cloud.media_types.get(record.image_hash, "image/png"),
-                      record.image_hash)
+    image = VisaImage(data, VISA_MEDIA_TYPE, record.image_hash)
     # Place first against a hypothetical store so a refusal leaves the
     # device exactly as it was.
     downloaded = set(device.visas) | {visa_id}

@@ -2,7 +2,8 @@
 
 Each failure carries a stable machine-readable ``code`` (an UPPER_SNAKE
 tag such as ``BAD_TIME`` or ``PAGE_OCCUPIED``) so callers can branch on
-the code without parsing message text.
+the code without parsing message text. The text names the code once:
+``CODE`` or ``CODE: detail``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 class CloudPassError(Exception):
     """Base class for all domain failures."""
 
-    def __init__(self, code: str, message: str | None = None):
-        super().__init__(message if message is not None else code)
+    def __init__(self, code: str, detail: str | None = None):
+        super().__init__(f"{code}: {detail}" if detail else code)
         self.code = code
 
 
@@ -41,18 +42,22 @@ class DeskError(CloudPassError):
 
 
 class ScenarioParseError(CloudPassError):
-    """Scenario text rejected before execution; points at line and column."""
+    """Scenario text rejected before execution; its text is
+    ``line L, column C: message``."""
+    code = "PARSE_ERROR"
 
     def __init__(self, message: str, line: int, column: int):
-        super().__init__("PARSE_ERROR", f"line {line}, column {column}: {message}")
+        Exception.__init__(self, f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
 
 class ScenarioRuntimeError(CloudPassError):
-    """A command failed mid-run; ``index`` is the failing command position."""
+    """A command failed mid-run; ``index`` is the failing command position,
+    and the text is ``command N: `` before the cause's own text."""
+    code = "RUNTIME_FAULT"
 
-    def __init__(self, index: int, cause: Exception):
-        super().__init__("RUNTIME_FAULT", f"command {index}: {cause}")
+    def __init__(self, index: int, cause: CloudPassError):
+        Exception.__init__(self, f"command {index}: {cause}")
         self.index = index
         self.cause = cause

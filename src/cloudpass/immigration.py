@@ -163,24 +163,23 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
             if state is SessionState.TIME_AUTH_PENDING:
                 submitted = (_utc_time(clock.now) if script.submit_utc_time
                              else device.displayed_time(clock.now))
-                authflow.verify_time_auth(session, submitted,
+                authflow.verify_time_auth(device, submitted,
                                           session.pending_captcha.text,
-                                          device, clock.now)
+                                          clock.now)
                 log(PHASE_AUTH, f"time-auth-ok submitted={submitted}")
             elif state is SessionState.CREDENTIALS_PENDING:
-                authflow.verify_credentials(session, script.username,
+                authflow.verify_credentials(device, script.username,
                                             script.password, credentials,
-                                            device, clock.now)
+                                            clock.now)
                 log(PHASE_AUTH, "credentials-ok")
             elif state is SessionState.PASSPORT_VISIBLE:
-                _, index = authflow.begin_image_auth(session, device, rng,
-                                                     clock.now)
+                _, index = authflow.begin_image_auth(device, rng, clock.now)
                 log(PHASE_AUTH, f"image-prompted index={index}")
             else:  # IMAGE_AUTH_PENDING
                 index = session.pending_image_index
                 answer = ("not the right caption" if script.wrong_image_answer
                           else script.image_answers[index])
-                authflow.verify_image_answer(session, device, answer, clock.now)
+                authflow.verify_image_answer(device, answer, clock.now)
                 log(PHASE_AUTH, "image-auth-ok")
         except AuthError as exc:
             log(PHASE_AUTH, f"auth-rejected {exc.code}")
@@ -211,7 +210,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
 
     def lock_and_alert(channel: NfcChannel | None, reason: str) -> CheckTranscript:
         if channel is not None:
-            send_lock(channel, device)
+            send_lock(channel)
             log(PHASE_NFC, "lock-sent")
         else:
             device.locked = True
@@ -241,7 +240,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
         log(PHASE_NFC, "otp-redeemed")
         channel = establish(desk.desk_id, device, tap_distance_cm, clock.now)
         log(PHASE_NFC, f"channel-open distance={tap_distance_cm}")
-        summary, visa_id, image_bytes = tap_check(channel, device)
+        summary, visa_id, image_bytes = tap_check(channel)
         log(PHASE_NFC, f"tap-check passport={summary.passport_no} visa={visa_id}")
     except (AuthError, NfcError, ValidationError) as exc:
         log(PHASE_NFC, f"nfc-failed {exc.code}")
@@ -261,6 +260,6 @@ def run_check(desk: DeskCheck, device: DeviceState,
         return finish(Outcome.ISOLATE, f" compare={result.value}")
     if desk.checkpoint is Checkpoint.ARRIVAL:
         stamp = StampEntry(StampKind.ARRIVAL, desk.airport, clock.now)
-        tap_stamp(channel, device, stamp)
+        tap_stamp(channel, stamp)
         log(PHASE_STAMP, f"arrival-stamped at={stamp.stamped_at}")
     return finish(Outcome.PERMIT)

@@ -77,6 +77,9 @@ I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 # are bounded by it too, so no input can ask for an unbounded buffer.
 MAX_IMAGE_BYTES = 1 << 20
 
+# The media type of every image an embassy issues.
+VISA_MEDIA_TYPE = "image/png"
+
 
 def content_hash(data: bytes) -> str:
     """SHA-256 of ``data`` as 64 lowercase hex characters."""
@@ -85,7 +88,7 @@ def content_hash(data: bytes) -> str:
 
 def _require(cond: bool, invariant: str, detail: str) -> None:
     if not cond:
-        raise ValidationError(invariant, f"{invariant}: {detail}")
+        raise ValidationError(invariant, detail)
 
 
 class IdKind(Enum):
@@ -237,7 +240,7 @@ class VisaImage:
         self.validate()
 
     @classmethod
-    def of(cls, data: bytes, media_type: str = "image/png") -> "VisaImage":
+    def of(cls, data: bytes, media_type: str = VISA_MEDIA_TYPE) -> "VisaImage":
         return cls(bytes(data), media_type, content_hash(bytes(data)))
 
     def validate(self) -> None:
@@ -345,12 +348,6 @@ class DeviceState:
     def displayed_time(self, now: int) -> str:
         minutes = self.displayed_minutes(now)
         return f"{minutes // 60:02d}:{minutes % 60:02d}"
-
-    def place_visa(self, visa_id: str, page_no: int) -> Passport:
-        if self.passport is None:
-            raise ValidationError("NO_PASSPORT", "no passport installed")
-        self.passport = place_visa(self.passport, visa_id, page_no, self.visas)
-        return self.passport
 
 
 @dataclass(frozen=True)
@@ -492,8 +489,7 @@ class _Writer:
         try:
             self.buf += _I64.pack(v)
         except struct.error:
-            raise ValidationError("I64_OUT_OF_RANGE",
-                                  f"I64_OUT_OF_RANGE: {v!r}") from None
+            raise ValidationError("I64_OUT_OF_RANGE", repr(v)) from None
 
     def boolean(self, v: bool) -> None:
         self.buf.append(1 if v else 0)
@@ -575,7 +571,7 @@ class _Reader:
         try:
             return str(data[pos:end], "utf-8")
         except UnicodeDecodeError as exc:
-            raise ValidationError("BAD_UTF8", f"BAD_UTF8: {exc.reason}") from None
+            raise ValidationError("BAD_UTF8", exc.reason) from None
 
     def enum(self, cls):
         name = self.text()

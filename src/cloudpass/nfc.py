@@ -11,6 +11,7 @@ VISA_VISIBLE, a stamp requires a prior successful check on the same
 channel, and a lock command is idempotent and absorbing. If the device
 is locked through this channel, later taps report DEVICE_LOCKED; if it
 went dark for any other reason mid-exchange, the channel is just stale.
+The channel holds its device: a tap or a lock reaches no other.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def decode_frame(data: bytes) -> Frame:
 @dataclass
 class NfcChannel:
     reader_id: str
-    device_id: str
+    device: DeviceState
     distance_cm: float
     established_at: int
     checked_visa_id: str | None = None
@@ -101,26 +102,27 @@ class NfcChannel:
 def establish(reader_id: str, device: DeviceState, distance_cm: float,
               now: int) -> NfcChannel:
     """Bring the device into the field. Inclusive at exactly 15.0 cm."""
-    channel = NfcChannel(reader_id, device.device_id, distance_cm, now)
+    channel = NfcChannel(reader_id, device, distance_cm, now)
     if device.locked:
         raise NfcError("DEVICE_LOCKED")
     return channel
 
 
-def _guard_live(channel: NfcChannel, device: DeviceState) -> None:
-    if device.locked:
+def _guard_live(channel: NfcChannel) -> DeviceState:
+    if channel.device.locked:
         # Locked over this channel: the reader knows why. Locked any other
         # way mid-exchange: the device just went dark.
         raise NfcError("DEVICE_LOCKED" if channel.lock_sent else "CHANNEL_STALE")
+    return channel.device
 
 
-def tap_check(channel: NfcChannel, device: DeviceState):
+def tap_check(channel: NfcChannel):
     """Desk reads the presented visa page.
 
     Returns ``(summary, visa_id, image_bytes)``. The device picks the
     page: the one the traveler placed their visa on, not the reader.
     """
-    _guard_live(channel, device)
+    device = _guard_live(channel)
     session = device.session
     if session is None or session.state is not SessionState.VISA_VISIBLE:
         raise NfcError("AUTH_NOT_COMPLETE")
@@ -144,9 +146,9 @@ def tap_check(channel: NfcChannel, device: DeviceState):
     return presented.passport, presented.visa_id, presented.image.data
 
 
-def tap_stamp(channel: NfcChannel, device: DeviceState, stamp: StampEntry) -> Frame:
+def tap_stamp(channel: NfcChannel, stamp: StampEntry) -> Frame:
     """Write a border stamp onto the page that was just checked."""
-    _guard_live(channel, device)
+    device = _guard_live(channel)
     if channel.checked_visa_id is None:
         raise NfcError("NO_PRIOR_CHECK")
     passport = device.passport
@@ -159,9 +161,9 @@ def tap_stamp(channel: NfcChannel, device: DeviceState, stamp: StampEntry) -> Fr
     return decode_frame(encode_frame(Frame(FrameType.STAMP_ACK)))
 
 
-def send_lock(channel: NfcChannel, device: DeviceState) -> Frame:
-    """Lock the device. Idempotent; a locked device stays locked."""
+def send_lock(channel: NfcChannel) -> Frame:
+    """Lock the channel's device. Idempotent; a locked device stays locked."""
     command = decode_frame(encode_frame(Frame(FrameType.LOCK_CMD)))
-    device.locked = True
+    channel.device.locked = True
     channel.lock_sent = True
     return command

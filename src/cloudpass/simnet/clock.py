@@ -31,8 +31,7 @@ class VirtualClock:
         if seconds > CLOCK_MAX - self.now:
             raise ValidationError(
                 "CLOCK_OVERFLOW",
-                f"CLOCK_OVERFLOW: {self.now} + {seconds}s passes "
-                f"{render_iso(CLOCK_MAX)}")
+                f"{self.now} + {seconds}s passes {render_iso(CLOCK_MAX)}")
         self.now += seconds
         return self.now
 

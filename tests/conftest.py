@@ -105,10 +105,9 @@ def open_visa_session(k: Kit, now: int | None = None) -> authflow.Session:
     """Walk one session all the way to VISA_VISIBLE."""
     t = k.clock.now if now is None else now
     session = authflow.open_session(k.device, t, k.rng)
-    session = authflow.verify_time_auth(
-        session, k.device.displayed_time(t), session.pending_captcha.text,
-        k.device, t)
-    session = authflow.verify_credentials(session, k.username, k.password,
-                                          k.credentials, k.device, t)
-    session, index = authflow.begin_image_auth(session, k.device, k.rng, t)
-    return authflow.verify_image_answer(session, k.device, k.answers[index], t)
+    session = authflow.verify_time_auth(k.device, k.device.displayed_time(t),
+                                        session.pending_captcha.text, t)
+    session = authflow.verify_credentials(k.device, k.username, k.password,
+                                          k.credentials, t)
+    session, index = authflow.begin_image_auth(k.device, k.rng, t)
+    return authflow.verify_image_answer(k.device, k.answers[index], t)

@@ -130,14 +130,14 @@ _OPS = ("time", "credentials", "image-prompt", "image-answer")
 def _apply(k, session, prompt, op, now):
     if op == "time":
         captcha = session.pending_captcha.text if session.pending_captcha else ""
-        return verify_time_auth(session, k.device.displayed_time(now),
-                                captcha, k.device, now), prompt
+        return verify_time_auth(k.device, k.device.displayed_time(now),
+                                captcha, now), prompt
     if op == "credentials":
-        return verify_credentials(session, k.username, k.password,
-                                  k.credentials, k.device, now), prompt
+        return verify_credentials(k.device, k.username, k.password,
+                                  k.credentials, now), prompt
     if op == "image-prompt":
-        return begin_image_auth(session, k.device, k.rng, now)
-    return verify_image_answer(session, k.device, k.answers[prompt], now), prompt
+        return begin_image_auth(k.device, k.rng, now)
+    return verify_image_answer(k.device, k.answers[prompt], now), prompt
 
 
 def _staged(k, steps, now=0):
@@ -224,8 +224,8 @@ def test_c06_timezone_semantics():
         k = build_kit(offset_min=330)
         session = open_session(k.device, now, k.rng)
         try:
-            verify_time_auth(session, submitted, session.pending_captcha.text,
-                             k.device, now)
+            verify_time_auth(k.device, submitted,
+                             session.pending_captcha.text, now)
             return True
         except AuthError as exc:
             if exc.code != "BAD_TIME":
@@ -257,7 +257,8 @@ def test_c07_image_distribution_and_fixity():
     for _ in range(n):
         probe = replace(session, state=SessionState.PASSPORT_VISIBLE,
                         pending_image_index=None)
-        _, index = begin_image_auth(probe, k.device, rng, now=0)
+        k.device.session = probe
+        _, index = begin_image_auth(k.device, rng, now=0)
         counts[index] += 1
     low, high = n // 10 - 4 * int(n ** 0.5), n // 10 + 4 * int(n ** 0.5)
     failures = [f"index {i}: {counts[i]} outside [{low}, {high}]"

@@ -28,14 +28,14 @@ def open_at(k, now):
 
 def to_credentials_pending(k, now):
     s = open_at(k, now)
-    return verify_time_auth(s, k.device.displayed_time(now),
-                            s.pending_captcha.text, k.device, now)
+    return verify_time_auth(k.device, k.device.displayed_time(now),
+                            s.pending_captcha.text, now)
 
 
 def to_passport_visible(k, now):
     s = to_credentials_pending(k, now)
-    return verify_credentials(s, k.username, k.password, k.credentials,
-                              k.device, now)
+    return verify_credentials(k.device, k.username, k.password,
+                              k.credentials, now)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,39 @@ def test_captcha_alphabet_excludes_lookalikes():
         assert len(s.pending_captcha.text) == 6
 
 
+def test_stale_snapshot_cannot_drive_the_device():
+    # Reopening replaces the device's session; the first one's captcha
+    # no longer signs anything in, and the second session survives.
+    k = fresh(offset_min=0)
+    first = open_at(k, 0)
+    second = open_at(k, 0)
+    assert first.pending_captcha.text != second.pending_captcha.text
+    with pytest.raises(AuthError) as err:
+        verify_time_auth(k.device, k.device.displayed_time(0),
+                         first.pending_captcha.text, 0)
+    assert err.value.code == "BAD_CAPTCHA"
+    assert k.device.session == second
+    s = verify_time_auth(k.device, k.device.displayed_time(0),
+                         second.pending_captcha.text, 0)
+    assert s.session_id == second.session_id
+    assert s.state is SessionState.CREDENTIALS_PENDING
+
+
+@pytest.mark.parametrize("operation", [
+    lambda k: verify_time_auth(k.device, "12:00", "ABCDEF", 0),
+    lambda k: verify_credentials(k.device, k.username, k.password,
+                                 k.credentials, 0),
+    lambda k: begin_image_auth(k.device, k.rng, 0),
+    lambda k: verify_image_answer(k.device, k.answers[0], 0),
+], ids=["time", "credentials", "image-prompt", "image-answer"])
+def test_device_without_session_is_wrong_state(operation):
+    k = fresh()
+    with pytest.raises(AuthError) as err:
+        operation(k)
+    assert err.value.code == "WRONG_STATE"
+    assert k.device.session is None
+
+
 # ---------------------------------------------------------------------------
 # time auth
 
@@ -100,7 +133,7 @@ def test_time_auth_displayed_time_passes():
     k = fresh(offset_min=330)
     assert k.device.displayed_time(UTC_0630) == "12:00"
     s = open_at(k, UTC_0630)
-    s = verify_time_auth(s, "12:00", s.pending_captcha.text, k.device, UTC_0630)
+    s = verify_time_auth(k.device, "12:00", s.pending_captcha.text, UTC_0630)
     assert s.state is SessionState.CREDENTIALS_PENDING
 
 
@@ -108,7 +141,7 @@ def test_time_auth_utc_fails_on_offset_device():
     k = fresh(offset_min=330)
     s = open_at(k, UTC_0630)
     with pytest.raises(AuthError) as err:
-        verify_time_auth(s, "06:30", s.pending_captcha.text, k.device, UTC_0630)
+        verify_time_auth(k.device, "06:30", s.pending_captcha.text, UTC_0630)
     assert err.value.code == "BAD_TIME"
     assert k.device.session.state is SessionState.TIME_AUTH_PENDING
 
@@ -121,11 +154,10 @@ def test_time_auth_one_minute_tolerance(submitted, ok):
     k = fresh(offset_min=330)
     s = open_at(k, UTC_0630)
     if ok:
-        verify_time_auth(s, submitted, s.pending_captcha.text, k.device,
-                         UTC_0630)
+        verify_time_auth(k.device, submitted, s.pending_captcha.text, UTC_0630)
     else:
         with pytest.raises(AuthError) as err:
-            verify_time_auth(s, submitted, s.pending_captcha.text, k.device,
+            verify_time_auth(k.device, submitted, s.pending_captcha.text,
                              UTC_0630)
         assert err.value.code == "BAD_TIME"
 
@@ -135,7 +167,7 @@ def test_time_auth_midnight_wrap():
     near_midnight = 23 * 3600 + 59 * 60 + 30
     assert k.device.displayed_time(near_midnight) == "23:59"
     s = open_at(k, near_midnight)
-    s = verify_time_auth(s, "00:00", s.pending_captcha.text, k.device,
+    s = verify_time_auth(k.device, "00:00", s.pending_captcha.text,
                          near_midnight)
     assert s.state is SessionState.CREDENTIALS_PENDING
 
@@ -146,7 +178,7 @@ def test_time_auth_rejects_malformed_time():
     for bad in ("24:00", "3:5", "12:60", "noon", "", "00:00\n"):
         s = open_at(k, 0)
         with pytest.raises(AuthError) as err:
-            verify_time_auth(s, bad, s.pending_captcha.text, k.device, 0)
+            verify_time_auth(k.device, bad, s.pending_captcha.text, 0)
         assert err.value.code == "BAD_TIME"
 
 
@@ -154,7 +186,7 @@ def test_time_auth_captcha_checked_first():
     k = fresh(offset_min=0)
     s = open_at(k, 0)
     with pytest.raises(AuthError) as err:
-        verify_time_auth(s, "definitely wrong", "WRONG!", k.device, 0)
+        verify_time_auth(k.device, "definitely wrong", "WRONG!", 0)
     assert err.value.code == "BAD_CAPTCHA"
 
 
@@ -164,7 +196,7 @@ def test_captcha_case_sensitive():
     lowered = s.pending_captcha.text.lower()
     assert lowered != s.pending_captcha.text
     with pytest.raises(AuthError) as err:
-        verify_time_auth(s, k.device.displayed_time(0), lowered, k.device, 0)
+        verify_time_auth(k.device, k.device.displayed_time(0), lowered, 0)
     assert err.value.code == "BAD_CAPTCHA"
 
 
@@ -182,7 +214,7 @@ def test_credentials_wrong_password_state_unchanged():
     k = fresh()
     s = to_credentials_pending(k, 0)
     with pytest.raises(AuthError) as err:
-        verify_credentials(s, k.username, "nope", k.credentials, k.device, 0)
+        verify_credentials(k.device, k.username, "nope", k.credentials, 0)
     assert err.value.code == "BAD_CREDENTIALS"
     assert k.device.session.state is SessionState.CREDENTIALS_PENDING
 
@@ -191,7 +223,7 @@ def test_credentials_unknown_user():
     k = fresh()
     s = to_credentials_pending(k, 0)
     with pytest.raises(AuthError) as err:
-        verify_credentials(s, "bob", k.password, k.credentials, k.device, 0)
+        verify_credentials(k.device, "bob", k.password, k.credentials, 0)
     assert err.value.code == "BAD_CREDENTIALS"
 
 
@@ -199,7 +231,7 @@ def test_credentials_in_wrong_state():
     k = fresh()
     s = open_at(k, 0)
     with pytest.raises(AuthError) as err:
-        verify_credentials(s, k.username, k.password, k.credentials, k.device, 0)
+        verify_credentials(k.device, k.username, k.password, k.credentials, 0)
     assert err.value.code == "WRONG_STATE"
 
 
@@ -218,7 +250,7 @@ def test_credential_hashes_are_salted():
 def test_image_prompt_index_in_range():
     k = fresh()
     s = to_passport_visible(k, 0)
-    s, index = begin_image_auth(s, k.device, k.rng, 0)
+    s, index = begin_image_auth(k.device, k.rng, 0)
     assert 0 <= index <= 9
     assert s.state is SessionState.IMAGE_AUTH_PENDING
     assert s.pending_image_index == index
@@ -237,7 +269,7 @@ def test_image_prompt_sequence_deterministic():
         out = []
         for _ in range(20):
             s = to_passport_visible(k, 0)
-            _, index = begin_image_auth(s, k.device, k.rng, 0)
+            _, index = begin_image_auth(k.device, k.rng, 0)
             out.append(index)
         return out
 
@@ -263,17 +295,17 @@ def test_image_answer_normalization():
                    for i in range(10))
     k.device.auth_images = images
     s = to_passport_visible(k, 0)
-    s, _ = begin_image_auth(s, k.device, k.rng, 0)
-    s = verify_image_answer(s, k.device, "  Eiffel   Tower ", 0)
+    s, _ = begin_image_auth(k.device, k.rng, 0)
+    s = verify_image_answer(k.device, "  Eiffel   Tower ", 0)
     assert s.state is SessionState.VISA_VISIBLE
 
 
 def test_image_answer_wrong():
     k = fresh()
     s = to_passport_visible(k, 0)
-    s, _ = begin_image_auth(s, k.device, k.rng, 0)
+    s, _ = begin_image_auth(k.device, k.rng, 0)
     with pytest.raises(AuthError) as err:
-        verify_image_answer(s, k.device, "louvre", 0)
+        verify_image_answer(k.device, "louvre", 0)
     assert err.value.code == "BAD_ANSWER"
     assert k.device.session.state is SessionState.IMAGE_AUTH_PENDING
 
@@ -281,9 +313,9 @@ def test_image_answer_wrong():
 def test_image_answer_after_601_seconds_expired():
     k = fresh()
     s = to_passport_visible(k, 0)
-    s, index = begin_image_auth(s, k.device, k.rng, 0)
+    s, index = begin_image_auth(k.device, k.rng, 0)
     with pytest.raises(AuthError) as err:
-        verify_image_answer(s, k.device, k.answers[index], 601)
+        verify_image_answer(k.device, k.answers[index], 601)
     assert err.value.code == "SESSION_EXPIRED"
 
 
@@ -318,11 +350,11 @@ def test_timeout_terminated_absorbing():
 def test_timeout_does_not_reset_on_activity():
     k = fresh()
     s = open_at(k, 0)
-    s = verify_time_auth(s, k.device.displayed_time(590),
-                         s.pending_captcha.text, k.device, 590)
+    s = verify_time_auth(k.device, k.device.displayed_time(590),
+                         s.pending_captcha.text, 590)
     with pytest.raises(AuthError) as err:
-        verify_credentials(s, k.username, k.password, k.credentials,
-                           k.device, 600)
+        verify_credentials(k.device, k.username, k.password,
+                           k.credentials, 600)
     assert err.value.code == "SESSION_EXPIRED"
 
 
@@ -379,10 +411,10 @@ def test_full_session_walk_to_visa_visible():
     k = fresh()
     now = UTC_0630
     s = open_at(k, now)
-    s = verify_time_auth(s, "12:00", s.pending_captcha.text, k.device, now)
-    s = verify_credentials(s, k.username, k.password, k.credentials,
-                           k.device, now)
-    s, index = begin_image_auth(s, k.device, k.rng, now)
-    s = verify_image_answer(s, k.device, k.answers[index], now)
+    s = verify_time_auth(k.device, "12:00", s.pending_captcha.text, now)
+    s = verify_credentials(k.device, k.username, k.password,
+                           k.credentials, now)
+    s, index = begin_image_auth(k.device, k.rng, now)
+    s = verify_image_answer(k.device, k.answers[index], now)
     assert s.state is SessionState.VISA_VISIBLE
     assert k.device.session.state is SessionState.VISA_VISIBLE

@@ -116,7 +116,7 @@ def test_channel_never_exists_out_of_range():
 def test_tap_check_returns_presented_visa():
     k = ready_kit()
     channel = establish("reader-1", k.device, 5.0, k.clock.now)
-    summary, visa_id, image_bytes = tap_check(channel, k.device)
+    summary, visa_id, image_bytes = tap_check(channel)
     assert summary.passport_no == k.passport_no
     assert visa_id == k.visa_id
     assert content_hash(image_bytes) == k.device.visas[k.visa_id].content_hash
@@ -127,7 +127,7 @@ def test_tap_check_requires_visa_visible():
     k = build_kit()  # no session at all
     channel = establish("reader-1", k.device, 5.0, 0)
     with pytest.raises(NfcError) as err:
-        tap_check(channel, k.device)
+        tap_check(channel)
     assert err.value.code == "AUTH_NOT_COMPLETE"
 
 
@@ -140,8 +140,21 @@ def test_tap_check_requires_placed_visa():
                                      0, 10**9)
     channel = establish("reader-1", k.device, 5.0, 0)
     with pytest.raises(NfcError) as err:
-        tap_check(channel, k.device)
+        tap_check(channel)
     assert err.value.code == "NO_VISA_PLACED"
+
+
+@pytest.mark.parametrize("remove,code", [
+    (lambda k: setattr(k.device, "passport", None), "NO_PASSPORT_INSTALLED"),
+    (lambda k: k.device.visas.clear(), "VISA_NOT_ON_DEVICE"),
+], ids=["no-passport", "visa-missing"])
+def test_tap_check_refuses_what_the_device_lacks(remove, code):
+    k = ready_kit()
+    channel = establish("reader-1", k.device, 5.0, 0)
+    remove(k)
+    with pytest.raises(NfcError) as err:
+        tap_check(channel)
+    assert err.value.code == code
 
 
 def test_tap_check_locked_before_any_lock_frame():
@@ -149,7 +162,7 @@ def test_tap_check_locked_before_any_lock_frame():
     channel = establish("reader-1", k.device, 5.0, 0)
     k.device.locked = True  # exogenous lock mid-exchange
     with pytest.raises(NfcError) as err:
-        tap_check(channel, k.device)
+        tap_check(channel)
     assert err.value.code == "CHANNEL_STALE"
 
 
@@ -160,8 +173,8 @@ def test_tap_check_locked_before_any_lock_frame():
 def test_tap_stamp_after_check():
     k = ready_kit()
     channel = establish("reader-1", k.device, 5.0, 0)
-    tap_check(channel, k.device)
-    ack = tap_stamp(channel, k.device, StampEntry(StampKind.ARRIVAL, "JFK", 7200))
+    tap_check(channel)
+    ack = tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 7200))
     assert ack.type_tag is FrameType.STAMP_ACK
     stamps = k.device.passport.page(k.visa_page).stamps
     assert StampEntry(StampKind.ARRIVAL, "JFK", 7200) in stamps
@@ -171,17 +184,17 @@ def test_tap_stamp_without_check():
     k = ready_kit()
     channel = establish("reader-1", k.device, 5.0, 0)
     with pytest.raises(NfcError) as err:
-        tap_stamp(channel, k.device, StampEntry(StampKind.ARRIVAL, "JFK", 0))
+        tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 0))
     assert err.value.code == "NO_PRIOR_CHECK"
 
 
 def test_tap_stamp_out_of_order_rejected():
     k = ready_kit()
     channel = establish("reader-1", k.device, 5.0, 0)
-    tap_check(channel, k.device)
-    tap_stamp(channel, k.device, StampEntry(StampKind.DEPARTURE, "BLR", 100))
+    tap_check(channel)
+    tap_stamp(channel, StampEntry(StampKind.DEPARTURE, "BLR", 100))
     with pytest.raises(ValidationError) as err:
-        tap_stamp(channel, k.device, StampEntry(StampKind.ARRIVAL, "JFK", 50))
+        tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 50))
     assert err.value.code == "STAMP_OUT_OF_ORDER"
 
 
@@ -192,27 +205,36 @@ def test_tap_stamp_out_of_order_rejected():
 def test_send_lock_idempotent():
     k = ready_kit()
     channel = establish("reader-1", k.device, 5.0, 0)
-    first = send_lock(channel, k.device)
+    first = send_lock(channel)
     assert first.type_tag is FrameType.LOCK_CMD
     assert k.device.locked
-    second = send_lock(channel, k.device)
+    second = send_lock(channel)
     assert second.type_tag is FrameType.LOCK_CMD
     assert k.device.locked
+
+
+def test_lock_reaches_only_the_channels_device():
+    alice, bob = ready_kit(), ready_kit()
+    channel = establish("reader-1", alice.device, 5.0, 0)
+    assert channel.device is alice.device
+    send_lock(channel)
+    assert alice.device.locked
+    assert not bob.device.locked
 
 
 def test_tap_check_after_lock_is_device_locked():
     k = ready_kit()
     channel = establish("reader-1", k.device, 5.0, 0)
-    send_lock(channel, k.device)
+    send_lock(channel)
     with pytest.raises(NfcError) as err:
-        tap_check(channel, k.device)
+        tap_check(channel)
     assert err.value.code == "DEVICE_LOCKED"
 
 
 def test_lock_blocks_new_channels():
     k = ready_kit()
     channel = establish("reader-1", k.device, 5.0, 0)
-    send_lock(channel, k.device)
+    send_lock(channel)
     with pytest.raises(NfcError) as err:
         establish("reader-2", k.device, 5.0, 0)
     assert err.value.code == "DEVICE_LOCKED"

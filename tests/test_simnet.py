@@ -746,7 +746,71 @@ def test_cli_runtime_error_exit_2(tmp_path, capsys):
     assert "command 1" in capsys.readouterr().err
 
 
-_VISA_THEN = """embassy IN
+@pytest.mark.parametrize("scenario,message", [
+    ("embassy IN\ndepart ghost BLR\n", "command 1: NO_SUCH_TRAVELER: ghost"),
+    ("traveler alice\ndepart alice XYZ\n",
+     "command 1: DESK_MISCONFIGURED: XYZ-D1"),
+    (HAPPY.replace("page=3", "page=40"), "command 10: NO_SUCH_PAGE: page 40 of 32"),
+    ("advance-clock 2920000d\n", "command 0: CLOCK_OVERFLOW: 0 + 252288000000s "
+     "passes 9999-12-31T23:59:59Z"),
+], ids=["no-such-traveler", "desk-misconfigured", "no-such-page",
+        "clock-overflow"])
+def test_cli_runtime_error_names_its_code_once(tmp_path, capsys, scenario,
+                                               message):
+    path = tmp_path / "fault.cps"
+    path.write_text(scenario)
+    assert cli_main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"cloudpass: {message}\n"
+
+
+@pytest.mark.parametrize("scenario,code", [
+    ("traveler alice\napply-passport alice authority=IN\n",
+     "NO_SUCH_AUTHORITY"),
+    ("embassy IN\ntraveler alice\napply-passport alice authority=IN\n"
+     "install-app alice\n", "NO_NOTIFICATION"),
+    ("airport BLR\nairport BLR\n", "DUPLICATE_AIRPORT"),
+    ("traveler alice\ntraveler alice\n", "DUPLICATE_TRAVELER"),
+    ("traveler alice\napprove-passport alice\n", "NO_APPLICATION"),
+    ("traveler alice\ninstall-app alice\n", "NO_APPLICATION"),
+    ("traveler alice\napprove-visa alice\n", "NO_APPLICATION"),
+    ("traveler alice\ndownload-visa alice page=3\n", "NO_APPLICATION"),
+    ("embassy US\ntraveler alice\napply-visa alice authority=US\n"
+     "approve-visa alice\n", "NO_PASSPORT"),
+    ("traveler alice\nmanifest alice airport=BLR date=1d\n", "NO_VISA"),
+    ("traveler alice\ntamper-visa alice byte=7\n", "NO_VISA"),
+    ("embassy IN\nsync BLR from=IN\n", "NO_SUCH_AIRPORT"),
+], ids=["no-such-authority", "no-notification", "duplicate-airport",
+        "duplicate-traveler", "approve-passport-no-application",
+        "install-app-no-application", "approve-visa-no-application",
+        "download-visa-no-application", "approve-visa-no-passport",
+        "manifest-no-visa", "tamper-visa-no-visa", "no-such-airport"])
+def test_cli_engine_refusal_exit_2(tmp_path, capsys, scenario, code):
+    path = tmp_path / "refused.cps"
+    path.write_text(scenario)
+    assert cli_main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cloudpass: command ")
+    assert err.count(code) == 1
+    assert "Traceback" not in err
+
+
+def test_sync_from_an_embassy_without_the_visa_reports_dangling():
+    text = HAPPY.replace("embassy US\n", "embassy US\nembassy GB\n").replace(
+        "sync BLR from=US", "sync BLR from=GB")
+    _, events = run(load_scenario(text))
+    at_blr = [e for e in events if e.actor == "BLR"]
+    assert [e.event for e in at_blr] == ["airport-created",
+                                         "manifest-dangling", "sync-completed"]
+    assert at_blr[2].details["dangling"] == 1
+    assert at_blr[2].details["source"] == "GB"
+    outcomes = [e.details for e in events if e.event == "check-outcome"]
+    assert outcomes[0]["airport"] == "BLR"
+    assert outcomes[0]["outcome"] == "ISOLATE"
+    assert any(e.event == "desk-outcome" and e.details["detail"] ==
+               "ISOLATE compare=NOT_FOUND" for e in events)
+
+
+_VISA_THEN ="""embassy IN
 airport BLR
 traveler alice
 apply-passport alice authority=IN
