@@ -3,6 +3,7 @@
 import random
 import re
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -442,6 +443,104 @@ def test_presentation_refuses_empty_visa_id_when_built_and_decoded():
     with pytest.raises(ValidationError) as err:
         canonical_deserialize(canonical_serialize(presentation))
     assert err.value.code == "EMPTY_VISA_ID"
+
+
+# One failing input per check a record makes, with the exact text the
+# CLI prints after ``command N: ``.
+_VISA = VisaRecord("V1", "P1234567", "IN", "US", 0, 10, EMPTY_SHA256,
+                   VisaStatus.ISSUED)
+_STAMP = StampEntry(StampKind.ARRIVAL, "JFK", 10)
+_AUTH = model.AuthImage(0, EMPTY_SHA256, EMPTY_SHA256)
+
+
+def _device_with_placed_visa():
+    DeviceState("d1", 0, _images(),
+                passport=place_visa(_passport(), "V1", 3, {"V1"}))
+
+
+_REFUSALS = [
+    ("tracking-format", lambda: TrackingId("short", IdKind.VISA_APPLICATION),
+     "BAD_TRACKING_FORMAT: tracking id must be 12 chars of A-Z0-9, got 'short'"),
+    ("tracking-kind", lambda: TrackingId("ABCDEF123456", "VISA_APPLICATION"),
+     "BAD_TRACKING_KIND: 'VISA_APPLICATION'"),
+    ("stamp-kind", lambda: StampEntry("ARRIVAL", "JFK", 0),
+     "BAD_STAMP_KIND: 'ARRIVAL'"),
+    ("stamp-airport", lambda: StampEntry(StampKind.ARRIVAL, "jfk", 0),
+     "BAD_AIRPORT_CODE: airport must be 3 uppercase letters, got 'jfk'"),
+    ("stamp-time", lambda: StampEntry(StampKind.ARRIVAL, "JFK", -1),
+     "NEGATIVE_TIMESTAMP: -1"),
+    ("page-number", lambda: PassportPage(0), "BAD_PAGE_NUMBER: 0"),
+    ("page-visa-id", lambda: PassportPage(1, ""), "EMPTY_VISA_ID"),
+    ("page-stamps", lambda: PassportPage(4, None, (_STAMP, replace(_STAMP, stamped_at=9))),
+     "STAMP_OUT_OF_ORDER: page 4 stamps must be non-decreasing"),
+    ("passport-no", lambda: replace(_passport(), passport_no=""), "EMPTY_PASSPORT_NO"),
+    ("passport-holder", lambda: replace(_passport(), holder_name=""),
+     "EMPTY_HOLDER_NAME"),
+    ("passport-nationality", lambda: replace(_passport(), nationality="in"),
+     "BAD_COUNTRY_CODE: 'in'"),
+    ("passport-authority", lambda: replace(_passport(), issuing_authority="INDIA"),
+     "BAD_COUNTRY_CODE: 'INDIA'"),
+    ("passport-expiry", lambda: replace(_passport(), issue_date=5, expiry_date=5),
+     "EXPIRY_NOT_AFTER_ISSUE: issue 5 expiry 5"),
+    ("passport-dates", lambda: replace(_passport(), expiry_date=model.I64_MAX + 1),
+     f"DATE_OUT_OF_RANGE: issue 0 expiry {model.I64_MAX + 1} must fit i64"),
+    ("passport-pages", lambda: replace(_passport(), pages=_passport().pages[::-1]),
+     "PAGES_NOT_CONTIGUOUS: page numbers [32, 31, 30, 29, 28]..."),
+    ("passport-slots", lambda: replace(_passport(), pages=(
+        PassportPage(1, "V1"), PassportPage(2), PassportPage(3, "V1"))),
+     "DUPLICATE_VISA_SLOT: ['V1', 'V1']"),
+    ("passport-device", lambda: replace(_passport(), bound_device=""),
+     "EMPTY_DEVICE_ID"),
+    ("passport-status", lambda: replace(_passport(), status="ACTIVE"),
+     "BAD_STATUS: 'ACTIVE'"),
+    ("image-media-type", lambda: VisaImage(b"", "", EMPTY_SHA256), "EMPTY_MEDIA_TYPE"),
+    ("image-hash-format", lambda: VisaImage(b"", "image/png", EMPTY_SHA256.upper()),
+     f"BAD_HASH_FORMAT: {EMPTY_SHA256.upper()!r}"),
+    ("image-hash", lambda: VisaImage(b"x", "image/png", EMPTY_SHA256),
+     "HASH_MISMATCH: stored hash does not match image bytes"),
+    ("visa-id", lambda: replace(_VISA, visa_id=""), "EMPTY_VISA_ID"),
+    ("visa-passport-no", lambda: replace(_VISA, passport_no=""), "EMPTY_PASSPORT_NO"),
+    ("visa-issuer", lambda: replace(_VISA, issuing_country="I"),
+     "BAD_COUNTRY_CODE: 'I'"),
+    ("visa-destination", lambda: replace(_VISA, destination_country="us"),
+     "BAD_COUNTRY_CODE: 'us'"),
+    ("visa-window", lambda: replace(_VISA, valid_from=10),
+     "VISA_WINDOW_EMPTY: from 10 to 10"),
+    ("visa-dates", lambda: replace(_VISA, valid_from=model.I64_MIN - 1),
+     f"DATE_OUT_OF_RANGE: from {model.I64_MIN - 1} to 10 must fit i64"),
+    ("visa-hash-format", lambda: replace(_VISA, image_hash="00"),
+     "BAD_HASH_FORMAT: '00'"),
+    ("visa-status", lambda: replace(_VISA, status=None), "BAD_STATUS: None"),
+    ("auth-index", lambda: replace(_AUTH, index=10), "BAD_IMAGE_INDEX: 10"),
+    ("auth-image-hash", lambda: replace(_AUTH, image_hash=""), "BAD_HASH_FORMAT: ''"),
+    ("auth-answer-hash", lambda: replace(_AUTH, answer_hash="x"),
+     "BAD_HASH_FORMAT: 'x'"),
+    ("device-id", lambda: DeviceState("", 0, _images()), "EMPTY_DEVICE_ID"),
+    ("device-offset", lambda: DeviceState("d1", -1441, _images()),
+     "BAD_CLOCK_OFFSET: -1441"),
+    ("device-image-count", lambda: DeviceState("d1", 0, _images()[:9]),
+     "BAD_AUTH_IMAGE_SET: need exactly 10 images, got 9"),
+    ("device-image-order", lambda: DeviceState("d1", 0, _images()[::-1]),
+     "BAD_AUTH_IMAGE_SET: indices must be 0..9 in order, "
+     "got [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]"),
+    ("device-visa", _device_with_placed_visa,
+     "VISA_NOT_DOWNLOADED: page 3 references 'V1'"),
+    ("summary-passport-no", lambda: PassportSummary(**{**_SUMMARY, "passport_no": ""}),
+     "EMPTY_PASSPORT_NO"),
+    ("summary-holder", lambda: PassportSummary(**{**_SUMMARY, "holder_name": ""}),
+     "EMPTY_HOLDER_NAME"),
+    ("presentation-visa-id", lambda: VisaPresentation(
+        PassportSummary(**_SUMMARY), "", VisaImage.of(b"x")), "EMPTY_VISA_ID"),
+]
+
+
+@pytest.mark.parametrize("build,text", [case[1:] for case in _REFUSALS],
+                         ids=[case[0] for case in _REFUSALS])
+def test_record_refusal_text(build, text):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == text
+    assert err.value.code == text.split(":", 1)[0]
 
 
 def _visa_not_downloaded(device):
