@@ -13,7 +13,9 @@ else on every operation, and the boundary is closed: at exactly
 The device holds its one current session. Sessions are immutable
 snapshots: every operation takes the device, drives ``device.session``
 and stores the replacement there before returning or raising, so a
-snapshot kept from an earlier session drives nothing.
+snapshot kept from an earlier session drives nothing. ``Session``,
+``CaptchaChallenge`` and ``SessionState`` are records of ``model``, which
+encodes a session inside its device; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 from .errors import AuthError
-from .model import (AUTH_IMAGE_COUNT, AuthImage, DeviceState, content_hash,
-                    fields_codec, register_codec)
+from .model import (AUTH_IMAGE_COUNT, AuthImage, CaptchaChallenge, DeviceState,
+                    Session, SessionState, content_hash)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -65,38 +66,11 @@ _MINUTES_PER_DAY = 1440
 _TIME_TOLERANCE_MIN = 1
 
 
-class SessionState(Enum):
-    TIME_AUTH_PENDING = "TIME_AUTH_PENDING"
-    CREDENTIALS_PENDING = "CREDENTIALS_PENDING"
-    PASSPORT_VISIBLE = "PASSPORT_VISIBLE"
-    IMAGE_AUTH_PENDING = "IMAGE_AUTH_PENDING"
-    VISA_VISIBLE = "VISA_VISIBLE"
-    EXPIRED = "EXPIRED"
-    TERMINATED = "TERMINATED"
-
-
-@dataclass(frozen=True)
-class CaptchaChallenge:
-    challenge_id: str
-    text: str
-    issued_at: int
-
-
 @dataclass(frozen=True)
 class Credential:
     username: str
     password_salt: bytes
     password_hash: str
-
-
-@dataclass(frozen=True)
-class Session:
-    session_id: str
-    device_id: str
-    state: SessionState
-    activated_at: int
-    pending_captcha: CaptchaChallenge | None = None
-    pending_image_index: int | None = None
 
 
 @dataclass
@@ -281,11 +255,3 @@ def redeem_otp(store: OtpStore, code: str, transaction_id: str) -> None:
     if any(o.code == code for o in store.by_transaction.values()):
         raise AuthError("OTP_WRONG_TRANSACTION")
     raise AuthError("OTP_UNKNOWN")
-
-
-# ---------------------------------------------------------------------------
-# Canonical encoding (device state embeds its session snapshot)
-
-
-register_codec(CaptchaChallenge, 0x21, *fields_codec(CaptchaChallenge))
-register_codec(Session, 0x22, *fields_codec(Session))

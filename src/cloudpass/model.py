@@ -9,9 +9,11 @@ a wire-format break.
 
 Times and dates are plain integers: seconds since the scenario epoch.
 They are rendered as ISO-8601 only when a report is written.
-"""
 
-from __future__ import annotations
+Annotations here are evaluated when each class is built (there is no
+``from __future__ import annotations``), so building the codecs at import
+reads field types without compiling annotation strings.
+"""
 
 import dataclasses
 import hashlib
@@ -19,15 +21,11 @@ import re
 import struct
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Collection, Iterable
+from typing import Callable, Collection
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle, type hints only
-    from .authflow import Session
 
 __all__ = [
     "IdKind",
@@ -42,6 +40,9 @@ __all__ = [
     "VisaImage",
     "VisaRecord",
     "AuthImage",
+    "SessionState",
+    "CaptchaChallenge",
+    "Session",
     "DeviceState",
     "PassportSummary",
     "VisaPresentation",
@@ -86,11 +87,6 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _require(cond: bool, invariant: str, detail: str) -> None:
-    if not cond:
-        raise ValidationError(invariant, detail)
-
-
 class IdKind(Enum):
     PASSPORT_APPLICATION = "PASSPORT_APPLICATION"
     VISA_APPLICATION = "VISA_APPLICATION"
@@ -118,6 +114,9 @@ class VisaStatus(Enum):
     REVOKED = "REVOKED"
 
 
+# Each check below formats its refusal text only when it fails.
+
+
 @dataclass(frozen=True)
 class TrackingId:
     """Application reference shown to the applicant while they wait."""
@@ -129,9 +128,12 @@ class TrackingId:
         self.validate()
 
     def validate(self) -> None:
-        _require(bool(_TRACKING_RE.fullmatch(self.value)), "BAD_TRACKING_FORMAT",
-                 f"tracking id must be 12 chars of A-Z0-9, got {self.value!r}")
-        _require(isinstance(self.kind, IdKind), "BAD_TRACKING_KIND", repr(self.kind))
+        if not _TRACKING_RE.fullmatch(self.value):
+            raise ValidationError(
+                "BAD_TRACKING_FORMAT",
+                f"tracking id must be 12 chars of A-Z0-9, got {self.value!r}")
+        if not isinstance(self.kind, IdKind):
+            raise ValidationError("BAD_TRACKING_KIND", repr(self.kind))
 
 
 @dataclass(frozen=True)
@@ -144,10 +146,14 @@ class StampEntry:
         self.validate()
 
     def validate(self) -> None:
-        _require(isinstance(self.kind, StampKind), "BAD_STAMP_KIND", repr(self.kind))
-        _require(bool(_AIRPORT_RE.fullmatch(self.airport)), "BAD_AIRPORT_CODE",
-                 f"airport must be 3 uppercase letters, got {self.airport!r}")
-        _require(self.stamped_at >= 0, "NEGATIVE_TIMESTAMP", str(self.stamped_at))
+        if not isinstance(self.kind, StampKind):
+            raise ValidationError("BAD_STAMP_KIND", repr(self.kind))
+        if not _AIRPORT_RE.fullmatch(self.airport):
+            raise ValidationError(
+                "BAD_AIRPORT_CODE",
+                f"airport must be 3 uppercase letters, got {self.airport!r}")
+        if not self.stamped_at >= 0:
+            raise ValidationError("NEGATIVE_TIMESTAMP", str(self.stamped_at))
 
 
 @dataclass(frozen=True)
@@ -171,11 +177,14 @@ class PassportPage:
         return PageContent.EMPTY
 
     def validate(self) -> None:
-        _require(self.page_no >= 1, "BAD_PAGE_NUMBER", str(self.page_no))
-        _require(self.visa_id is None or self.visa_id != "", "EMPTY_VISA_ID", "")
+        if not self.page_no >= 1:
+            raise ValidationError("BAD_PAGE_NUMBER", str(self.page_no))
+        if self.visa_id == "":
+            raise ValidationError("EMPTY_VISA_ID")
         times = [s.stamped_at for s in self.stamps]
-        _require(times == sorted(times), "STAMP_OUT_OF_ORDER",
-                 f"page {self.page_no} stamps must be non-decreasing")
+        if times != sorted(times):
+            raise ValidationError("STAMP_OUT_OF_ORDER",
+                                  f"page {self.page_no} stamps must be non-decreasing")
 
 
 # The pages of every new passport, each checked once, here.
@@ -199,25 +208,31 @@ class Passport:
         self.validate()
 
     def validate(self) -> None:
-        _require(bool(self.passport_no), "EMPTY_PASSPORT_NO", "")
-        _require(bool(self.holder_name), "EMPTY_HOLDER_NAME", "")
-        _require(bool(_COUNTRY_RE.fullmatch(self.nationality)), "BAD_COUNTRY_CODE",
-                 repr(self.nationality))
-        _require(bool(_COUNTRY_RE.fullmatch(self.issuing_authority)), "BAD_COUNTRY_CODE",
-                 repr(self.issuing_authority))
-        _require(self.expiry_date > self.issue_date, "EXPIRY_NOT_AFTER_ISSUE",
-                 f"issue {self.issue_date} expiry {self.expiry_date}")
-        _require(self.issue_date >= I64_MIN and self.expiry_date <= I64_MAX,
-                 "DATE_OUT_OF_RANGE",
-                 f"issue {self.issue_date} expiry {self.expiry_date} must fit i64")
+        if not self.passport_no:
+            raise ValidationError("EMPTY_PASSPORT_NO")
+        if not self.holder_name:
+            raise ValidationError("EMPTY_HOLDER_NAME")
+        if not _COUNTRY_RE.fullmatch(self.nationality):
+            raise ValidationError("BAD_COUNTRY_CODE", repr(self.nationality))
+        if not _COUNTRY_RE.fullmatch(self.issuing_authority):
+            raise ValidationError("BAD_COUNTRY_CODE", repr(self.issuing_authority))
+        if not self.expiry_date > self.issue_date:
+            raise ValidationError("EXPIRY_NOT_AFTER_ISSUE",
+                                  f"issue {self.issue_date} expiry {self.expiry_date}")
+        if not (self.issue_date >= I64_MIN and self.expiry_date <= I64_MAX):
+            raise ValidationError(
+                "DATE_OUT_OF_RANGE",
+                f"issue {self.issue_date} expiry {self.expiry_date} must fit i64")
         numbers = [p.page_no for p in self.pages]
-        _require(numbers == list(range(1, len(self.pages) + 1)), "PAGES_NOT_CONTIGUOUS",
-                 f"page numbers {numbers[:5]}...")
+        if numbers != list(range(1, len(numbers) + 1)):
+            raise ValidationError("PAGES_NOT_CONTIGUOUS", f"page numbers {numbers[:5]}...")
         slots = [p.visa_id for p in self.pages if p.visa_id is not None]
-        _require(len(slots) == len(set(slots)), "DUPLICATE_VISA_SLOT", repr(slots))
-        _require(self.bound_device is None or self.bound_device != "",
-                 "EMPTY_DEVICE_ID", "")
-        _require(isinstance(self.status, PassportStatus), "BAD_STATUS", repr(self.status))
+        if len(slots) != len(set(slots)):
+            raise ValidationError("DUPLICATE_VISA_SLOT", repr(slots))
+        if self.bound_device == "":
+            raise ValidationError("EMPTY_DEVICE_ID")
+        if not isinstance(self.status, PassportStatus):
+            raise ValidationError("BAD_STATUS", repr(self.status))
 
     def page(self, page_no: int) -> PassportPage:
         if not 1 <= page_no <= len(self.pages):
@@ -244,11 +259,12 @@ class VisaImage:
         return cls(bytes(data), media_type, content_hash(bytes(data)))
 
     def validate(self) -> None:
-        _require(bool(self.media_type), "EMPTY_MEDIA_TYPE", "")
-        _require(bool(_HEX64_RE.fullmatch(self.content_hash)), "BAD_HASH_FORMAT",
-                 repr(self.content_hash))
-        _require(self.content_hash == content_hash(self.data), "HASH_MISMATCH",
-                 "stored hash does not match image bytes")
+        if not self.media_type:
+            raise ValidationError("EMPTY_MEDIA_TYPE")
+        if not _HEX64_RE.fullmatch(self.content_hash):
+            raise ValidationError("BAD_HASH_FORMAT", repr(self.content_hash))
+        if self.content_hash != content_hash(self.data):
+            raise ValidationError("HASH_MISMATCH", "stored hash does not match image bytes")
 
 
 @dataclass(frozen=True)
@@ -266,20 +282,25 @@ class VisaRecord:
         self.validate()
 
     def validate(self) -> None:
-        _require(bool(self.visa_id), "EMPTY_VISA_ID", "")
-        _require(bool(self.passport_no), "EMPTY_PASSPORT_NO", "")
-        _require(bool(_COUNTRY_RE.fullmatch(self.issuing_country)), "BAD_COUNTRY_CODE",
-                 repr(self.issuing_country))
-        _require(bool(_COUNTRY_RE.fullmatch(self.destination_country)), "BAD_COUNTRY_CODE",
-                 repr(self.destination_country))
-        _require(self.valid_to > self.valid_from, "VISA_WINDOW_EMPTY",
-                 f"from {self.valid_from} to {self.valid_to}")
-        _require(self.valid_from >= I64_MIN and self.valid_to <= I64_MAX,
-                 "DATE_OUT_OF_RANGE",
-                 f"from {self.valid_from} to {self.valid_to} must fit i64")
-        _require(bool(_HEX64_RE.fullmatch(self.image_hash)), "BAD_HASH_FORMAT",
-                 repr(self.image_hash))
-        _require(isinstance(self.status, VisaStatus), "BAD_STATUS", repr(self.status))
+        if not self.visa_id:
+            raise ValidationError("EMPTY_VISA_ID")
+        if not self.passport_no:
+            raise ValidationError("EMPTY_PASSPORT_NO")
+        if not _COUNTRY_RE.fullmatch(self.issuing_country):
+            raise ValidationError("BAD_COUNTRY_CODE", repr(self.issuing_country))
+        if not _COUNTRY_RE.fullmatch(self.destination_country):
+            raise ValidationError("BAD_COUNTRY_CODE", repr(self.destination_country))
+        if not self.valid_to > self.valid_from:
+            raise ValidationError("VISA_WINDOW_EMPTY",
+                                  f"from {self.valid_from} to {self.valid_to}")
+        if not (self.valid_from >= I64_MIN and self.valid_to <= I64_MAX):
+            raise ValidationError(
+                "DATE_OUT_OF_RANGE",
+                f"from {self.valid_from} to {self.valid_to} must fit i64")
+        if not _HEX64_RE.fullmatch(self.image_hash):
+            raise ValidationError("BAD_HASH_FORMAT", repr(self.image_hash))
+        if not isinstance(self.status, VisaStatus):
+            raise ValidationError("BAD_STATUS", repr(self.status))
 
 
 @dataclass(frozen=True)
@@ -294,52 +315,89 @@ class AuthImage:
         self.validate()
 
     def validate(self) -> None:
-        _require(0 <= self.index < AUTH_IMAGE_COUNT, "BAD_IMAGE_INDEX", str(self.index))
-        _require(bool(_HEX64_RE.fullmatch(self.image_hash)), "BAD_HASH_FORMAT",
-                 repr(self.image_hash))
-        _require(bool(_HEX64_RE.fullmatch(self.answer_hash)), "BAD_HASH_FORMAT",
-                 repr(self.answer_hash))
+        if not 0 <= self.index < AUTH_IMAGE_COUNT:
+            raise ValidationError("BAD_IMAGE_INDEX", str(self.index))
+        if not _HEX64_RE.fullmatch(self.image_hash):
+            raise ValidationError("BAD_HASH_FORMAT", repr(self.image_hash))
+        if not _HEX64_RE.fullmatch(self.answer_hash):
+            raise ValidationError("BAD_HASH_FORMAT", repr(self.answer_hash))
 
 
+class SessionState(Enum):
+    TIME_AUTH_PENDING = "TIME_AUTH_PENDING"
+    CREDENTIALS_PENDING = "CREDENTIALS_PENDING"
+    PASSPORT_VISIBLE = "PASSPORT_VISIBLE"
+    IMAGE_AUTH_PENDING = "IMAGE_AUTH_PENDING"
+    VISA_VISIBLE = "VISA_VISIBLE"
+    EXPIRED = "EXPIRED"
+    TERMINATED = "TERMINATED"
+
+
+@dataclass(frozen=True)
+class CaptchaChallenge:
+    challenge_id: str
+    text: str
+    issued_at: int
+
+
+@dataclass(frozen=True)
+class Session:
+    """One sign-in on a device; ``authflow`` drives it through its states."""
+
+    session_id: str
+    device_id: str
+    state: SessionState
+    activated_at: int
+    pending_captcha: CaptchaChallenge | None = None
+    pending_image_index: int | None = None
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class DeviceState:
     """A traveler's phone: the installed passport, downloaded visas, and
     the active session. Owned and mutated by exactly one caller at a time;
     everything it holds is an immutable value that can be shared freely.
+    Fields are in encoding order; built positionally as
+    ``DeviceState(device_id, clock_offset_min, auth_images)``.
 
     A locked device refuses every operation except reading its fields.
     Because it is mutable, it checks itself when built and again each
-    time it is encoded.
+    time it is encoded. Equality is identity, and its repr names no field:
+    a device can hold a megabyte of visa image.
     """
 
-    __slots__ = ("device_id", "clock_offset_min", "locked", "passport",
-                 "visas", "auth_images", "session")
+    device_id: str
+    clock_offset_min: int = 0
+    locked: bool = field(default=False, kw_only=True)
+    passport: Passport | None = field(default=None, kw_only=True)
+    visas: dict[str, VisaImage] = field(default_factory=dict, kw_only=True)
+    auth_images: tuple[AuthImage, ...] = ()
+    session: Session | None = field(default=None, kw_only=True)
 
-    def __init__(self, device_id: str, clock_offset_min: int = 0,
-                 auth_images: Iterable[AuthImage] = (),
-                 passport: Passport | None = None):
-        self.device_id = device_id
-        self.clock_offset_min = clock_offset_min
-        self.locked = False
-        self.passport = passport
-        self.visas: dict[str, VisaImage] = {}
-        self.auth_images: tuple[AuthImage, ...] = tuple(auth_images)
-        self.session: "Session | None" = None
+    def __post_init__(self):
+        self.auth_images = tuple(self.auth_images)
         self.validate()
 
     def validate(self) -> None:
-        _require(bool(self.device_id), "EMPTY_DEVICE_ID", "")
-        _require(-1440 <= self.clock_offset_min <= 1440, "BAD_CLOCK_OFFSET",
-                 str(self.clock_offset_min))
-        _require(len(self.auth_images) == AUTH_IMAGE_COUNT, "BAD_AUTH_IMAGE_SET",
-                 f"need exactly {AUTH_IMAGE_COUNT} images, got {len(self.auth_images)}")
+        if not self.device_id:
+            raise ValidationError("EMPTY_DEVICE_ID")
+        if not -1440 <= self.clock_offset_min <= 1440:
+            raise ValidationError("BAD_CLOCK_OFFSET", str(self.clock_offset_min))
+        if len(self.auth_images) != AUTH_IMAGE_COUNT:
+            raise ValidationError(
+                "BAD_AUTH_IMAGE_SET",
+                f"need exactly {AUTH_IMAGE_COUNT} images, got {len(self.auth_images)}")
         indices = [img.index for img in self.auth_images]
-        _require(indices == list(range(AUTH_IMAGE_COUNT)), "BAD_AUTH_IMAGE_SET",
-                 f"indices must be 0..{AUTH_IMAGE_COUNT - 1} in order, got {indices}")
+        if indices != list(range(AUTH_IMAGE_COUNT)):
+            raise ValidationError(
+                "BAD_AUTH_IMAGE_SET",
+                f"indices must be 0..{AUTH_IMAGE_COUNT - 1} in order, got {indices}")
         if self.passport is not None:
             for page in self.passport.pages:
-                if page.visa_id is not None:
-                    _require(page.visa_id in self.visas, "VISA_NOT_DOWNLOADED",
-                             f"page {page.page_no} references {page.visa_id!r}")
+                if page.visa_id is not None and page.visa_id not in self.visas:
+                    raise ValidationError(
+                        "VISA_NOT_DOWNLOADED",
+                        f"page {page.page_no} references {page.visa_id!r}")
 
     def displayed_minutes(self, now: int) -> int:
         """Minutes past midnight shown on the device at scenario time ``now``."""
@@ -366,8 +424,10 @@ class PassportSummary:
         self.validate()
 
     def validate(self) -> None:
-        _require(bool(self.passport_no), "EMPTY_PASSPORT_NO", "")
-        _require(bool(self.holder_name), "EMPTY_HOLDER_NAME", "")
+        if not self.passport_no:
+            raise ValidationError("EMPTY_PASSPORT_NO")
+        if not self.holder_name:
+            raise ValidationError("EMPTY_HOLDER_NAME")
 
 
 @dataclass(frozen=True)
@@ -383,7 +443,8 @@ class VisaPresentation:
         self.validate()
 
     def validate(self) -> None:
-        _require(bool(self.visa_id), "EMPTY_VISA_ID", "")
+        if not self.visa_id:
+            raise ValidationError("EMPTY_VISA_ID")
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +526,11 @@ def summarize(passport: Passport) -> PassportSummary:
 # then the value; lists = 4-byte count + elements; maps = 4-byte count +
 # key-sorted (key, value) pairs. See docs/encoding.md.
 #
-# The writer checks no record: a frozen record checked itself when it was
-# built, and a DeviceState, the one mutable record, checks itself in
-# _device_w. The reader builds records through the same constructors.
+# Every body is derived from its dataclass declaration: fields_codec compiles
+# one writer and one reader per record when the record is registered. A
+# frozen record checked itself when it was built, so the writer checks it
+# no more; a mutable record (DeviceState) checks itself each time it is
+# encoded. The reader builds records through the same constructors.
 
 
 _I64 = struct.Struct(">q")
@@ -478,9 +541,6 @@ class _Writer:
 
     def __init__(self):
         self.buf = bytearray()
-
-    def u8(self, v: int) -> None:
-        self.buf.append(v)
 
     def u32(self, v: int) -> None:
         self.buf += v.to_bytes(4, "big")
@@ -500,7 +560,10 @@ class _Writer:
         buf += v
 
     def text(self, v: str) -> None:
-        data = v.encode("utf-8")
+        try:
+            data = v.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValidationError("BAD_UTF8", exc.reason) from None
         buf = self.buf
         buf += len(data).to_bytes(4, "big")
         buf += data
@@ -508,12 +571,25 @@ class _Writer:
     def enum(self, v: Enum) -> None:
         self.text(v.name)
 
+    # Containers take the writer of one element, called ``write(w, v)``.
+
     def opt(self, v, write: Callable) -> None:
         if v is None:
-            self.u8(0)
+            self.buf.append(0)
         else:
-            self.u8(1)
-            write(v)
+            self.buf.append(1)
+            write(self, v)
+
+    def seq(self, values: tuple, write: Callable) -> None:
+        self.u32(len(values))
+        for v in values:
+            write(self, v)
+
+    def map(self, items: dict, write: Callable) -> None:
+        self.u32(len(items))
+        for key in sorted(items):
+            self.text(key)
+            write(self, items[key])
 
 
 class _Reader:
@@ -532,7 +608,11 @@ class _Reader:
         return self.data[pos:end]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= len(self.data):
+            raise _truncated(1, pos)
+        self.pos = pos + 1
+        return self.data[pos]
 
     def u32(self) -> int:
         pos = self.pos
@@ -580,13 +660,31 @@ class _Reader:
         except KeyError:
             raise ValidationError("BAD_ENUM_NAME", f"{cls.__name__}.{name}") from None
 
-    def opt(self, read: Callable):
+    def present(self) -> bool:
+        """An optional's presence byte: whether its value follows."""
         flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
+        if flag > 1:
             raise ValidationError("BAD_OPTION_BYTE", str(flag))
-        return read()
+        return flag == 1
+
+    # Containers take the reader of one element, called ``read(r, arg)``.
+
+    def seq(self, read: Callable, arg) -> tuple:
+        items = []
+        for _ in range(self.u32()):
+            items.append(read(self, arg))
+        return tuple(items)
+
+    def map(self, read: Callable, arg) -> dict:
+        items = {}
+        for _ in range(self.u32()):
+            key = self.text()
+            if items and key <= key_before:
+                raise ValidationError("MAP_KEYS_NOT_SORTED",
+                                      f"{key!r} after {key_before!r}")
+            items[key] = read(self, arg)
+            key_before = key
+        return items
 
 
 def _truncated(n: int, pos: int) -> ValidationError:
@@ -660,95 +758,112 @@ def canonical_deserialize(data: bytes):
 _PRIMITIVES = {str: "text", int: "i64", bytes: "raw", bool: "boolean"}
 
 
-def _field_codec(hint) -> tuple[Callable, Callable]:
-    """(write, read) for one field type; TypeError if it has no encoding."""
+def _kind(hint) -> tuple[str, object]:
+    """How a field type is encoded: a primitive's method name, ``enum`` or
+    ``record`` with the type itself, or ``opt``, ``seq`` or ``map`` with the
+    element type. TypeError if the type has no encoding."""
     if hint in _PRIMITIVES:
-        name = _PRIMITIVES[hint]
-        return getattr(_Writer, name), getattr(_Reader, name)
+        return _PRIMITIVES[hint], hint
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return _Writer.enum, partial(_Reader.enum, cls=hint)
+        return "enum", hint
     if isinstance(hint, type) and dataclasses.is_dataclass(hint):
-        return _write_record, partial(_read_record, expected=hint)
+        return "record", hint
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
-        write, read = _field_codec(args[0])
-        return (lambda w, v: w.opt(v, partial(write, w)),
-                lambda r: r.opt(partial(read, r)))
+        return "opt", args[0]
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        write, read = _field_codec(args[0])
-
-        def write_list(w: _Writer, values: tuple) -> None:
-            w.u32(len(values))
-            for v in values:
-                write(w, v)
-        return write_list, lambda r: tuple([read(r) for _ in range(r.u32())])
+        return "seq", args[0]
+    if origin is dict and len(args) == 2 and args[0] is str:
+        return "map", args[1]
     raise TypeError(hint)
 
 
+class _Source:
+    """The source of one record's codec and the objects it names."""
+
+    def __init__(self):
+        self.env: dict[str, object] = {}
+        self.defs: list[str] = []
+
+    def name(self, obj) -> str:
+        for name, value in self.env.items():
+            if value is obj:
+                return name
+        name = f"_{len(self.env)}"
+        self.env[name] = obj
+        return name
+
+    def define(self, function: str) -> str:
+        """Add a function, given from its parameters on, and name it."""
+        name = f"_f{len(self.defs)}"
+        self.defs.append(f"def {name}{function}")
+        return name
+
+    def write(self, hint) -> str:
+        """A call writing one value to ``w``, with ``{}`` in its place."""
+        kind, element = _kind(hint)
+        if kind in ("opt", "seq", "map"):
+            return f"{self.name(getattr(_Writer, kind))}(w, {{}}, {self.writer(element)})"
+        return f"{self.writer(hint)}(w, {{}})"
+
+    def writer(self, hint) -> str:
+        """The name of a function writing one value as ``write(w, v)``."""
+        kind, _ = _kind(hint)
+        if kind == "record":
+            return self.name(_write_record)
+        if kind in ("opt", "seq", "map"):
+            return self.define(f"(w, v): {self.write(hint).format('v')}")
+        return self.name(getattr(_Writer, kind))
+
+    def read(self, hint) -> str:
+        """An expression reading one value from ``r``."""
+        kind, element = _kind(hint)
+        if kind == "opt":
+            return f"({self.read(element)} if {self.name(_Reader.present)}(r) else None)"
+        if kind in ("seq", "map"):
+            return f"{self.name(getattr(_Reader, kind))}(r, {', '.join(self.reader(element))})"
+        if kind in ("enum", "record"):
+            return "{}(r, {})".format(*self.reader(hint))
+        return f"{self.name(getattr(_Reader, kind))}(r)"
+
+    def reader(self, hint) -> tuple[str, str]:
+        """A function reading one value as ``read(r, arg)``: the names of
+        ``read`` and ``arg``."""
+        kind, _ = _kind(hint)
+        if kind == "record":
+            return self.name(_read_record), self.name(hint)
+        if kind == "enum":
+            return self.name(_Reader.enum), self.name(hint)
+        return self.define(f"(r, _): return {self.read(hint)}"), "None"
+
+
 def fields_codec(cls: type) -> tuple[Callable, Callable]:
-    """Body writer and reader for a dataclass record: its fields in
-    declaration order, each encoded by its annotated type. The reader
-    builds the record through ``cls``, so decoded input meets the same
-    checks as a record built in code. A field type with no encoding is a
-    TypeError here, before any record is encoded."""
+    """Body writer and reader for a dataclass record, compiled once: the
+    writer makes one call per field, in declaration order, each encoded by
+    its annotated type, and the reader is one call of ``cls`` on the fields
+    as read, so decoded input meets the same checks as a record built in
+    code. A record that is not frozen checks itself before it is written.
+    A field type with no encoding is a TypeError here, before any record
+    is encoded."""
     hints = typing.get_type_hints(cls)
-    writers, readers = [], []
-    for field in dataclasses.fields(cls):
+    source = _Source()
+    writes = [] if cls.__dataclass_params__.frozen else ["x.validate()"]
+    reads, keyword = [], False
+    for f in dataclasses.fields(cls):
         try:
-            write, read = _field_codec(hints[field.name])
+            write, read = source.write(hints[f.name]), source.read(hints[f.name])
         except TypeError:
-            raise TypeError(f"{cls.__name__}.{field.name}: no canonical "
-                            f"encoding for {hints[field.name]!r}") from None
-        writers.append((field.name, write))
-        readers.append(read)
-
-    def write_body(w: _Writer, record) -> None:
-        for name, write in writers:
-            write(w, getattr(record, name))
-    return write_body, lambda r: cls(*[read(r) for read in readers])
-
-
-# The one hand-written body: a DeviceState is mutable, holds a map, and
-# checks itself each time it is encoded.
-def _device_w(w: _Writer, d: DeviceState) -> None:
-    d.validate()
-    w.text(d.device_id)
-    w.i64(d.clock_offset_min)
-    w.boolean(d.locked)
-    w.opt(d.passport, lambda p: _write_record(w, p))
-    w.u32(len(d.visas))
-    for key in sorted(d.visas):
-        w.text(key)
-        _write_record(w, d.visas[key])
-    w.u32(len(d.auth_images))
-    for img in d.auth_images:
-        _write_record(w, img)
-    w.opt(d.session, lambda s: _write_record(w, s))
-
-
-def _device_r(r: _Reader) -> DeviceState:
-    device_id = r.text()
-    offset = r.i64()
-    locked = r.boolean()
-    from .authflow import Session
-    passport = r.opt(lambda: _read_record(r, Passport))
-    visas = {}
-    for _ in range(r.u32()):
-        key = r.text()
-        if visas and key <= key_before:
-            raise ValidationError("MAP_KEYS_NOT_SORTED",
-                                  f"{key!r} after {key_before!r}")
-        visas[key] = _read_record(r, VisaImage)
-        key_before = key
-    images = tuple(_read_record(r, AuthImage) for _ in range(r.u32()))
-    session = r.opt(lambda: _read_record(r, Session))
-    device = DeviceState(device_id, offset, images)
-    device.locked = locked
-    device.passport = passport
-    device.visas = visas
-    device.session = session
-    device.validate()
-    return device
+            raise TypeError(f"{cls.__name__}.{f.name}: no canonical "
+                            f"encoding for {hints[f.name]!r}") from None
+        writes.append(write.format(f"x.{f.name}"))
+        # Arguments are read in field order; from the first keyword-only
+        # field on, they are passed by name.
+        keyword = keyword or f.kw_only
+        reads.append(f"{f.name}={read}" if keyword else read)
+    source.defs.append(f"def write_body(w, x): {'; '.join(writes) or 'pass'}")
+    source.defs.append(f"def read_body(r): return {source.name(cls)}({', '.join(reads)})")
+    exec(compile("\n".join(source.defs), f"<{cls.__name__} codec>", "exec"), source.env)
+    return source.env["write_body"], source.env["read_body"]
 
 
 register_codec(TrackingId, 0x01, *fields_codec(TrackingId))
@@ -758,6 +873,8 @@ register_codec(Passport, 0x04, *fields_codec(Passport))
 register_codec(VisaImage, 0x05, *fields_codec(VisaImage))
 register_codec(VisaRecord, 0x06, *fields_codec(VisaRecord))
 register_codec(AuthImage, 0x07, *fields_codec(AuthImage))
-register_codec(DeviceState, 0x08, _device_w, _device_r)
+register_codec(DeviceState, 0x08, *fields_codec(DeviceState))
 register_codec(PassportSummary, 0x09, *fields_codec(PassportSummary))
 register_codec(VisaPresentation, 0x0A, *fields_codec(VisaPresentation))
+register_codec(CaptchaChallenge, 0x21, *fields_codec(CaptchaChallenge))
+register_codec(Session, 0x22, *fields_codec(Session))

@@ -595,6 +595,14 @@ def test_invalid_utf8_is_validation_error(field):
     assert err.value.code == "BAD_UTF8"
 
 
+def test_writer_refuses_text_utf8_cannot_encode():
+    # A lone surrogate is a valid str but has no UTF-8 form.
+    summary = PassportSummary(**{**_SUMMARY, "holder_name": "\udc80lice"})
+    with pytest.raises(ValidationError) as err:
+        canonical_serialize(summary)
+    assert err.value.code == "BAD_UTF8"
+
+
 def test_register_codec_duplicate_tag_rejected():
     class Doomed:
         pass
