@@ -255,6 +255,55 @@ def test_crlf_scenario_reports_like_lf():
                 == report_bytes(run(load_scenario(HAPPY, seed))[1]))
 
 
+# One case per refusal the parser can give. Tokens are separated by tabs,
+# NBSP, U+3000 and other whitespace besides the ASCII space, so each
+# column is counted past characters that str.split and \s both treat as
+# separators.
+@pytest.mark.parametrize("parse,text,message,line,column", [
+    (load_scenario, "embassy IN\n\u3000\tteleport alice\n",
+     "unknown verb 'teleport'", 2, 3),
+    (load_scenario, "advance-clock\xa0by=2h\n",
+     "unknown key 'by' for advance-clock", 1, 15),
+    (load_scenario, "tamper-visa\x1calice\u3000byte=  # set later\n",
+     "missing value for key 'byte'", 1, 24),
+    (load_scenario, "embassy IN\n\napprove-visa alice\timage-bytes=0 # none\n",
+     "bad image-size value '0' for 'image-bytes'", 3, 32),
+    (load_scenario, "tamper-visa byte=1\xa0alice\n",
+     "unexpected argument 'alice'", 1, 20),
+    (load_scenario, "  depart alice BLR\u2003JFK # again\n",
+     "unexpected argument 'JFK'", 1, 20),
+    (load_scenario, "airport\u205fbengaluru\n",
+     "bad airport value 'bengaluru' for 'code'", 1, 9),
+    (load_scenario, "depart alice\u2029=BLR\n",
+     "bad airport value '=BLR' for 'airport'", 1, 14),
+    (load_scenario, "depart alice\talice\n",
+     "bad airport value 'alice' for 'airport'", 1, 14),
+    (load_scenario, "tamper-visa alice byte=1\x0bbyte=\n",
+     "missing value for key 'byte'", 1, 31),
+    (load_scenario, "\x1f depart alice\n",
+     "depart needs 'airport'", 1, 3),
+    (load_scenario, "\u3000download-visa alice\n",
+     "download-visa needs 'page'=...", 1, 2),
+    (parse_fault, "\tembassy\xa0IN  ",
+     "not a fault command: 'embassy\\xa0IN'", 1, 1),
+    (parse_fault, "  # nothing", "not a fault command: '# nothing'", 1, 1),
+    (parse_fault, "\x1ctamper-visa\u3000alice ",
+     "tamper-visa needs 'byte'=...", 1, 1),
+    (parse_fault, "tamper-visa alice byte=x\x85",
+     "bad int value 'x' for 'byte'", 1, 24),
+], ids=["unknown-verb", "unknown-key", "missing-value", "bad-key-value",
+        "argument-after-key", "too-many-positionals", "bad-positional",
+        "bad-positional-with-equals", "repeated-token", "repeated-key",
+        "missing-positional", "missing-key",
+        "not-a-fault", "fault-comment-only", "fault-missing-key",
+        "fault-bad-key-value"])
+def test_scenario_refusal_text(parse, text, message, line, column):
+    with pytest.raises(ScenarioParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 # ---------------------------------------------------------------------------
 # faults
 
