@@ -2,7 +2,9 @@
 border desks, deterministic end to end.
 
 Importing the package loads every module so all record codecs are
-registered before any serialization happens.
+registered before any serialization happens. The one exception is
+``server``, the TCP shell of ``cloudpass serve``: it registers no codec,
+and leaving it out keeps the socket modules out of every other run.
 """
 
 from . import authflow, clouds, immigration, model, nfc, qrlink, wire

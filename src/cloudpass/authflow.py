@@ -68,6 +68,8 @@ _TIME_TOLERANCE_MIN = 1
 
 @dataclass(frozen=True)
 class Credential:
+    """An enrolled user; the password is kept as a salted SHA-256."""
+
     username: str
     password_salt: bytes
     password_hash: str

@@ -75,6 +75,8 @@ class CompareResult(Enum):
 
 @dataclass
 class ApplicationRecord:
+    """One passport or visa application as the embassy tracks it."""
+
     tracking: TrackingId
     applicant: str
     status: AppStatus = AppStatus.SUBMITTED
@@ -92,6 +94,8 @@ class Notification:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One booked crossing: passport, visa, airport and date."""
+
     passport_no: str
     visa_id: str
     airport: str
@@ -100,6 +104,8 @@ class ManifestEntry:
 
 @dataclass
 class TravelManifest:
+    """The booked crossings an airport syncs visa records for."""
+
     entries: list[ManifestEntry] = field(default_factory=list)
 
 

@@ -64,6 +64,8 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class DeskCheck:
+    """One desk at one airport, open for a departure or arrival check."""
+
     checkpoint: Checkpoint
     airport: str
     desk_id: str
@@ -78,6 +80,8 @@ class TranscriptEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class CheckTranscript:
+    """What happened at the desk, phase by phase, and the outcome."""
+
     events: tuple[TranscriptEvent, ...]
     outcome: Outcome
 
@@ -95,6 +99,8 @@ class CheckTranscript:
 
 @dataclass(frozen=True)
 class PoliceAlert:
+    """Raised when a desk check locks the device."""
+
     airport: str
     device_id: str
     reason: str

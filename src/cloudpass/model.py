@@ -138,6 +138,8 @@ class TrackingId:
 
 @dataclass(frozen=True)
 class StampEntry:
+    """An entry or exit stamp: which way, at which airport, and when."""
+
     kind: StampKind
     airport: str
     stamped_at: int
@@ -193,6 +195,8 @@ _BLANK_PAGES = tuple(PassportPage(n) for n in range(1, PASSPORT_PAGE_COUNT + 1))
 
 @dataclass(frozen=True)
 class Passport:
+    """An issued passport: holder, dates, status and all its pages."""
+
     passport_no: str
     holder_name: str
     nationality: str
@@ -269,6 +273,8 @@ class VisaImage:
 
 @dataclass(frozen=True)
 class VisaRecord:
+    """One issued visa, tied to a passport and to its image by hash."""
+
     visa_id: str
     passport_no: str
     issuing_country: str
@@ -335,6 +341,8 @@ class SessionState(Enum):
 
 @dataclass(frozen=True)
 class CaptchaChallenge:
+    """The captcha a new session shows for level 1."""
+
     challenge_id: str
     text: str
     issued_at: int

@@ -53,6 +53,8 @@ class FrameType(IntEnum):
 
 @dataclass(frozen=True)
 class Frame:
+    """One NFC frame: a type tag and its body."""
+
     type_tag: FrameType
     body: bytes = b""
 
@@ -86,6 +88,8 @@ def decode_frame(data: bytes) -> Frame:
 
 @dataclass
 class NfcChannel:
+    """A desk reader's link to one device within NFC range."""
+
     reader_id: str
     device: DeviceState
     distance_cm: float

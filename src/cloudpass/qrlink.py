@@ -129,6 +129,8 @@ _SEGMENT_CHECKS = {
 
 @dataclass(frozen=True)
 class QrSegment:
+    """A run of bytes encoded in one QR mode."""
+
     mode: QrMode
     payload: bytes
 
@@ -147,6 +149,8 @@ class QrSegment:
 
 @dataclass(frozen=True)
 class QrPayload:
+    """The segments of one QR code and the bits they cost in all."""
+
     segments: tuple[QrSegment, ...]
     total_bits: int
 

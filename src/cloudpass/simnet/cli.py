@@ -101,13 +101,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .. import wire
+    from ..server import serve
     try:
-        wire.serve(args.role, args.port, args.name)
-    except OSError as exc:
+        serve(args.role, args.port, args.name)
+    except (OSError, OverflowError) as exc:  # OverflowError: port not 0-65535
         print(f"cloudpass: cannot serve on port {args.port}: {exc}",
               file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:   # SIGINT is how a server is meant to stop
+        pass
     return EXIT_OK
 
 

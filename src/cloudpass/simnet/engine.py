@@ -31,6 +31,8 @@ _DESK_EVENTS = {phase: f"desk-{phase}" for phase in immigration.PHASES}
 
 @dataclass
 class TravelerState:
+    """What the engine knows about one traveler between commands."""
+
     name: str
     device: DeviceState
     script: immigration.AgentScript    # what they do at the desk, faults too

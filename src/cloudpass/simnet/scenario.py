@@ -80,6 +80,8 @@ _VALIDATORS = {
 
 @dataclass(frozen=True)
 class _VerbSpec:
+    """One verb's grammar: positionals, keys, required keys, defaults."""
+
     positionals: tuple[tuple[str, str], ...] = ()   # (arg name, validator)
     keys: dict = field(default_factory=dict)        # key -> validator
     required: tuple[str, ...] = ()
@@ -147,6 +149,8 @@ _VERBS: dict[str, _VerbSpec] = {
 
 @dataclass(frozen=True)
 class ScenarioCommand:
+    """One parsed line: verb, arguments as text, line number."""
+
     verb: str
     args: dict
     line_no: int
@@ -157,6 +161,8 @@ class ScenarioCommand:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario: its seed and commands in file order."""
+
     seed: int
     commands: tuple[ScenarioCommand, ...]
 
@@ -165,46 +171,59 @@ def _fail(message: str, line_no: int, column: int):
     raise ScenarioParseError(message, line_no, column)
 
 
+def _column(bare: str, index: int) -> int:
+    """The 1-based column of token ``index`` of ``bare``. ``str.split()``
+    and ``\\S+`` split at the same characters, so only a refusal pays
+    for the regex scan."""
+    return [match.start() + 1 for match in _TOKEN_RE.finditer(bare)][index]
+
+
 def _parse_line(line: str, line_no: int) -> ScenarioCommand | None:
     bare = line.split("#", 1)[0]
-    tokens = [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(bare)]
+    tokens = bare.split()
     if not tokens:
         return None
-    verb, verb_col = tokens[0]
+    verb = tokens[0]
     spec = _VERBS.get(verb)
     if spec is None:
-        _fail(f"unknown verb {verb!r}", line_no, verb_col)
+        _fail(f"unknown verb {verb!r}", line_no, _column(bare, 0))
 
     args = dict(spec.defaults)
-    positionals = list(spec.positionals)
+    positionals = spec.positionals
+    taken = 0                       # positionals filled so far
     seen_key = False
-    for token, column in tokens[1:]:
-        kv = _KEY_VALUE_RE.fullmatch(token)
+    for index in range(1, len(tokens)):
+        token = tokens[index]
+        kv = "=" in token and _KEY_VALUE_RE.fullmatch(token)
         if kv:
             seen_key = True
             key, value = kv.group(1), kv.group(2)
             if key not in spec.keys:
-                _fail(f"unknown key {key!r} for {verb}", line_no, column)
+                _fail(f"unknown key {key!r} for {verb}", line_no,
+                      _column(bare, index))
             if not value:
                 _fail(f"missing value for key {key!r}", line_no,
-                      column + len(key) + 1)
+                      _column(bare, index) + len(key) + 1)
             if not _VALIDATORS[spec.keys[key]](value):
                 _fail(f"bad {spec.keys[key]} value {value!r} for {key!r}",
-                      line_no, column + len(key) + 1)
+                      line_no, _column(bare, index) + len(key) + 1)
             args[key] = value
         else:
-            if seen_key or not positionals:
-                _fail(f"unexpected argument {token!r}", line_no, column)
-            name, validator = positionals.pop(0)
+            if seen_key or taken == len(positionals):
+                _fail(f"unexpected argument {token!r}", line_no,
+                      _column(bare, index))
+            name, validator = positionals[taken]
+            taken += 1
             if not _VALIDATORS[validator](token):
                 _fail(f"bad {validator} value {token!r} for {name!r}",
-                      line_no, column)
+                      line_no, _column(bare, index))
             args[name] = token
-    if positionals:
-        _fail(f"{verb} needs {positionals[0][0]!r}", line_no, verb_col)
+    if taken < len(positionals):
+        _fail(f"{verb} needs {positionals[taken][0]!r}", line_no,
+              _column(bare, 0))
     for key in spec.required:
         if key not in args:
-            _fail(f"{verb} needs {key!r}=...", line_no, verb_col)
+            _fail(f"{verb} needs {key!r}=...", line_no, _column(bare, 0))
     return ScenarioCommand(verb, args, line_no)
 
 

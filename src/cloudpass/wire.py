@@ -3,18 +3,16 @@
 One request per line: an op name followed by space-separated args, byte
 args hex-encoded, so args themselves can never contain whitespace.
 Every request gets exactly one response line back, either "OK ..." or
-"ERR <code>". The handlers are pure string-to-string functions over a
-cloud instance; the socket server just frames lines around them,
-caps their length and serializes access with a lock.
+"ERR <code>". The handlers here are pure string-to-string functions
+over a cloud instance. The socket server that frames lines around them,
+caps their length and serializes access with a lock is in ``server``,
+which only ``cloudpass serve`` imports.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
-import socketserver
-import threading
 
 from . import clouds
 from .clouds import AirportCloud, Checkpoint, EmbassyCloud
@@ -22,8 +20,7 @@ from .errors import CloudPassError
 from .model import MAX_IMAGE_BYTES, IdKind
 from .qrlink import resolve_link_token, token_from_wire, token_wire
 
-__all__ = ["MAX_LINE_BYTES", "handle_embassy_line", "handle_airport_line",
-           "CloudServer", "serve"]
+__all__ = ["MAX_LINE_BYTES", "handle_embassy_line", "handle_airport_line"]
 
 # Longest request line the server reads, terminator included. The longest
 # valid request is APPROVE_VISA with an image at the size bound,
@@ -173,56 +170,3 @@ def handle_embassy_line(cloud: EmbassyCloud, line: str,
 
 def handle_airport_line(cloud: AirportCloud, line: str) -> str:
     return _handle(_AIRPORT_OPS, cloud, line)
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        server: CloudServer = self.server  # type: ignore[assignment]
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw) > MAX_LINE_BYTES:
-                # The rest of the line is never read, so no reply can be
-                # lined up with the next request: answer once and hang up.
-                self._reply("ERR LINE_TOO_LONG")
-                return
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                self._reply("ERR BAD_UTF8")
-                continue
-            with server.lock:
-                if isinstance(server.cloud, EmbassyCloud):
-                    reply = handle_embassy_line(server.cloud, line, server.rng)
-                else:
-                    reply = handle_airport_line(server.cloud, line)
-            self._reply(reply)
-
-    def _reply(self, reply: str) -> None:
-        self.wfile.write(reply.encode("utf-8") + b"\n")
-        self.wfile.flush()
-
-
-class CloudServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, cloud, port: int, host: str = "127.0.0.1"):
-        self.cloud = cloud
-        self.lock = threading.Lock()
-        seed_name = getattr(cloud, "authority_id", None) or cloud.airport
-        self.rng = random.Random(int.from_bytes(
-            hashlib.sha256(f"wire:{seed_name}".encode()).digest()[:8], "big"))
-        super().__init__((host, port), _Handler)
-
-
-def _default_cloud(role: str, name: str | None):
-    if role == "embassy":
-        authority = name or "EMBASSY"
-        secret = hashlib.sha256(f"wire-secret:{authority}".encode()).digest()[:16]
-        return EmbassyCloud(authority, secret)
-    return AirportCloud(name or "XXX")
-
-
-def serve(role: str, port: int, name: str | None = None) -> None:
-    """Run one cloud on a TCP port until interrupted."""
-    with CloudServer(_default_cloud(role, name), port) as server:
-        server.serve_forever()

@@ -25,7 +25,7 @@ from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind,
                               render_iso, run)
 from cloudpass.simnet.cli import main as cli_main
 from cloudpass.simnet.clock import CLOCK_MAX
-from cloudpass.simnet.scenario import _FAULTS, _VALIDATORS
+from cloudpass.simnet.scenario import _FAULTS, _TOKEN_RE, _VALIDATORS, _column
 
 from test_golden import _cases as golden_cases
 
@@ -302,6 +302,28 @@ def test_scenario_refusal_text(parse, text, message, line, column):
         parse(text)
     assert str(err.value) == f"line {line}, column {column}: {message}"
     assert (err.value.line, err.value.column) == (line, column)
+
+
+# The parser splits a line with str.split() and finds a refused token's
+# column with _TOKEN_RE (\S+); the two must agree on every character.
+_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def test_split_and_token_regex_agree_on_every_code_point():
+    # Each code point appears once, so a character only one of the two
+    # treats as a separator would show up in only one token list.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert every.split() == _TOKEN_RE.findall(every)
+    assert set("\t\x1c\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f"
+               "\u205f\u3000") <= set(_SPACES)
+
+
+@given(st.text(st.sampled_from("abcXYZ0179=#-" + _SPACES)))
+def test_split_tokens_and_columns_match_token_regex(bare):
+    matches = list(_TOKEN_RE.finditer(bare))
+    assert bare.split() == [match.group(0) for match in matches]
+    assert ([_column(bare, index) for index in range(len(matches))]
+            == [match.start() + 1 for match in matches])
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,29 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from cloudpass.clouds import AirportCloud, EmbassyCloud
 from cloudpass.model import MAX_IMAGE_BYTES, content_hash
-from cloudpass.wire import (MAX_LINE_BYTES, CloudServer, handle_airport_line,
+from cloudpass.server import CloudServer
+from cloudpass.wire import (MAX_LINE_BYTES, handle_airport_line,
                             handle_embassy_line)
+from cloudpass.simnet.cli import main as cli_main
 
 
-_WIRE_DOC = (Path(__file__).resolve().parents[1] / "docs" / "wire.md").read_text()
+_ROOT = Path(__file__).resolve().parents[1]
+_WIRE_DOC = (_ROOT / "docs" / "wire.md").read_text()
 
 
 @pytest.fixture
@@ -325,3 +333,64 @@ def test_server_line_length_cap():
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# cloudpass serve
+
+
+def test_import_cloudpass_leaves_the_socket_shell_out():
+    # A fresh interpreter, so modules other tests loaded do not count.
+    probe = ("import sys; before = set(sys.modules); import cloudpass; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    added = set(subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True,
+                               check=True).stdout.split())
+    assert "cloudpass.wire" in added
+    assert not added & {"socket", "socketserver", "selectors",
+                        "cloudpass.server"}
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_refuses_port_out_of_range(port, capsys):
+    assert cli_main(["serve", "--role", "airport", "--port", port]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"cloudpass: cannot serve on port {port}: ")
+    assert err.count("\n") == 1
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def test_serve_stops_on_sigint():
+    port = _free_port()
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cloudpass.simnet.cli", "serve",
+         "--role", "embassy", "--port", str(port)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        deadline = time.monotonic() + 20
+        while True:
+            try:
+                conn = socket.create_connection(("127.0.0.1", port), timeout=5)
+                break
+            except ConnectionRefusedError:
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "server never listened"
+                time.sleep(0.05)
+        with conn:
+            conn.sendall(b"PING\n")
+            assert conn.makefile("rb").readline() == b"OK pong\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err
