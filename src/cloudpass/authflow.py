@@ -13,7 +13,8 @@ else on every operation, and the boundary is closed: at exactly
 The device holds its one current session. Sessions are immutable
 snapshots: every operation takes the device, drives ``device.session``
 and stores the replacement there before returning or raising, so a
-snapshot kept from an earlier session drives nothing. ``Session``,
+snapshot kept from an earlier session drives nothing. A snapshot holds
+only what its state awaits: the captcha, or the picture index. ``Session``,
 ``CaptchaChallenge`` and ``SessionState`` are records of ``model``, which
 encodes a session inside its device; they are re-exported here.
 """
@@ -77,11 +78,9 @@ class Credential:
 
 @dataclass
 class Otp:
-    """Single-use code bound to one desk transaction. ``used`` flips once."""
+    """Single-use code, keyed in the store by its transaction. ``used`` flips once."""
 
     code: str
-    transaction_id: str
-    issued_at: int
     used: bool = False
 
 
@@ -131,14 +130,14 @@ def open_session(device: DeviceState, now: int, rng) -> Session:
         raise AuthError("NO_PASSPORT_INSTALLED")
     previous = device.session
     if previous is not None:
-        device.session = Session(previous.session_id, previous.device_id,
-                                 SessionState.TERMINATED, previous.activated_at)
+        device.session = Session(previous.session_id, SessionState.TERMINATED,
+                                 previous.activated_at)
     session_id = f"s-{rng.getrandbits(32):08x}"
     captcha = CaptchaChallenge(
         f"c-{rng.getrandbits(32):08x}",
         "".join(rng.choice(CAPTCHA_ALPHABET) for _ in range(CAPTCHA_LENGTH)),
         now)
-    session = Session(session_id, device.device_id, SessionState.TIME_AUTH_PENDING,
+    session = Session(session_id, SessionState.TIME_AUTH_PENDING,
                       activated_at=now, pending_captcha=captcha)
     device.session = session
     return session
@@ -149,8 +148,8 @@ def check_timeout(session: Session, now: int) -> Session:
     if session.state in (SessionState.EXPIRED, SessionState.TERMINATED):
         return session
     if now >= session.activated_at + SESSION_TTL_S:
-        return Session(session.session_id, session.device_id,
-                       SessionState.EXPIRED, session.activated_at)
+        return Session(session.session_id, SessionState.EXPIRED,
+                       session.activated_at)
     return session
 
 
@@ -185,9 +184,8 @@ def verify_time_auth(device: DeviceState, submitted_time: str,
     drift = abs(submitted - shown)
     if min(drift, _MINUTES_PER_DAY - drift) > _TIME_TOLERANCE_MIN:
         raise AuthError("BAD_TIME", f"device shows {device.displayed_time(now)}")
-    session = Session(session.session_id, session.device_id,
-                      SessionState.CREDENTIALS_PENDING, session.activated_at,
-                      None, session.pending_image_index)
+    session = Session(session.session_id, SessionState.CREDENTIALS_PENDING,
+                      session.activated_at)
     device.session = session
     return session
 
@@ -199,9 +197,8 @@ def verify_credentials(device: DeviceState, username: str, password: str,
     credential = enrolled.get(username)
     if credential is None or not _password_matches(credential, password):
         raise AuthError("BAD_CREDENTIALS")
-    session = Session(session.session_id, session.device_id,
-                      SessionState.PASSPORT_VISIBLE, session.activated_at,
-                      session.pending_captcha, session.pending_image_index)
+    session = Session(session.session_id, SessionState.PASSPORT_VISIBLE,
+                      session.activated_at)
     device.session = session
     return session
 
@@ -210,9 +207,8 @@ def begin_image_auth(device: DeviceState, rng, now: int) -> tuple[Session, int]:
     """Level 2: pick one of the ten enrolled pictures uniformly."""
     session = _gate(device, SessionState.PASSPORT_VISIBLE, now)
     index = rng.randrange(AUTH_IMAGE_COUNT)
-    session = Session(session.session_id, session.device_id,
-                      SessionState.IMAGE_AUTH_PENDING, session.activated_at,
-                      session.pending_captcha, index)
+    session = Session(session.session_id, SessionState.IMAGE_AUTH_PENDING,
+                      session.activated_at, pending_image_index=index)
     device.session = session
     return session, index
 
@@ -224,9 +220,8 @@ def verify_image_answer(device: DeviceState, answer: str, now: int) -> Session:
     expected = device.auth_images[session.pending_image_index]
     if _hash_answer(answer) != expected.answer_hash:
         raise AuthError("BAD_ANSWER")
-    session = Session(session.session_id, session.device_id,
-                      SessionState.VISA_VISIBLE, session.activated_at,
-                      session.pending_captcha)
+    session = Session(session.session_id, SessionState.VISA_VISIBLE,
+                      session.activated_at)
     device.session = session
     return session
 
@@ -235,13 +230,12 @@ def verify_image_answer(device: DeviceState, answer: str, now: int) -> Session:
 # One-time passwords
 
 
-def issue_otp(store: OtpStore, transaction_id: str, rng, now: int) -> Otp:
+def issue_otp(store: OtpStore, transaction_id: str, rng) -> Otp:
     """Mint the single OTP for a transaction; reissue is a caller bug."""
     existing = store.get(transaction_id)
     if existing is not None and not existing.used:
         raise AuthError("OTP_ALREADY_ISSUED", transaction_id)
-    otp = Otp(f"{rng.randrange(10 ** OTP_DIGITS):0{OTP_DIGITS}d}",
-              transaction_id, now)
+    otp = Otp(f"{rng.randrange(10 ** OTP_DIGITS):0{OTP_DIGITS}d}")
     store.by_transaction[transaction_id] = otp
     return otp
 

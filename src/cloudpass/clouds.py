@@ -288,7 +288,7 @@ def download_visa_image(cloud: EmbassyCloud, token: LinkToken,
 
 def daily_sync(airport_cloud: AirportCloud, embassy_cloud: EmbassyCloud,
                manifest: TravelManifest, date: int,
-               dangling_out: list | None = None) -> AirportCloud:
+               dangling_out: list | None = None) -> None:
     """Pull records for this airport's manifested travelers into the
     replica. Dangling manifest rows are reported and skipped, never fatal.
     Running the same sync twice is indistinguishable from running it once.
@@ -309,7 +309,6 @@ def daily_sync(airport_cloud: AirportCloud, embassy_cloud: EmbassyCloud,
         airport_cloud.replicated[entry.visa_id] = (record.passport_no,
                                                    record.image_hash)
     airport_cloud.last_sync_date = date
-    return airport_cloud
 
 
 def receive_desk_copy(airport_cloud: AirportCloud, visa_id: str, data: bytes,

@@ -53,11 +53,12 @@ class ScenarioParseError(CloudPassError):
 
 
 class ScenarioRuntimeError(CloudPassError):
-    """A command failed mid-run; ``index`` is the failing command position,
-    and the text is ``command N: `` before the cause's own text."""
+    """A command failed mid-run; ``index`` is its position in the commands
+    run, injected faults included. The text names where the command came
+    from, ``line L`` or ``--fault N``, before the cause's own text."""
     code = "RUNTIME_FAULT"
 
-    def __init__(self, index: int, cause: CloudPassError):
-        Exception.__init__(self, f"command {index}: {cause}")
+    def __init__(self, index: int, cause: CloudPassError, where: str):
+        Exception.__init__(self, f"{where}: {cause}")
         self.index = index
         self.cause = cause

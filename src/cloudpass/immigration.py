@@ -54,6 +54,8 @@ PHASES = (PHASE_AUTH, PHASE_NFC, PHASE_DESK_COPY, PHASE_COMPARE, PHASE_STAMP,
 
 # Virtual seconds the agent spends on each auth action.
 _STEP_S = 15
+# How far from the reader the traveler holds the device, inside NFC range.
+_TAP_DISTANCE_CM = 5.0
 
 
 class Outcome(Enum):
@@ -124,7 +126,6 @@ class AgentScript:
     wrong_image_answer: bool = False    # always miss the picture challenge
     replay_otp: str | None = None       # present this stale code first
     oversleep_s: int = 0                # idle right after opening the session
-    retry_after_expiry: bool = True     # reopen once if the session expires
 
 
 def _utc_time(now: int) -> str:
@@ -149,21 +150,19 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
     while True:
         session = device.session
         state = session.state
-        if state is SessionState.VISA_VISIBLE:
-            return
-        if state is SessionState.TERMINATED:
+        if state is SessionState.VISA_VISIBLE or state is SessionState.TERMINATED:
             return
         if state is SessionState.EXPIRED:
-            if script.retry_after_expiry and not reopened:
-                reopened = True
-                try:
-                    session = authflow.open_session(device, clock.now, rng)
-                    log(PHASE_AUTH, f"session-reopened id={session.session_id}")
-                except AuthError as exc:
-                    log(PHASE_AUTH, f"session-refused {exc.code}")
-                    return
-                continue
-            return
+            if reopened:    # the agent reopens an expired session once
+                return
+            reopened = True
+            try:
+                session = authflow.open_session(device, clock.now, rng)
+                log(PHASE_AUTH, f"session-reopened id={session.session_id}")
+            except AuthError as exc:
+                log(PHASE_AUTH, f"session-refused {exc.code}")
+                return
+            continue
         clock.advance(_STEP_S)
         try:
             if state is SessionState.TIME_AUTH_PENDING:
@@ -193,8 +192,8 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
 
 def run_check(desk: DeskCheck, device: DeviceState,
               airport_cloud: AirportCloud | None, script: AgentScript, clock,
-              rng, *, credentials, otp_store: OtpStore, alert_sink: list,
-              tap_distance_cm: float = 5.0) -> CheckTranscript:
+              rng, *, credentials, otp_store: OtpStore,
+              alert_sink: list) -> CheckTranscript:
     """Run one full desk check and return its transcript.
 
     ``credentials`` is the enrolled username -> Credential mapping,
@@ -229,7 +228,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
     transaction_id = f"{desk.desk_id}@{desk.started_at}"
 
     # Phase 1: the agent signs in on the device.
-    otp = authflow.issue_otp(otp_store, transaction_id, rng, clock.now)
+    otp = authflow.issue_otp(otp_store, transaction_id, rng)
     log(PHASE_AUTH, f"otp-issued transaction={transaction_id}")
     _drive_auth(device, script, clock, rng, credentials, log)
 
@@ -244,8 +243,8 @@ def run_check(desk: DeskCheck, device: DeviceState,
                 log(PHASE_NFC, f"otp-rejected {exc.code}")
         authflow.redeem_otp(otp_store, otp.code, transaction_id)
         log(PHASE_NFC, "otp-redeemed")
-        channel = establish(desk.desk_id, device, tap_distance_cm, clock.now)
-        log(PHASE_NFC, f"channel-open distance={tap_distance_cm}")
+        channel = establish(device, _TAP_DISTANCE_CM)
+        log(PHASE_NFC, f"channel-open distance={_TAP_DISTANCE_CM}")
         summary, visa_id, image_bytes = tap_check(channel)
         log(PHASE_NFC, f"tap-check passport={summary.passport_no} visa={visa_id}")
     except (AuthError, NfcError, ValidationError) as exc:

@@ -94,8 +94,6 @@ class IdKind(Enum):
 
 class PassportStatus(Enum):
     ACTIVE = "ACTIVE"
-    LOCKED = "LOCKED"
-    EXPIRED = "EXPIRED"
 
 
 class PageContent(Enum):
@@ -353,7 +351,6 @@ class Session:
     """One sign-in on a device; ``authflow`` drives it through its states."""
 
     session_id: str
-    device_id: str
     state: SessionState
     activated_at: int
     pending_captcha: CaptchaChallenge | None = None

@@ -90,10 +90,8 @@ def decode_frame(data: bytes) -> Frame:
 class NfcChannel:
     """A desk reader's link to one device within NFC range."""
 
-    reader_id: str
     device: DeviceState
     distance_cm: float
-    established_at: int
     checked_visa_id: str | None = None
     lock_sent: bool = False
 
@@ -103,10 +101,9 @@ class NfcChannel:
                            f"{self.distance_cm} cm > {MAX_RANGE_CM} cm")
 
 
-def establish(reader_id: str, device: DeviceState, distance_cm: float,
-              now: int) -> NfcChannel:
+def establish(device: DeviceState, distance_cm: float) -> NfcChannel:
     """Bring the device into the field. Inclusive at exactly 15.0 cm."""
-    channel = NfcChannel(reader_id, device, distance_cm, now)
+    channel = NfcChannel(device, distance_cm)
     if device.locked:
         raise NfcError("DEVICE_LOCKED")
     return channel

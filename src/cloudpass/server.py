@@ -68,6 +68,9 @@ def _default_cloud(role: str, name: str | None):
 
 
 def serve(role: str, port: int, name: str | None = None) -> None:
-    """Run one cloud on a TCP port until interrupted."""
+    """Run one cloud on a TCP port until interrupted. Once bound, say where
+    it listens: with port 0 the OS picks the port."""
     with CloudServer(_default_cloud(role, name), port) as server:
+        host, bound = server.server_address[:2]
+        print(f"listening on {host}:{bound}", flush=True)
         server.serve_forever()

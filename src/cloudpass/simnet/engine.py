@@ -47,7 +47,6 @@ class TravelerState:
 
 class World:
     def __init__(self, seed: int):
-        self.seed = seed
         self.clock = VirtualClock()
         self.rng = ScenarioRng(seed)
         self.embassies: dict[str, EmbassyCloud] = {}
@@ -389,8 +388,9 @@ def run(scenario: Scenario, faults: tuple[ScenarioCommand, ...] = ()) -> tuple[W
     fault commands ``parse_fault`` built injected.
 
     Returns the final world and its ordered event log. A command failure
-    surfaces as ScenarioRuntimeError carrying the failing index, with the
-    partial world attached for inspection.
+    surfaces as ScenarioRuntimeError carrying the failing index and naming
+    the scenario line, or the fault by its place in ``faults`` counting
+    from 1, with the partial world attached for inspection.
     """
     world = World(scenario.seed)
     commands = _inject_faults(list(scenario.commands), faults)
@@ -398,7 +398,12 @@ def run(scenario: Scenario, faults: tuple[ScenarioCommand, ...] = ()) -> tuple[W
         try:
             _HANDLERS[cmd.verb](world, cmd)
         except CloudPassError as exc:
-            error = ScenarioRuntimeError(index, exc)
+            # parse_fault numbers every fault line 1, so a fault is known
+            # by identity: the engine injects the very object it was given.
+            number = next((n for n, fault in enumerate(faults, 1)
+                           if fault is cmd), None)
+            where = f"line {cmd.line_no}" if number is None else f"--fault {number}"
+            error = ScenarioRuntimeError(index, exc, where)
             error.world = world
             raise error from exc
     return world, world.events

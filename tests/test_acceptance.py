@@ -185,7 +185,7 @@ def test_c05_otp_single_use():
     rng = random.Random(0xC5)
     codes = {}
     for i in range(1000):
-        codes[f"tx-{i}"] = issue_otp(store, f"tx-{i}", rng, now=i).code
+        codes[f"tx-{i}"] = issue_otp(store, f"tx-{i}", rng).code
 
     attempts = [(tx, code) for tx, code in codes.items() for _ in range(3)]
     txs = list(codes)
@@ -287,14 +287,14 @@ def test_c07_image_distribution_and_fixity():
 def test_c08_nfc_proximity():
     k = build_kit()
     failures = []
-    channel = establish("R1", k.device, 15.0, now=0)
+    channel = establish(k.device, 15.0)
     if channel.distance_cm != 15.0:
         failures.append("establish at 15.0 cm failed")
-    if establish("R1", k.device, 0.0, now=0) is None:
+    if establish(k.device, 0.0) is None:
         failures.append("establish at contact failed")
     for epsilon in (0.1, 1, 100):
         try:
-            establish("R1", k.device, 15.0 + epsilon, now=0)
+            establish(k.device, 15.0 + epsilon)
             failures.append(f"established at 15.0 + {epsilon}")
         except NfcError as exc:
             if exc.code != "OUT_OF_RANGE":

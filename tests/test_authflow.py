@@ -364,7 +364,7 @@ def test_timeout_does_not_reset_on_activity():
 
 def test_otp_issue_redeem_once():
     store, rng = OtpStore(), random.Random(0)
-    otp = issue_otp(store, "tx-1", rng, 0)
+    otp = issue_otp(store, "tx-1", rng)
     assert len(otp.code) == 6 and otp.code.isdigit()
     redeem_otp(store, otp.code, "tx-1")
     with pytest.raises(AuthError) as err:
@@ -381,7 +381,7 @@ def test_otp_unknown_code():
 
 def test_otp_wrong_transaction():
     store, rng = OtpStore(), random.Random(0)
-    otp = issue_otp(store, "tx-a", rng, 0)
+    otp = issue_otp(store, "tx-a", rng)
     with pytest.raises(AuthError) as err:
         redeem_otp(store, otp.code, "tx-b")
     assert err.value.code == "OTP_WRONG_TRANSACTION"
@@ -389,18 +389,18 @@ def test_otp_wrong_transaction():
 
 def test_otp_reissue_over_live_code_rejected():
     store, rng = OtpStore(), random.Random(0)
-    issue_otp(store, "tx-1", rng, 0)
+    issue_otp(store, "tx-1", rng)
     with pytest.raises(AuthError) as err:
-        issue_otp(store, "tx-1", rng, 5)
+        issue_otp(store, "tx-1", rng)
     assert err.value.code == "OTP_ALREADY_ISSUED"
 
 
 def test_otp_reissue_after_use_allowed():
     store, rng = OtpStore(), random.Random(0)
-    first = issue_otp(store, "tx-1", rng, 0)
+    first = issue_otp(store, "tx-1", rng)
     redeem_otp(store, first.code, "tx-1")
-    second = issue_otp(store, "tx-1", rng, 10)
-    assert second.code != first.code or second.issued_at == 10
+    second = issue_otp(store, "tx-1", rng)
+    assert store.get("tx-1") is second and not second.used
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,7 @@ def records() -> dict[str, object]:
     device = DeviceState("alice-phone", 330, images)
     device.visas = {"V-US-0001": visa_us, "V-GB-0002": visa_gb}
     device.passport = passport
-    device.session = Session("s-00000001", "alice-phone",
-                             SessionState.TIME_AUTH_PENDING, 600,
+    device.session = Session("s-00000001", SessionState.TIME_AUTH_PENDING, 600,
                              pending_captcha=captcha)
 
     return {
@@ -84,8 +83,7 @@ def records() -> dict[str, object]:
         "VisaPresentation": VisaPresentation(summarize(passport), "V-US-0001",
                                              visa_us),
         "CaptchaChallenge": captcha,
-        "Session": Session("s-00000002", "alice-phone",
-                           SessionState.IMAGE_AUTH_PENDING, 1200,
+        "Session": Session("s-00000002", SessionState.IMAGE_AUTH_PENDING, 1200,
                            pending_image_index=4),
         "LinkToken": LinkToken("IN", ResourceKind.VISA_IMAGE, "V-US-0001",
                                hashlib.sha256(b"signature").hexdigest()),

@@ -149,20 +149,12 @@ def test_wrong_time_script_locks():
     assert k.device.locked
 
 
-def test_out_of_range_reader_locks():
-    k = build_kit()
-    desk = k.desk(Checkpoint.DEPARTURE)
-    transcript = run_check(desk, k.device, k.airport, k.script(), k.clock,
-                           k.rng, credentials=k.credentials,
-                           otp_store=k.otp_store, alert_sink=k.alerts,
-                           tap_distance_cm=20.0)
-    assert transcript.outcome is Outcome.LOCK_AND_ALERT
-    assert len(k.alerts) == 1
-
-
 def test_lock_outcome_is_final_transcript_event():
     k = build_kit()
     transcript = run(k, wrong_image_answer=True)
+    # The agent reopens the expired session once, then gives up.
+    assert sum(e.detail.startswith("session-reopened")
+               for e in transcript.events) == 1
     assert transcript.events[-1].phase == PHASE_OUTCOME
     assert transcript.events[-1].detail.startswith("LOCK_AND_ALERT")
 
@@ -275,12 +267,6 @@ def test_oversleep_expires_then_retry_permits():
     details = " ".join(e.detail for e in transcript.events)
     assert "SESSION_EXPIRED" in details or "session-opened" in details
     assert transcript.outcome is Outcome.PERMIT
-
-
-def test_oversleep_without_retry_locks():
-    k = build_kit()
-    transcript = run(k, oversleep_s=700, retry_after_expiry=False)
-    assert transcript.outcome is Outcome.LOCK_AND_ALERT
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import re
 import struct
 from dataclasses import replace
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -446,7 +447,7 @@ def test_presentation_refuses_empty_visa_id_when_built_and_decoded():
 
 
 # One failing input per check a record makes, with the exact text the
-# CLI prints after ``command N: ``.
+# CLI prints after ``line L: ``.
 _VISA = VisaRecord("V1", "P1234567", "IN", "US", 0, 10, EMPTY_SHA256,
                    VisaStatus.ISSUED)
 _STAMP = StampEntry(StampKind.ARRIVAL, "JFK", 10)
@@ -593,6 +594,17 @@ def test_invalid_utf8_is_validation_error(field):
     with pytest.raises(ValidationError) as err:
         canonical_deserialize(raw.replace(field, bad))
     assert err.value.code == "BAD_UTF8"
+
+
+@pytest.mark.parametrize("name", ["LOCKED", "EXPIRED"])
+def test_passport_status_name_without_member_is_refused(name):
+    # The device holds the lock, so a passport is only ever ACTIVE; a
+    # status name with no member is refused like any other unknown name.
+    passport = _passport()
+    object.__setattr__(passport, "status", Enum("PassportStatus", [name])[name])
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(canonical_serialize(passport))
+    assert err.value.code == "BAD_ENUM_NAME"
 
 
 def test_writer_refuses_text_utf8_cannot_encode():

@@ -71,20 +71,20 @@ def test_frame_round_trip_property(frame_type, body):
 
 def test_establish_at_boundary():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 15.0, k.clock.now)
+    channel = establish(k.device, 15.0)
     assert channel.distance_cm == MAX_RANGE_CM
 
 
 def test_establish_at_zero():
     k = ready_kit()
-    assert establish("reader-1", k.device, 0.0, 0) is not None
+    assert establish(k.device, 0.0) is not None
 
 
 @pytest.mark.parametrize("distance", [15.1, 16.0, 115.0])
 def test_establish_beyond_range(distance):
     k = ready_kit()
     with pytest.raises(NfcError) as err:
-        establish("reader-1", k.device, distance, 0)
+        establish(k.device, distance)
     assert err.value.code == "OUT_OF_RANGE"
 
 
@@ -92,7 +92,7 @@ def test_establish_locked_device():
     k = ready_kit()
     k.device.locked = True
     with pytest.raises(NfcError) as err:
-        establish("reader-1", k.device, 5.0, 0)
+        establish(k.device, 5.0)
     assert err.value.code == "DEVICE_LOCKED"
 
 
@@ -100,13 +100,13 @@ def test_establish_out_of_range_refused_before_locked():
     k = ready_kit()
     k.device.locked = True
     with pytest.raises(NfcError) as err:
-        establish("reader-1", k.device, 15.1, 0)
+        establish(k.device, 15.1)
     assert err.value.code == "OUT_OF_RANGE"
 
 
 def test_channel_never_exists_out_of_range():
     with pytest.raises(NfcError):
-        NfcChannel("reader-1", "dev", 15.2, 0)
+        NfcChannel("dev", 15.2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_channel_never_exists_out_of_range():
 
 def test_tap_check_returns_presented_visa():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, k.clock.now)
+    channel = establish(k.device, 5.0)
     summary, visa_id, image_bytes = tap_check(channel)
     assert summary.passport_no == k.passport_no
     assert visa_id == k.visa_id
@@ -125,7 +125,7 @@ def test_tap_check_returns_presented_visa():
 
 def test_tap_check_requires_visa_visible():
     k = build_kit()  # no session at all
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     with pytest.raises(NfcError) as err:
         tap_check(channel)
     assert err.value.code == "AUTH_NOT_COMPLETE"
@@ -138,7 +138,7 @@ def test_tap_check_requires_placed_visa():
     from cloudpass.model import new_passport
     k.device.passport = new_passport(k.passport_no, k.username, "IN", "IN",
                                      0, 10**9)
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     with pytest.raises(NfcError) as err:
         tap_check(channel)
     assert err.value.code == "NO_VISA_PLACED"
@@ -150,7 +150,7 @@ def test_tap_check_requires_placed_visa():
 ], ids=["no-passport", "visa-missing"])
 def test_tap_check_refuses_what_the_device_lacks(remove, code):
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     remove(k)
     with pytest.raises(NfcError) as err:
         tap_check(channel)
@@ -159,7 +159,7 @@ def test_tap_check_refuses_what_the_device_lacks(remove, code):
 
 def test_tap_check_locked_before_any_lock_frame():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     k.device.locked = True  # exogenous lock mid-exchange
     with pytest.raises(NfcError) as err:
         tap_check(channel)
@@ -172,7 +172,7 @@ def test_tap_check_locked_before_any_lock_frame():
 
 def test_tap_stamp_after_check():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     tap_check(channel)
     ack = tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 7200))
     assert ack.type_tag is FrameType.STAMP_ACK
@@ -182,7 +182,7 @@ def test_tap_stamp_after_check():
 
 def test_tap_stamp_without_check():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     with pytest.raises(NfcError) as err:
         tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 0))
     assert err.value.code == "NO_PRIOR_CHECK"
@@ -190,7 +190,7 @@ def test_tap_stamp_without_check():
 
 def test_tap_stamp_out_of_order_rejected():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     tap_check(channel)
     tap_stamp(channel, StampEntry(StampKind.DEPARTURE, "BLR", 100))
     with pytest.raises(ValidationError) as err:
@@ -204,7 +204,7 @@ def test_tap_stamp_out_of_order_rejected():
 
 def test_send_lock_idempotent():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     first = send_lock(channel)
     assert first.type_tag is FrameType.LOCK_CMD
     assert k.device.locked
@@ -215,7 +215,7 @@ def test_send_lock_idempotent():
 
 def test_lock_reaches_only_the_channels_device():
     alice, bob = ready_kit(), ready_kit()
-    channel = establish("reader-1", alice.device, 5.0, 0)
+    channel = establish(alice.device, 5.0)
     assert channel.device is alice.device
     send_lock(channel)
     assert alice.device.locked
@@ -224,7 +224,7 @@ def test_lock_reaches_only_the_channels_device():
 
 def test_tap_check_after_lock_is_device_locked():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     send_lock(channel)
     with pytest.raises(NfcError) as err:
         tap_check(channel)
@@ -233,8 +233,8 @@ def test_tap_check_after_lock_is_device_locked():
 
 def test_lock_blocks_new_channels():
     k = ready_kit()
-    channel = establish("reader-1", k.device, 5.0, 0)
+    channel = establish(k.device, 5.0)
     send_lock(channel)
     with pytest.raises(NfcError) as err:
-        establish("reader-2", k.device, 5.0, 0)
+        establish(k.device, 5.0)
     assert err.value.code == "DEVICE_LOCKED"

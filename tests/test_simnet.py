@@ -814,15 +814,15 @@ def test_cli_runtime_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "ghost.cps"
     bad.write_text("embassy IN\ndepart ghost BLR\n")
     assert cli_main(["run", "--scenario", str(bad)]) == 2
-    assert "command 1" in capsys.readouterr().err
+    assert "line 2: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario,message", [
-    ("embassy IN\ndepart ghost BLR\n", "command 1: NO_SUCH_TRAVELER: ghost"),
+    ("embassy IN\ndepart ghost BLR\n", "line 2: NO_SUCH_TRAVELER: ghost"),
     ("traveler alice\ndepart alice XYZ\n",
-     "command 1: DESK_MISCONFIGURED: XYZ-D1"),
-    (HAPPY.replace("page=3", "page=40"), "command 10: NO_SUCH_PAGE: page 40 of 32"),
-    ("advance-clock 2920000d\n", "command 0: CLOCK_OVERFLOW: 0 + 252288000000s "
+     "line 2: DESK_MISCONFIGURED: XYZ-D1"),
+    (HAPPY.replace("page=3", "page=40"), "line 18: NO_SUCH_PAGE: page 40 of 32"),
+    ("advance-clock 2920000d\n", "line 1: CLOCK_OVERFLOW: 0 + 252288000000s "
      "passes 9999-12-31T23:59:59Z"),
 ], ids=["no-such-traveler", "desk-misconfigured", "no-such-page",
         "clock-overflow"])
@@ -832,6 +832,16 @@ def test_cli_runtime_error_names_its_code_once(tmp_path, capsys, scenario,
     path.write_text(scenario)
     assert cli_main(["run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"cloudpass: {message}\n"
+
+
+def test_cli_runtime_error_names_the_failing_fault(tmp_path, capsys):
+    # skip-sync runs first and passes; the tamper fault, injected after
+    # line 1 because alice never reaches a desk, has no visa to tamper.
+    path = tmp_path / "fault.cps"
+    path.write_text("traveler alice\n")
+    assert cli_main(["run", "--scenario", str(path), "--fault", "skip-sync",
+                     "--fault", "tamper-visa alice byte=7"]) == 2
+    assert capsys.readouterr().err == "cloudpass: --fault 2: NO_VISA: alice\n"
 
 
 @pytest.mark.parametrize("scenario,code", [
@@ -860,7 +870,7 @@ def test_cli_engine_refusal_exit_2(tmp_path, capsys, scenario, code):
     path.write_text(scenario)
     assert cli_main(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("cloudpass: command ")
+    assert re.match(r"cloudpass: line [0-9]+: ", err)
     assert err.count(code) == 1
     assert "Traceback" not in err
 

@@ -10,7 +10,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -360,37 +359,33 @@ def test_serve_refuses_port_out_of_range(port, capsys):
     assert err.count("\n") == 1
 
 
-def _free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
 def test_serve_stops_on_sigint():
-    port = _free_port()
+    # Port 0: the OS picks the port, and the first stdout line names it.
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "cloudpass.simnet.cli", "serve",
-         "--role", "embassy", "--port", str(port)],
+         "--role", "embassy", "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    lines = []
+    reader = threading.Thread(target=lambda: lines.append(proc.stdout.readline()),
+                              daemon=True)
+    reader.start()
     try:
-        deadline = time.monotonic() + 20
-        while True:
-            try:
-                conn = socket.create_connection(("127.0.0.1", port), timeout=5)
-                break
-            except ConnectionRefusedError:
-                assert proc.poll() is None, proc.communicate()
-                assert time.monotonic() < deadline, "server never listened"
-                time.sleep(0.05)
-        with conn:
+        reader.join(timeout=20)
+        assert lines, "cloudpass serve never said where it listens"
+        match = re.fullmatch(r"listening on 127\.0\.0\.1:([0-9]+)\n", lines[0])
+        assert match, (lines, proc.poll())
+        port = int(match.group(1))
+        assert port != 0
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
             conn.sendall(b"PING\n")
             assert conn.makefile("rb").readline() == b"OK pong\n"
         proc.send_signal(signal.SIGINT)
-        _, err = proc.communicate(timeout=20)
+        out, err = proc.communicate(timeout=20)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
     assert proc.returncode == 0, err
+    assert out == ""
     assert "Traceback" not in err
