@@ -55,10 +55,10 @@ class ScenarioParseError(CloudPassError):
 class ScenarioRuntimeError(CloudPassError):
     """A command failed mid-run; ``index`` is its position in the commands
     run, injected faults included. The text names where the command came
-    from, ``line L`` or ``--fault N``, before the cause's own text."""
+    from, ``line L`` or ``--fault N``, before the cause's own text. It is
+    raised from the cause, so ``__cause__`` holds the command's error."""
     code = "RUNTIME_FAULT"
 
     def __init__(self, index: int, cause: CloudPassError, where: str):
         Exception.__init__(self, f"{where}: {cause}")
         self.index = index
-        self.cause = cause

@@ -73,6 +73,11 @@ class DeskCheck:
     desk_id: str
     started_at: int
 
+    @property
+    def transaction_id(self) -> str:
+        """The OTP transaction of this check: its desk and start time."""
+        return f"{self.desk_id}@{self.started_at}"
+
 
 class TranscriptEvent(NamedTuple):
     ts: int
@@ -225,7 +230,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
         log(PHASE_NFC, f"police-alerted reason={reason}")
         return finish(Outcome.LOCK_AND_ALERT, f" cause={reason}")
 
-    transaction_id = f"{desk.desk_id}@{desk.started_at}"
+    transaction_id = desk.transaction_id
 
     # Phase 1: the agent signs in on the device.
     otp = authflow.issue_otp(otp_store, transaction_id, rng)

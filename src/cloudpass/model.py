@@ -748,10 +748,11 @@ def canonical_serialize(record) -> bytes:
     return bytes(w.buf)
 
 
-def canonical_deserialize(data: bytes):
-    """Inverse of canonical_serialize; rejects trailing or truncated bytes."""
+def canonical_deserialize(data: bytes, expected: type | None = None):
+    """Inverse of canonical_serialize; rejects trailing or truncated bytes,
+    and a record of any type but ``expected`` when one is named."""
     r = _Reader(data)
-    record = _read_record(r)
+    record = _read_record(r, expected)
     if r.pos != len(data):
         raise ValidationError("TRAILING_BYTES", f"{len(data) - r.pos} bytes left")
     return record

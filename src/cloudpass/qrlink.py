@@ -392,12 +392,9 @@ def token_wire(token: LinkToken) -> str:
 def token_from_wire(wire: str) -> LinkToken:
     try:
         raw = bytes.fromhex(wire)
-        token = canonical_deserialize(raw)
+        return canonical_deserialize(raw, LinkToken)
     except (ValueError, ValidationError):
         raise QrError("BAD_TOKEN_WIRE", repr(wire[:32])) from None
-    if not isinstance(token, LinkToken):
-        raise QrError("BAD_TOKEN_WIRE", type(token).__name__)
-    return token
 
 
 def token_to_payload(token: LinkToken) -> QrPayload:

@@ -287,7 +287,7 @@ def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
                airport=code, outcome=transcript.outcome.value)
     # The transaction's OTP is spent (or dead with its session); remember
     # the code so a replay fault can present it later.
-    otp = world.otp_store.get(f"{desk.desk_id}@{desk.started_at}")
+    otp = world.otp_store.get(desk.transaction_id)
     if otp is not None:
         traveler.last_redeemed = otp.code
     # replay-otp and oversleep last one desk check.

@@ -1,12 +1,17 @@
-"""Short-range frames: proximity gate, check/stamp taps, remote lock."""
+"""Short-range frames: proximity gate, check/stamp taps, remote lock, and
+the device's and the reader's half of each exchange."""
+
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cloudpass.errors import NfcError, ValidationError
-from cloudpass.model import StampEntry, StampKind, content_hash
-from cloudpass.nfc import (MAX_RANGE_CM, Frame, FrameType, NfcChannel,
+from cloudpass import nfc
+from cloudpass.errors import CloudPassError, NfcError
+from cloudpass.model import (StampEntry, StampKind, canonical_deserialize,
+                             canonical_serialize, content_hash)
+from cloudpass.nfc import (MAX_RANGE_CM, FrameType, NfcChannel, answer,
                            decode_frame, encode_frame, establish, send_lock,
                            tap_check, tap_stamp)
 
@@ -24,14 +29,13 @@ def ready_kit():
 
 
 def test_frame_layout():
-    frame = Frame(FrameType.CHECK_REQ, b"abc")
-    raw = encode_frame(frame)
+    raw = encode_frame(FrameType.CHECK_REQ, b"abc")
     assert raw == b"\x01\x00\x00\x00\x03abc"
-    assert decode_frame(raw) == frame
+    assert decode_frame(raw) == (FrameType.CHECK_REQ, b"abc")
 
 
 def test_frame_empty_body():
-    raw = encode_frame(Frame(FrameType.STAMP_ACK, b""))
+    raw = encode_frame(FrameType.ACK, b"")
     assert raw == b"\x04\x00\x00\x00\x00"
 
 
@@ -41,7 +45,7 @@ def test_frame_truncated_rejected():
     with pytest.raises(NfcError) as err:
         decode_frame(b"\x01\x00\x00")
     assert err.value.code == "TRUNCATED_FRAME"
-    raw = encode_frame(Frame(FrameType.CHECK_REQ, b"abcdef"))
+    raw = encode_frame(FrameType.CHECK_REQ, b"abcdef")
     with pytest.raises(NfcError) as err:
         decode_frame(raw[:-2])
     assert err.value.code == "BAD_FRAME_LENGTH"
@@ -61,8 +65,7 @@ def test_frame_length_mismatch_rejected():
 
 @given(st.sampled_from(list(FrameType)), st.binary(max_size=200))
 def test_frame_round_trip_property(frame_type, body):
-    frame = Frame(frame_type, body)
-    assert decode_frame(encode_frame(frame)) == frame
+    assert decode_frame(encode_frame(frame_type, body)) == (frame_type, body)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +83,8 @@ def test_establish_at_zero():
     assert establish(k.device, 0.0) is not None
 
 
-@pytest.mark.parametrize("distance", [15.1, 16.0, 115.0])
+@pytest.mark.parametrize("distance", [15.1, 16.0, 115.0, float("nan"),
+                                      float("-inf"), -0.1])
 def test_establish_beyond_range(distance):
     k = ready_kit()
     with pytest.raises(NfcError) as err:
@@ -174,8 +178,7 @@ def test_tap_stamp_after_check():
     k = ready_kit()
     channel = establish(k.device, 5.0)
     tap_check(channel)
-    ack = tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 7200))
-    assert ack.type_tag is FrameType.STAMP_ACK
+    tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 7200))
     stamps = k.device.passport.page(k.visa_page).stamps
     assert StampEntry(StampKind.ARRIVAL, "JFK", 7200) in stamps
 
@@ -193,7 +196,7 @@ def test_tap_stamp_out_of_order_rejected():
     channel = establish(k.device, 5.0)
     tap_check(channel)
     tap_stamp(channel, StampEntry(StampKind.DEPARTURE, "BLR", 100))
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(NfcError) as err:
         tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 50))
     assert err.value.code == "STAMP_OUT_OF_ORDER"
 
@@ -205,11 +208,9 @@ def test_tap_stamp_out_of_order_rejected():
 def test_send_lock_idempotent():
     k = ready_kit()
     channel = establish(k.device, 5.0)
-    first = send_lock(channel)
-    assert first.type_tag is FrameType.LOCK_CMD
+    send_lock(channel)
     assert k.device.locked
-    second = send_lock(channel)
-    assert second.type_tag is FrameType.LOCK_CMD
+    send_lock(channel)
     assert k.device.locked
 
 
@@ -238,3 +239,113 @@ def test_lock_blocks_new_channels():
     with pytest.raises(NfcError) as err:
         establish(k.device, 5.0)
     assert err.value.code == "DEVICE_LOCKED"
+
+
+# ---------------------------------------------------------------------------
+# the device's half: one request frame in, one reply frame out
+
+_READY_DEVICE = canonical_serialize(ready_kit().device)
+
+
+def _well_formed_write(request: bytes) -> bool:
+    """A LOCK_CMD with no body, or a STAMP_REQ whose body is a stamp."""
+    try:
+        frame_type, body = decode_frame(request)
+        if frame_type is FrameType.LOCK_CMD:
+            return not body
+        return (frame_type is FrameType.STAMP_REQ
+                and type(canonical_deserialize(body)) is StampEntry)
+    except CloudPassError:
+        return False
+
+
+_STAMPS = st.builds(StampEntry, st.sampled_from(StampKind), st.just("JFK"),
+                    st.integers(0, 10**9))
+
+
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.builds(encode_frame, st.sampled_from(FrameType), st.binary(max_size=64)),
+    st.builds(encode_frame, st.sampled_from(FrameType)),
+    st.builds(lambda s: encode_frame(FrameType.STAMP_REQ, canonical_serialize(s)),
+              _STAMPS)))
+def test_answer_replies_with_one_frame_to_any_request(request):
+    device = canonical_deserialize(_READY_DEVICE)
+    reply_type, body = decode_frame(answer(device, request))
+    assert reply_type in (FrameType.CHECK_RESP, FrameType.ACK, FrameType.ERROR)
+    if reply_type is FrameType.ERROR:
+        assert re.fullmatch(r"[A-Z][A-Z0-9_]*(: .+)?", body.decode(), re.S)
+    if not _well_formed_write(request):
+        assert canonical_serialize(device) == _READY_DEVICE
+
+
+@pytest.mark.parametrize("request_frame,code", [
+    (b"\x01\x00", "TRUNCATED_FRAME"),
+    (encode_frame(FrameType.CHECK_RESP), "BAD_REQUEST"),
+    (encode_frame(FrameType.ERROR, b"AUTH_NOT_COMPLETE"), "BAD_REQUEST"),
+    (encode_frame(FrameType.CHECK_REQ, b"V1"), "BAD_REQUEST"),
+    (encode_frame(FrameType.LOCK_CMD, b"\x00"), "BAD_REQUEST"),
+    (encode_frame(FrameType.STAMP_REQ, b""), "TRUNCATED_ENCODING"),
+    (encode_frame(FrameType.STAMP_REQ,
+                  canonical_serialize(ready_kit().device.passport)),
+     "WRONG_RECORD_TYPE"),
+], ids=["truncated", "reply-as-request", "error-as-request", "check-body",
+        "lock-body", "stamp-empty", "stamp-not-a-stamp"])
+def test_answer_refuses_with_an_error_frame(request_frame, code):
+    device = canonical_deserialize(_READY_DEVICE)
+    reply_type, body = decode_frame(answer(device, request_frame))
+    assert reply_type is FrameType.ERROR
+    assert body.decode().split(": ")[0] == code
+    assert canonical_serialize(device) == _READY_DEVICE
+
+
+def test_device_stamps_only_a_visa_it_shows():
+    k = ready_kit()
+    channel = establish(k.device, 5.0)
+    tap_check(channel)
+    k.device.session = None
+    with pytest.raises(NfcError) as err:
+        tap_stamp(channel, StampEntry(StampKind.ARRIVAL, "JFK", 7200))
+    assert err.value.code == "AUTH_NOT_COMPLETE"
+    assert not k.device.passport.page(k.visa_page).stamps
+
+
+# ---------------------------------------------------------------------------
+# the reader's half against a scripted device
+
+
+def _checked_channel():
+    channel = establish(ready_kit().device, 5.0)
+    channel.checked_visa_id = "V1"
+    return channel
+
+
+_TAPS = {
+    "check": tap_check,
+    "stamp": lambda c: tap_stamp(c, StampEntry(StampKind.ARRIVAL, "JFK", 0)),
+    "lock": send_lock,
+}
+
+
+@pytest.mark.parametrize("tap", _TAPS.values(), ids=_TAPS.keys())
+def test_reader_raises_the_devices_error_text(monkeypatch, tap):
+    monkeypatch.setattr(nfc, "answer", lambda device, request: encode_frame(
+        FrameType.ERROR, b"VISA_NOT_ON_DEVICE: V1"))
+    with pytest.raises(NfcError) as err:
+        tap(_checked_channel())
+    assert err.value.code == "VISA_NOT_ON_DEVICE"
+    assert str(err.value) == "VISA_NOT_ON_DEVICE: V1"
+
+
+@pytest.mark.parametrize("tap", _TAPS.values(), ids=_TAPS.keys())
+@pytest.mark.parametrize("reply,code", [
+    (b"\x02\x00\x00", "TRUNCATED_FRAME"),
+    (b"\x09\x00\x00\x00\x00", "UNKNOWN_FRAME_TYPE"),
+    (encode_frame(FrameType.CHECK_REQ), "UNEXPECTED_FRAME"),
+], ids=["truncated", "unknown-type", "request-as-reply"])
+def test_reader_refuses_a_malformed_reply(monkeypatch, tap, reply, code):
+    monkeypatch.setattr(nfc, "answer", lambda device, request: reply)
+    with pytest.raises(NfcError) as err:
+        tap(_checked_channel())
+    assert err.value.code == code
+

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cloudpass import qrlink as q
 from cloudpass.errors import QrError
+from cloudpass.model import StampEntry, StampKind, canonical_serialize
 from cloudpass.qrlink import (LinkToken, QrMode, QrPayload, QrSegment,
                               ResourceKind, classify_mode, decode_payload,
                               encode_payload, mint_link_token,
@@ -432,6 +433,11 @@ def test_token_wire_garbage_rejected():
     assert err.value.code == "BAD_TOKEN_WIRE"
     with pytest.raises(QrError):
         token_from_wire("00ff")
+    # a well-formed record of another type is no token either
+    stamp = StampEntry(StampKind.ARRIVAL, "JFK", 0)
+    with pytest.raises(QrError) as err:
+        token_from_wire(canonical_serialize(stamp).hex())
+    assert err.value.code == "BAD_TOKEN_WIRE"
 
 
 def test_token_payload_bits_pinned():

@@ -741,7 +741,7 @@ def test_runtime_error_carries_index_and_world():
         run(scenario)
     assert err.value.index == 1
     assert err.value.world.clock.now == 0
-    assert err.value.cause.code == "NO_SUCH_TRAVELER"
+    assert err.value.__cause__.code == "NO_SUCH_TRAVELER"
 
 
 def test_duplicate_embassy_is_runtime_error():
