@@ -173,7 +173,6 @@ def verify_time_auth(device: DeviceState, submitted_time: str,
     """Level 1 step one: captcha text exactly, device-displayed time within
     one minute (24h clock, wrapping at midnight)."""
     session = _gate(device, SessionState.TIME_AUTH_PENDING, now)
-    assert session.pending_captcha is not None
     if captcha_answer != session.pending_captcha.text:
         raise AuthError("BAD_CAPTCHA")
     match = _TIME_RE.fullmatch(submitted_time)
@@ -216,7 +215,6 @@ def begin_image_auth(device: DeviceState, rng, now: int) -> tuple[Session, int]:
 def verify_image_answer(device: DeviceState, answer: str, now: int) -> Session:
     """Compare the normalized answer hash for the prompted picture."""
     session = _gate(device, SessionState.IMAGE_AUTH_PENDING, now)
-    assert session.pending_image_index is not None
     expected = device.auth_images[session.pending_image_index]
     if _hash_answer(answer) != expected.answer_hash:
         raise AuthError("BAD_ANSWER")

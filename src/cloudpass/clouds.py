@@ -10,7 +10,8 @@ Sync is manifest-driven. The airport pulls records for travelers
 manifested through it whose travel date falls inside a two-day
 look-ahead window. The pull is an upsert, so re-running a day's sync
 changes nothing. Each cloud is the single owner of its own maps; all
-mutation happens inside these functions.
+mutation happens inside these functions, and ``replicate`` is the one
+writer of a replica row, for the daily sync and the wire alike.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 import json
 
-from .errors import CloudError
-from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
-                    Passport, TrackingId, VisaImage, VisaRecord, VisaStatus,
-                    content_hash, new_passport, new_tracking_id, place_visa)
+from .errors import CloudError, ValidationError
+from .model import (_HEX64_RE, MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState,
+                    IdKind, Passport, TrackingId, VisaImage, VisaRecord,
+                    VisaStatus, content_hash, new_passport, new_tracking_id,
+                    place_visa)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "approve_visa",
     "download_passport_app",
     "download_visa_image",
+    "replicate",
     "daily_sync",
     "receive_desk_copy",
     "compare_visa",
@@ -286,6 +289,14 @@ def download_visa_image(cloud: EmbassyCloud, token: LinkToken,
 # Daily replication and desk comparison
 
 
+def replicate(airport_cloud: AirportCloud, visa_id: str, passport_no: str,
+              image_hash: str) -> None:
+    """Store one replica row, refusing a hash that is not 64 lowercase hex."""
+    if not _HEX64_RE.fullmatch(image_hash):
+        raise ValidationError("BAD_HASH_FORMAT", repr(image_hash))
+    airport_cloud.replicated[visa_id] = (passport_no, image_hash)
+
+
 def daily_sync(airport_cloud: AirportCloud, embassy_cloud: EmbassyCloud,
                manifest: TravelManifest, date: int,
                dangling_out: list | None = None) -> None:
@@ -306,8 +317,8 @@ def daily_sync(airport_cloud: AirportCloud, embassy_cloud: EmbassyCloud,
         if record.status is VisaStatus.REVOKED:
             airport_cloud.replicated.pop(entry.visa_id, None)
             continue
-        airport_cloud.replicated[entry.visa_id] = (record.passport_no,
-                                                   record.image_hash)
+        replicate(airport_cloud, entry.visa_id, record.passport_no,
+                  record.image_hash)
     airport_cloud.last_sync_date = date
 
 

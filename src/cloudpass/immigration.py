@@ -10,7 +10,9 @@ the whole protocol runs again.
 
 Outcome mapping: exhausted or timed-out authentication and any failure
 at the NFC layer mean the traveler could not legitimately present the
-visa, so the device is locked and the police are alerted. A comparison
+visa, so the desk sends the device a lock command over NFC, opening a
+channel first if none is open, and the transcript names the reason for
+the police alert; the engine reports that alert. A comparison
 discrepancy (MISMATCH or a visa the airport never received) isolates
 the traveler for manual handling instead. Only a byte-exact match
 permits travel.
@@ -35,7 +37,6 @@ __all__ = [
     "DeskCheck",
     "TranscriptEvent",
     "CheckTranscript",
-    "PoliceAlert",
     "AgentScript",
     "PHASES",
     "run_check",
@@ -87,10 +88,12 @@ class TranscriptEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class CheckTranscript:
-    """What happened at the desk, phase by phase, and the outcome."""
+    """What happened at the desk, phase by phase, and the outcome. A
+    LOCK_AND_ALERT check, and only one, names why the police are alerted."""
 
     events: tuple[TranscriptEvent, ...]
     outcome: Outcome
+    alert_reason: str | None = None
 
     def validate(self) -> None:
         order = [PHASES.index(e.phase) for e in self.events]
@@ -102,16 +105,10 @@ class CheckTranscript:
                                   f"{len(finals)} outcome events")
         if not finals[0].detail.startswith(self.outcome.value):
             raise ValidationError("OUTCOME_DETAIL_MISMATCH", finals[0].detail)
-
-
-@dataclass(frozen=True)
-class PoliceAlert:
-    """Raised when a desk check locks the device."""
-
-    airport: str
-    device_id: str
-    reason: str
-    raised_at: int
+        locked = self.outcome is Outcome.LOCK_AND_ALERT
+        if (self.alert_reason is not None) != locked:
+            raise ValidationError("ALERT_OUTCOME_MISMATCH",
+                                  f"{self.outcome.value} alert={self.alert_reason}")
 
 
 @dataclass
@@ -197,13 +194,11 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
 
 def run_check(desk: DeskCheck, device: DeviceState,
               airport_cloud: AirportCloud | None, script: AgentScript, clock,
-              rng, *, credentials, otp_store: OtpStore,
-              alert_sink: list) -> CheckTranscript:
+              rng, *, credentials, otp_store: OtpStore) -> CheckTranscript:
     """Run one full desk check and return its transcript.
 
-    ``credentials`` is the enrolled username -> Credential mapping,
-    ``alert_sink`` collects any PoliceAlert raised. Identical inputs and
-    seed produce an identical transcript.
+    ``credentials`` is the enrolled username -> Credential mapping.
+    Identical inputs and seed produce an identical transcript.
     """
     if airport_cloud is None:
         raise DeskError("DESK_MISCONFIGURED", desk.desk_id)
@@ -212,23 +207,27 @@ def run_check(desk: DeskCheck, device: DeviceState,
     def log(phase: str, detail: str) -> None:
         events.append(TranscriptEvent(clock.now, phase, detail))
 
-    def finish(outcome: Outcome, context: str = "") -> CheckTranscript:
+    def finish(outcome: Outcome, context: str = "",
+               alert_reason: str | None = None) -> CheckTranscript:
         log(PHASE_OUTCOME, f"{outcome.value}{context}")
-        transcript = CheckTranscript(tuple(events), outcome)
+        transcript = CheckTranscript(tuple(events), outcome, alert_reason)
         transcript.validate()
         return transcript
 
     def lock_and_alert(channel: NfcChannel | None, reason: str) -> CheckTranscript:
-        if channel is not None:
+        try:
+            if channel is None:
+                channel = establish(device, _TAP_DISTANCE_CM)
+                log(PHASE_NFC, f"channel-open distance={_TAP_DISTANCE_CM}")
+        except NfcError as exc:
+            if exc.code != "DEVICE_LOCKED":
+                raise
+            log(PHASE_NFC, "device-locked")
+        else:
             send_lock(channel)
             log(PHASE_NFC, "lock-sent")
-        else:
-            device.locked = True
-            log(PHASE_NFC, "device-locked")
-        alert_sink.append(PoliceAlert(desk.airport, device.device_id, reason,
-                                      clock.now))
         log(PHASE_NFC, f"police-alerted reason={reason}")
-        return finish(Outcome.LOCK_AND_ALERT, f" cause={reason}")
+        return finish(Outcome.LOCK_AND_ALERT, f" cause={reason}", reason)
 
     transaction_id = desk.transaction_id
 

@@ -337,6 +337,12 @@ class SessionState(Enum):
     TERMINATED = "TERMINATED"
 
 
+# The states that hold a pending challenge. Every Session built reads
+# them, and a module global is cheaper to read than an enum member.
+_AWAITS_CAPTCHA = SessionState.TIME_AUTH_PENDING
+_AWAITS_PICTURE = SessionState.IMAGE_AUTH_PENDING
+
+
 @dataclass(frozen=True)
 class CaptchaChallenge:
     """The captcha a new session shows for level 1."""
@@ -348,13 +354,33 @@ class CaptchaChallenge:
 
 @dataclass(frozen=True)
 class Session:
-    """One sign-in on a device; ``authflow`` drives it through its states."""
+    """One sign-in on a device; ``authflow`` drives it through its states.
+    It holds a captcha only while it awaits the time check, and a picture
+    index, one of the enrolled pictures, only while it awaits that answer."""
 
     session_id: str
     state: SessionState
     activated_at: int
     pending_captcha: CaptchaChallenge | None = None
     pending_image_index: int | None = None
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        state, index = self.state, self.pending_image_index
+        if not isinstance(state, SessionState):
+            raise ValidationError("BAD_SESSION_STATE", repr(state))
+        if (self.pending_captcha is None) is (state is _AWAITS_CAPTCHA):
+            raise ValidationError(
+                "PENDING_CAPTCHA_MISMATCH", f"{state.value} "
+                f"{'with' if self.pending_captcha else 'without'} a captcha")
+        if (index is None) is (state is _AWAITS_PICTURE):
+            raise ValidationError(
+                "PENDING_IMAGE_MISMATCH", f"{state.value} "
+                f"{'without' if index is None else 'with'} a picture index")
+        if index is not None and not 0 <= index < AUTH_IMAGE_COUNT:
+            raise ValidationError("BAD_IMAGE_INDEX", str(index))
 
 
 @dataclass(eq=False, repr=False, slots=True)

@@ -53,9 +53,11 @@ class CloudServer(socketserver.ThreadingTCPServer):
     def __init__(self, cloud, port: int, host: str = "127.0.0.1"):
         self.cloud = cloud
         self.lock = threading.Lock()
-        seed_name = getattr(cloud, "authority_id", None) or cloud.airport
-        self.rng = random.Random(int.from_bytes(
-            hashlib.sha256(f"wire:{seed_name}".encode()).digest()[:8], "big"))
+        # Only an embassy draws (tracking ids); an airport has no rng.
+        self.rng = None
+        if isinstance(cloud, EmbassyCloud):
+            self.rng = random.Random(int.from_bytes(hashlib.sha256(
+                f"wire:{cloud.authority_id}".encode()).digest()[:8], "big"))
         super().__init__((host, port), _Handler)
 
 

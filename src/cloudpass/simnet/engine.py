@@ -1,10 +1,11 @@
 """Scenario execution: a fresh world per run, commands in order.
 
-The engine owns every store (clouds, devices, OTPs, alerts) and the
-only clock. All randomness flows from the scenario seed through one
-substream per actor, so identical (scenario, seed, faults) runs produce
-byte-identical event logs. Single-threaded by design; nothing here may
-spawn concurrency.
+The engine owns every store (clouds, devices, OTPs) and the only
+clock, and reports each police alert a desk transcript names. All
+randomness flows from the scenario seed through one substream per
+actor, so identical (scenario, seed, faults) runs produce byte-identical
+event logs. Single-threaded by design; nothing here may spawn
+concurrency.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class World:
         self.credentials: dict[str, authflow.Credential] = {}
         self.manifest = TravelManifest()
         self.otp_store = authflow.OtpStore()
-        self.alerts: list[immigration.PoliceAlert] = []
         self.log = EventLog()
         self.skip_sync = False
         self._desk_seq: dict[str, int] = {}
@@ -271,18 +271,16 @@ def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
     code = cmd.args["airport"]
     desk = immigration.DeskCheck(checkpoint, code, world.next_desk(code),
                                  world.clock.now)
-    alerts_before = len(world.alerts)
     transcript = immigration.run_check(
         desk, traveler.device, world.airports.get(code), traveler.script,
         world.clock, world.rng.stream(f"check:{traveler.name}"),
-        credentials=world.credentials, otp_store=world.otp_store,
-        alert_sink=world.alerts)
+        credentials=world.credentials, otp_store=world.otp_store)
     emit, name = world.log.emit, traveler.name
     for ts, phase, detail in transcript.events:
         emit(ts, name, _DESK_EVENTS[phase], detail=detail)
-    for alert in world.alerts[alerts_before:]:
-        world.log.emit(alert.raised_at, alert.airport, "police-alert",
-                       device=alert.device_id, reason=alert.reason)
+    if transcript.alert_reason is not None:
+        world.emit(code, "police-alert", device=traveler.device.device_id,
+                   reason=transcript.alert_reason)
     world.emit(traveler.name, "check-outcome", checkpoint=checkpoint.value,
                airport=code, outcome=transcript.outcome.value)
     # The transaction's OTP is spent (or dead with its session); remember

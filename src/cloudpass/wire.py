@@ -33,32 +33,27 @@ MAX_LINE_BYTES = 2 * MAX_IMAGE_BYTES + 4096
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-class _BadRequest(Exception):
-    def __init__(self, code: str):
-        self.code = code
-
-
 def _int(text: str) -> int:
     if _INT_RE.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise _BadRequest("BAD_ARGS")
+    raise CloudPassError("BAD_ARGS")
 
 
 def _hex(text: str) -> bytes:
     try:
         return bytes.fromhex(text)
     except ValueError:
-        raise _BadRequest("BAD_HEX") from None
+        raise CloudPassError("BAD_HEX") from None
 
 
 def _enum(cls, name: str):
     try:
         return cls(name)
     except ValueError:
-        raise _BadRequest("BAD_ARGS") from None
+        raise CloudPassError("BAD_ARGS") from None
 
 
 def _submit(cloud: EmbassyCloud, rng, applicant, kind) -> str:
@@ -94,13 +89,13 @@ def _resolve(cloud: EmbassyCloud, rng, token_hex) -> str:
 def _blob(cloud: EmbassyCloud, rng, content_hash) -> str:
     blob = cloud.blobs.get(content_hash)
     if blob is None:
-        raise _BadRequest("NO_SUCH_BLOB")
+        raise CloudPassError("NO_SUCH_BLOB")
     return f"OK {blob.hex()}"
 
 
 def _replicate(cloud: AirportCloud, rng, visa_id, passport_no,
                image_hash) -> str:
-    cloud.replicated[visa_id] = (passport_no, image_hash)
+    clouds.replicate(cloud, visa_id, passport_no, image_hash)
     return "OK"
 
 
@@ -118,7 +113,7 @@ def _compare(cloud: AirportCloud, rng, visa_id, checkpoint) -> str:
 def _replicated(cloud: AirportCloud, rng, visa_id) -> str:
     entry = cloud.replicated.get(visa_id)
     if entry is None:
-        raise _BadRequest("NOT_REPLICATED")
+        raise CloudPassError("NOT_REPLICATED")
     return f"OK {entry[0]} {entry[1]}"
 
 
@@ -158,13 +153,12 @@ def _handle(ops: dict, cloud, line: str, rng=None) -> str:
         return "ERR BAD_ARGS"
     try:
         return handler(cloud, rng, *parts[1:])
-    except (_BadRequest, CloudPassError) as exc:
+    except CloudPassError as exc:
         return f"ERR {exc.code}"
 
 
 def handle_embassy_line(cloud: EmbassyCloud, line: str,
-                        rng: random.Random | None = None) -> str:
-    rng = rng if rng is not None else random.Random(0)
+                        rng: random.Random) -> str:
     return _handle(_EMBASSY_OPS, cloud, line, rng)
 
 

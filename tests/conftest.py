@@ -36,7 +36,6 @@ class Kit:
     answers: tuple[str, ...]
     credentials: dict[str, authflow.Credential]
     otp_store: authflow.OtpStore = field(default_factory=authflow.OtpStore)
-    alerts: list[immigration.PoliceAlert] = field(default_factory=list)
     visa_id: str = ""
     passport_no: str = ""
     visa_page: int = 3

@@ -43,7 +43,7 @@ def desk_run(k, desk_id, checkpoint=Checkpoint.DEPARTURE, **script_kw):
     desk = DeskCheck(checkpoint, "BLR", desk_id, k.clock.now)
     return run_check(desk, k.device, k.airport, k.script(**script_kw),
                      k.clock, k.rng, credentials=k.credentials,
-                     otp_store=k.otp_store, alert_sink=k.alerts)
+                     otp_store=k.otp_store)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +115,9 @@ def test_c03_lock_and_alert():
         failures.append(f"outcome {transcript.outcome.value}")
     if not k.device.locked:
         failures.append("device not locked")
-    if len(k.alerts) != 1:
-        failures.append(f"{len(k.alerts)} alerts")
+    alerts = [e for e in transcript.events if e.detail.startswith("police-alerted")]
+    if len(alerts) != 1 or transcript.alert_reason is None:
+        failures.append(f"{len(alerts)} alerts, reason {transcript.alert_reason}")
     gate(3, "exhausted auth then tap", failures,
          "LOCK_AND_ALERT, device locked, exactly one police alert")
 

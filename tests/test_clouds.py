@@ -324,6 +324,17 @@ def test_sync_drops_revoked_visa():
     assert "V0000001" not in airport.replicated
 
 
+def test_replicate_stores_row_and_refuses_malformed_hash():
+    airport = AirportCloud("BLR")
+    digest = content_hash(b"pixels")
+    clouds.replicate(airport, "V0000001", "P0000001", digest)
+    assert airport.replicated == {"V0000001": ("P0000001", digest)}
+    with pytest.raises(ValidationError) as err:
+        clouds.replicate(airport, "V0000002", "P0000001", "zz")
+    assert str(err.value) == "BAD_HASH_FORMAT: 'zz'"
+    assert set(airport.replicated) == {"V0000001"}
+
+
 def test_sync_matches_brute_force_oracle():
     rng = random.Random(77)
     airports = ["BLR", "JFK", "LHR", "DXB", "HND"]

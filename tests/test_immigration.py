@@ -20,8 +20,7 @@ def run(k, checkpoint=Checkpoint.DEPARTURE, airport_code="", **script_kw):
     desk = k.desk(checkpoint, airport_code)
     script = k.script(**script_kw)
     return run_check(desk, k.device, k.airport, script, k.clock, k.rng,
-                     credentials=k.credentials, otp_store=k.otp_store,
-                     alert_sink=k.alerts)
+                     credentials=k.credentials, otp_store=k.otp_store)
 
 
 def phases_of(transcript):
@@ -88,7 +87,7 @@ def test_departure_then_arrival_two_desks():
                                    k.clock.now)
     transcript = run_check(second, k.device, k.airport, k.script(), k.clock,
                            k.rng, credentials=k.credentials,
-                           otp_store=k.otp_store, alert_sink=k.alerts)
+                           otp_store=k.otp_store)
     assert transcript.outcome is Outcome.PERMIT
     assert len(k.device.passport.all_stamps()) == 1
 
@@ -109,7 +108,7 @@ def test_tampered_visa_isolates_with_mismatch():
     compare_events = [e for e in transcript.events if e.phase == PHASE_COMPARE]
     assert compare_events and "MISMATCH" in compare_events[0].detail
     assert not k.device.locked
-    assert k.alerts == []
+    assert transcript.alert_reason is None
 
 
 def test_unsynced_airport_isolates_not_found():
@@ -136,10 +135,9 @@ def test_image_failure_until_timeout_locks_and_alerts():
     transcript = run(k, wrong_image_answer=True)
     assert transcript.outcome is Outcome.LOCK_AND_ALERT
     assert k.device.locked
-    assert len(k.alerts) == 1
-    alert = k.alerts[0]
-    assert alert.airport == "BLR"
-    assert alert.device_id == k.device.device_id
+    assert transcript.alert_reason == "AUTH_NOT_COMPLETE"
+    assert [e.detail for e in transcript.events if e.phase == PHASE_NFC][-2:] == [
+        "lock-sent", "police-alerted reason=AUTH_NOT_COMPLETE"]
 
 
 def test_wrong_time_script_locks():
@@ -164,8 +162,7 @@ def test_no_airport_cloud_is_misconfiguration():
     desk = k.desk(Checkpoint.DEPARTURE)
     with pytest.raises(DeskError) as err:
         run_check(desk, k.device, None, k.script(), k.clock, k.rng,
-                  credentials=k.credentials, otp_store=k.otp_store,
-                  alert_sink=k.alerts)
+                  credentials=k.credentials, otp_store=k.otp_store)
     assert err.value.code == "DESK_MISCONFIGURED"
 
 
@@ -173,20 +170,23 @@ def test_no_airport_cloud_is_misconfiguration():
 # transcript validation
 
 
-def _transcript(*entries, outcome=Outcome.PERMIT):
+def _transcript(*entries, outcome=Outcome.PERMIT, alert_reason=None):
     return CheckTranscript(tuple(TranscriptEvent(ts, phase, detail)
                                  for ts, (phase, detail) in enumerate(entries)),
-                           outcome)
+                           outcome, alert_reason)
 
 
 _AUTH = (PHASE_AUTH, "credentials-ok")
 _NFC = (PHASE_NFC, "otp-redeemed")
 _PERMIT = (PHASE_OUTCOME, "PERMIT")
+_LOCKED = (PHASE_OUTCOME, "LOCK_AND_ALERT cause=BAD_TIME")
 
 
 def test_transcript_validate_accepts_protocol_order():
     _transcript(_AUTH, _AUTH, _NFC, (PHASE_COMPARE, "compare MATCH"),
                 _PERMIT).validate()
+    _transcript(_AUTH, _NFC, _LOCKED, outcome=Outcome.LOCK_AND_ALERT,
+                alert_reason="BAD_TIME").validate()
 
 
 @pytest.mark.parametrize("entries,outcome,code", [
@@ -206,6 +206,19 @@ def test_transcript_validate_rejects(entries, outcome, code):
     with pytest.raises(ValidationError) as err:
         _transcript(*entries, outcome=outcome).validate()
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("entry,outcome,alert_reason,text", [
+    (_LOCKED, Outcome.LOCK_AND_ALERT, None,
+     "ALERT_OUTCOME_MISMATCH: LOCK_AND_ALERT alert=None"),
+    (_PERMIT, Outcome.PERMIT, "BAD_TIME",
+     "ALERT_OUTCOME_MISMATCH: PERMIT alert=BAD_TIME"),
+], ids=["lock-without-alert", "alert-without-lock"])
+def test_transcript_alert_reason_only_with_lock(entry, outcome, alert_reason, text):
+    with pytest.raises(ValidationError) as err:
+        _transcript(_AUTH, entry, outcome=outcome,
+                    alert_reason=alert_reason).validate()
+    assert str(err.value) == text
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +267,7 @@ def test_replay_otp_rejected_then_fresh_succeeds():
                                  k.clock.now)
     transcript = run_check(desk, k.device, k.airport,
                            k.script(replay_otp=stale), k.clock, k.rng,
-                           credentials=k.credentials, otp_store=k.otp_store,
-                           alert_sink=k.alerts)
+                           credentials=k.credentials, otp_store=k.otp_store)
     details = " ".join(e.detail for e in transcript.events)
     assert "otp-rejected" in details
     assert transcript.outcome is Outcome.PERMIT

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from cloudpass import model
 from cloudpass.errors import ValidationError
-from cloudpass.model import (DeviceState, IdKind, PageContent, Passport,
-                             PassportPage, PassportStatus, PassportSummary,
-                             StampEntry, StampKind, TrackingId, VisaImage,
+from cloudpass.model import (CaptchaChallenge, DeviceState, IdKind,
+                             PageContent, Passport, PassportPage,
+                             PassportStatus, PassportSummary, Session,
+                             SessionState, StampEntry, StampKind,
+                             TrackingId, VisaImage,
                              VisaPresentation, VisaRecord, VisaStatus,
                              add_stamp, canonical_deserialize,
                              canonical_serialize, content_hash,
@@ -452,6 +454,7 @@ _VISA = VisaRecord("V1", "P1234567", "IN", "US", 0, 10, EMPTY_SHA256,
                    VisaStatus.ISSUED)
 _STAMP = StampEntry(StampKind.ARRIVAL, "JFK", 10)
 _AUTH = model.AuthImage(0, EMPTY_SHA256, EMPTY_SHA256)
+_CAPTCHA = CaptchaChallenge("c-1", "ABCDEF", 0)
 
 
 def _device_with_placed_visa():
@@ -516,6 +519,24 @@ _REFUSALS = [
     ("auth-image-hash", lambda: replace(_AUTH, image_hash=""), "BAD_HASH_FORMAT: ''"),
     ("auth-answer-hash", lambda: replace(_AUTH, answer_hash="x"),
      "BAD_HASH_FORMAT: 'x'"),
+    ("session-state", lambda: Session("s-1", "VISA_VISIBLE", 0),
+     "BAD_SESSION_STATE: 'VISA_VISIBLE'"),
+    ("session-no-captcha", lambda: Session("s-1", SessionState.TIME_AUTH_PENDING, 0),
+     "PENDING_CAPTCHA_MISMATCH: TIME_AUTH_PENDING without a captcha"),
+    ("session-stray-captcha", lambda: Session(
+        "s-1", SessionState.CREDENTIALS_PENDING, 0, pending_captcha=_CAPTCHA),
+     "PENDING_CAPTCHA_MISMATCH: CREDENTIALS_PENDING with a captcha"),
+    ("session-no-index", lambda: Session("s-1", SessionState.IMAGE_AUTH_PENDING, 0),
+     "PENDING_IMAGE_MISMATCH: IMAGE_AUTH_PENDING without a picture index"),
+    ("session-stray-index", lambda: Session(
+        "s-1", SessionState.VISA_VISIBLE, 0, pending_image_index=0),
+     "PENDING_IMAGE_MISMATCH: VISA_VISIBLE with a picture index"),
+    ("session-index-low", lambda: Session(
+        "s-1", SessionState.IMAGE_AUTH_PENDING, 0, pending_image_index=-1),
+     "BAD_IMAGE_INDEX: -1"),
+    ("session-index-high", lambda: Session(
+        "s-1", SessionState.IMAGE_AUTH_PENDING, 0, pending_image_index=10),
+     "BAD_IMAGE_INDEX: 10"),
     ("device-id", lambda: DeviceState("", 0, _images()), "EMPTY_DEVICE_ID"),
     ("device-offset", lambda: DeviceState("d1", -1441, _images()),
      "BAD_CLOCK_OFFSET: -1441"),
@@ -542,6 +563,24 @@ def test_record_refusal_text(build, text):
         build()
     assert str(err.value) == text
     assert err.value.code == text.split(":", 1)[0]
+
+
+@pytest.mark.parametrize("state,captcha,index,code", [
+    (SessionState.IMAGE_AUTH_PENDING, None, -1, "BAD_IMAGE_INDEX"),
+    (SessionState.IMAGE_AUTH_PENDING, None, 99, "BAD_IMAGE_INDEX"),
+    (SessionState.TIME_AUTH_PENDING, None, None, "PENDING_CAPTCHA_MISMATCH"),
+], ids=["index-minus-one", "index-99", "time-auth-without-captcha"])
+def test_device_decode_refuses_session_it_cannot_drive(state, captcha, index, code):
+    """A session decoded inside its device meets the same checks as one
+    built in code: no picture index outside the enrolled ten, and no time
+    check without its captcha."""
+    device = DeviceState("d1", 0, _images())
+    device.session = _unchecked(Session, session_id="s-1", state=state,
+                                activated_at=0, pending_captcha=captcha,
+                                pending_image_index=index)
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(canonical_serialize(device))
+    assert err.value.code == code
 
 
 def _visa_not_downloaded(device):

@@ -1,0 +1,63 @@
+"""One writer per store, checked on the source rather than on a run: a
+second writer is found even where no scenario reaches it."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cloudpass"
+
+# Methods of a dict that store into it.
+_STORING_METHODS = {"update", "setdefault"}
+
+
+def _is_attr(node, attr: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == attr
+
+
+def _stores(attr: str, root: Path = SRC) -> set[tuple[str, str]]:
+    """Every place under ``root`` that stores into ``<anything>.<attr>``,
+    as ``(module path, enclosing qualified name)``: binding the attribute,
+    or setting or updating one of its items. Removing an item is not a
+    store."""
+    sites = set()
+
+    def walk(node, module: str, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        stored = (
+            (_is_attr(node, attr) and isinstance(node.ctx, ast.Store))
+            or (isinstance(node, ast.Subscript) and _is_attr(node.value, attr)
+                and isinstance(node.ctx, ast.Store))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _STORING_METHODS
+                and _is_attr(node.func.value, attr)))
+        if stored:
+            sites.add((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            walk(child, module, scope)
+
+    for path in sorted(root.rglob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8"), str(path)),
+             path.relative_to(root).as_posix(), ())
+    return sites
+
+
+def test_only_the_device_half_of_nfc_locks_a_device():
+    assert _stores("locked") == {("nfc.py", "answer")}
+
+
+def test_only_clouds_replicate_writes_a_replica_row():
+    assert _stores("replicated") == {("clouds.py", "AirportCloud.__init__"),
+                                     ("clouds.py", "replicate")}
+
+
+def test_store_finder_sees_each_form_of_store(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(x): x.box = 1\n"
+        "def b(x): x.box[1] = 2\n"
+        "def c(x): x.box.setdefault(1, 2)\n"
+        "class K:\n"
+        "    def d(self): self.box += 1\n"
+        "def e(x): del x.box[1]; return x.box[2], x.box.pop(3)\n")
+    assert _stores("box", tmp_path) == {("m.py", "a"), ("m.py", "b"),
+                                        ("m.py", "c"), ("m.py", "K.d")}

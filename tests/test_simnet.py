@@ -3,9 +3,11 @@
 import ast
 import io
 import json
+import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind,
                               render_iso, run)
 from cloudpass.simnet.cli import main as cli_main
 from cloudpass.simnet.clock import CLOCK_MAX
+from cloudpass.simnet.engine import _HANDLERS
 from cloudpass.simnet.scenario import _FAULTS, _TOKEN_RE, _VALIDATORS, _column
 
 from test_golden import _cases as golden_cases
@@ -554,7 +557,10 @@ def test_fault_wrong_time_locks_and_alerts():
     assert counts["PERMIT"] == 0
     assert world.traveler("alice").device.locked
     alerts = [e for e in events if e.event == "police-alert"]
-    assert len(alerts) == len(world.alerts) == counts["LOCK_AND_ALERT"]
+    assert len(alerts) == counts["LOCK_AND_ALERT"]
+    assert [(e.actor, e.details["device"], e.details["reason"])
+            for e in alerts] == [("BLR", "alice-phone", "AUTH_NOT_COMPLETE"),
+                                 ("JFK", "alice-phone", "DEVICE_LOCKED")]
 
 
 def test_fault_wrong_image_locks_with_single_alert_per_check():
@@ -574,6 +580,49 @@ def test_fault_replay_otp_rejected_then_permits():
     assert counts["PERMIT"] == 2
     joined = " ".join(e.details.get("detail", "") for e in events)
     assert "otp-rejected" in joined
+
+
+def test_stale_otp_of_this_check_locks_over_nfc():
+    """A replayed code equal to the OTP the check is about to issue spends
+    it, so the real redemption fails before any channel is open. The desk
+    opens one to send the lock, and the police alert is reported once."""
+    scenario = load_scenario(HAPPY, seed=42)
+    depart = next(i for i, c in enumerate(scenario.commands) if c.verb == "depart")
+    world, events = run(replace(scenario, commands=scenario.commands[:depart]))
+    before = len(events)
+    upcoming = random.Random()
+    upcoming.setstate(world.rng.stream("check:alice").getstate())
+    world.traveler("alice").script.replay_otp = \
+        f"{upcoming.randrange(10 ** authflow.OTP_DIGITS):06d}"
+    _HANDLERS["depart"](world, scenario.commands[depart])
+
+    t = 86400
+    desk = [
+        (t, "desk-auth", "otp-issued transaction=BLR-D1@86400"),
+        (t, "desk-auth", "session-opened id=s-126badaf"),
+        (t + 15, "desk-auth", "time-auth-ok submitted=05:30"),
+        (t + 30, "desk-auth", "credentials-ok"),
+        (t + 45, "desk-auth", "image-prompted index=9"),
+        (t + 60, "desk-auth", "image-auth-ok"),
+        (t + 60, "desk-nfc", "otp-redeemed stale"),
+        (t + 60, "desk-nfc", "nfc-failed OTP_ALREADY_USED"),
+        (t + 60, "desk-nfc", "channel-open distance=5.0"),
+        (t + 60, "desk-nfc", "lock-sent"),
+        (t + 60, "desk-nfc", "police-alerted reason=OTP_ALREADY_USED"),
+        (t + 60, "desk-outcome", "LOCK_AND_ALERT cause=OTP_ALREADY_USED"),
+    ]
+    expected = [ScenarioEvent(before + i, ts, "alice", event, {"detail": detail})
+                for i, (ts, event, detail) in enumerate(desk)] + [
+        ScenarioEvent(before + 12, t + 60, "BLR", "police-alert",
+                      {"device": "alice-phone", "reason": "OTP_ALREADY_USED"}),
+        ScenarioEvent(before + 13, t + 60, "alice", "check-outcome",
+                      {"checkpoint": "DEPARTURE", "airport": "BLR",
+                       "outcome": "LOCK_AND_ALERT"}),
+    ]
+    assert ([event_line(e) for e in world.events[before:]]
+            == [event_line(e) for e in expected])
+    assert world.traveler("alice").device.locked
+    assert [e.event for e in world.events].count("police-alert") == 1
 
 
 def test_fault_oversleep_expires_then_recovers():

@@ -235,8 +235,18 @@ def test_airport_compare_unreplicated(airport):
 
 
 def test_airport_compare_without_desk_copy(airport):
-    ask(airport, "REPLICATE V1 P1 cafe")
+    assert ask(airport, f"REPLICATE V1 P1 {content_hash(b'x')}") == "OK"
     assert ask(airport, "COMPARE V1 DEPARTURE") == "ERR NO_DESK_COPY"
+
+
+@pytest.mark.parametrize("image_hash", [
+    "zz", "cafe", content_hash(b"x").upper(), content_hash(b"x")[:-1],
+    content_hash(b"x") + "0"],
+    ids=["not-hex", "short", "upper-case", "63-digits", "65-digits"])
+def test_airport_replicate_refuses_malformed_hash(airport, image_hash):
+    """A replica row holds a SHA-256 in 64 lowercase hex digits, or no row."""
+    assert ask(airport, f"REPLICATE V1 P1 {image_hash}") == "ERR BAD_HASH_FORMAT"
+    assert ask(airport, "REPLICATED V1") == "ERR NOT_REPLICATED"
 
 
 def test_airport_bad_checkpoint(airport):
@@ -268,6 +278,26 @@ def test_server_round_trip():
             fp.write("\n")
             fp.flush()
             assert fp.readline().strip() == "ERR EMPTY_LINE"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_airport_server_round_trip_without_rng():
+    """Only an embassy draws from an rng, so an airport server has none."""
+    server = CloudServer(AirportCloud("BLR"), port=0)
+    assert server.rng is None
+    host, port = server.server_address
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection((host, port), timeout=5) as conn:
+            fp = conn.makefile("rw", encoding="utf-8", newline="\n")
+            digest = content_hash(b"pixels")
+            fp.write(f"REPLICATE V1 P1 {digest}\nREPLICATED V1\nREPLICATE V2 P1 zz\n")
+            fp.flush()
+            assert [fp.readline().strip() for _ in range(3)] == [
+                "OK", f"OK P1 {digest}", "ERR BAD_HASH_FORMAT"]
     finally:
         server.shutdown()
         server.server_close()
