@@ -66,6 +66,16 @@ _TIME_RE = re.compile(r"([01][0-9]|2[0-3]):([0-5][0-9])")
 _MINUTES_PER_DAY = 1440
 _TIME_TOLERANCE_MIN = 1
 
+# Every auth step reads the session states; a module global is cheaper to
+# read than an enum member.
+_TIME_AUTH_PENDING = SessionState.TIME_AUTH_PENDING
+_CREDENTIALS_PENDING = SessionState.CREDENTIALS_PENDING
+_PASSPORT_VISIBLE = SessionState.PASSPORT_VISIBLE
+_IMAGE_AUTH_PENDING = SessionState.IMAGE_AUTH_PENDING
+_VISA_VISIBLE = SessionState.VISA_VISIBLE
+_EXPIRED = SessionState.EXPIRED
+_TERMINATED = SessionState.TERMINATED
+
 
 @dataclass(frozen=True)
 class Credential:
@@ -130,14 +140,14 @@ def open_session(device: DeviceState, now: int, rng) -> Session:
         raise AuthError("NO_PASSPORT_INSTALLED")
     previous = device.session
     if previous is not None:
-        device.session = Session(previous.session_id, SessionState.TERMINATED,
+        device.session = Session(previous.session_id, _TERMINATED,
                                  previous.activated_at)
     session_id = f"s-{rng.getrandbits(32):08x}"
     captcha = CaptchaChallenge(
         f"c-{rng.getrandbits(32):08x}",
         "".join(rng.choice(CAPTCHA_ALPHABET) for _ in range(CAPTCHA_LENGTH)),
         now)
-    session = Session(session_id, SessionState.TIME_AUTH_PENDING,
+    session = Session(session_id, _TIME_AUTH_PENDING,
                       activated_at=now, pending_captcha=captcha)
     device.session = session
     return session
@@ -145,10 +155,11 @@ def open_session(device: DeviceState, now: int, rng) -> Session:
 
 def check_timeout(session: Session, now: int) -> Session:
     """Expire a live session past its wall. EXPIRED and TERMINATED absorb."""
-    if session.state in (SessionState.EXPIRED, SessionState.TERMINATED):
+    state = session.state
+    if state is _EXPIRED or state is _TERMINATED:
         return session
     if now >= session.activated_at + SESSION_TTL_S:
-        return Session(session.session_id, SessionState.EXPIRED,
+        return Session(session.session_id, _EXPIRED,
                        session.activated_at)
     return session
 
@@ -156,15 +167,17 @@ def check_timeout(session: Session, now: int) -> Session:
 def _gate(device: DeviceState, expected: SessionState, now: int) -> Session:
     """Expiry first, then the state precondition. Failure raises; the
     refreshed snapshot is stored on the device either way."""
-    if device.session is None:
+    session = device.session
+    if session is None:
         raise AuthError("WRONG_STATE", f"expected {expected.value}, got no session")
-    session = check_timeout(device.session, now)
+    session = check_timeout(session, now)
     device.session = session
-    if session.state is SessionState.EXPIRED:
+    state = session.state
+    if state is _EXPIRED:
         raise AuthError("SESSION_EXPIRED")
-    if session.state is not expected:
+    if state is not expected:
         raise AuthError("WRONG_STATE",
-                        f"expected {expected.value}, got {session.state.value}")
+                        f"expected {expected.value}, got {state.value}")
     return session
 
 
@@ -172,7 +185,7 @@ def verify_time_auth(device: DeviceState, submitted_time: str,
                      captcha_answer: str, now: int) -> Session:
     """Level 1 step one: captcha text exactly, device-displayed time within
     one minute (24h clock, wrapping at midnight)."""
-    session = _gate(device, SessionState.TIME_AUTH_PENDING, now)
+    session = _gate(device, _TIME_AUTH_PENDING, now)
     if captcha_answer != session.pending_captcha.text:
         raise AuthError("BAD_CAPTCHA")
     match = _TIME_RE.fullmatch(submitted_time)
@@ -183,7 +196,7 @@ def verify_time_auth(device: DeviceState, submitted_time: str,
     drift = abs(submitted - shown)
     if min(drift, _MINUTES_PER_DAY - drift) > _TIME_TOLERANCE_MIN:
         raise AuthError("BAD_TIME", f"device shows {device.displayed_time(now)}")
-    session = Session(session.session_id, SessionState.CREDENTIALS_PENDING,
+    session = Session(session.session_id, _CREDENTIALS_PENDING,
                       session.activated_at)
     device.session = session
     return session
@@ -192,11 +205,11 @@ def verify_time_auth(device: DeviceState, submitted_time: str,
 def verify_credentials(device: DeviceState, username: str, password: str,
                        enrolled: Mapping[str, Credential], now: int) -> Session:
     """Level 1 step two: salted password check against the enrolled record."""
-    session = _gate(device, SessionState.CREDENTIALS_PENDING, now)
+    session = _gate(device, _CREDENTIALS_PENDING, now)
     credential = enrolled.get(username)
     if credential is None or not _password_matches(credential, password):
         raise AuthError("BAD_CREDENTIALS")
-    session = Session(session.session_id, SessionState.PASSPORT_VISIBLE,
+    session = Session(session.session_id, _PASSPORT_VISIBLE,
                       session.activated_at)
     device.session = session
     return session
@@ -204,9 +217,9 @@ def verify_credentials(device: DeviceState, username: str, password: str,
 
 def begin_image_auth(device: DeviceState, rng, now: int) -> tuple[Session, int]:
     """Level 2: pick one of the ten enrolled pictures uniformly."""
-    session = _gate(device, SessionState.PASSPORT_VISIBLE, now)
+    session = _gate(device, _PASSPORT_VISIBLE, now)
     index = rng.randrange(AUTH_IMAGE_COUNT)
-    session = Session(session.session_id, SessionState.IMAGE_AUTH_PENDING,
+    session = Session(session.session_id, _IMAGE_AUTH_PENDING,
                       session.activated_at, pending_image_index=index)
     device.session = session
     return session, index
@@ -214,11 +227,11 @@ def begin_image_auth(device: DeviceState, rng, now: int) -> tuple[Session, int]:
 
 def verify_image_answer(device: DeviceState, answer: str, now: int) -> Session:
     """Compare the normalized answer hash for the prompted picture."""
-    session = _gate(device, SessionState.IMAGE_AUTH_PENDING, now)
+    session = _gate(device, _IMAGE_AUTH_PENDING, now)
     expected = device.auth_images[session.pending_image_index]
     if _hash_answer(answer) != expected.answer_hash:
         raise AuthError("BAD_ANSWER")
-    session = Session(session.session_id, SessionState.VISA_VISIBLE,
+    session = Session(session.session_id, _VISA_VISIBLE,
                       session.activated_at)
     device.session = session
     return session

@@ -53,6 +53,22 @@ PHASE_OUTCOME = "outcome"
 PHASES = (PHASE_AUTH, PHASE_NFC, PHASE_DESK_COPY, PHASE_COMPARE, PHASE_STAMP,
           PHASE_OUTCOME)
 
+# Each phase's place in PHASES, looked up once per transcript line.
+_PHASE_INDEX = {phase: index for index, phase in enumerate(PHASES)}
+
+# The session states the auth loop compares on every step; a module
+# global is cheaper to read than an enum member.
+_TIME_AUTH_PENDING = SessionState.TIME_AUTH_PENDING
+_CREDENTIALS_PENDING = SessionState.CREDENTIALS_PENDING
+_PASSPORT_VISIBLE = SessionState.PASSPORT_VISIBLE
+_VISA_VISIBLE = SessionState.VISA_VISIBLE
+_EXPIRED = SessionState.EXPIRED
+_TERMINATED = SessionState.TERMINATED
+
+# Builds a record from its field tuple, as the NamedTuple's own __new__
+# does, without that Python-level call.
+_new_record = tuple.__new__
+
 # Virtual seconds the agent spends on each auth action.
 _STEP_S = 15
 # How far from the reader the traveler holds the device, inside NFC range.
@@ -96,7 +112,10 @@ class CheckTranscript:
     alert_reason: str | None = None
 
     def validate(self) -> None:
-        order = [PHASES.index(e.phase) for e in self.events]
+        try:
+            order = [_PHASE_INDEX[e.phase] for e in self.events]
+        except KeyError as exc:
+            raise ValidationError("UNKNOWN_PHASE", exc.args[0]) from None
         if order != sorted(order):
             raise ValidationError("PHASES_OUT_OF_ORDER", str(order))
         finals = [e for e in self.events if e.phase == PHASE_OUTCOME]
@@ -152,9 +171,9 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
     while True:
         session = device.session
         state = session.state
-        if state is SessionState.VISA_VISIBLE or state is SessionState.TERMINATED:
+        if state is _VISA_VISIBLE or state is _TERMINATED:
             return
-        if state is SessionState.EXPIRED:
+        if state is _EXPIRED:
             if reopened:    # the agent reopens an expired session once
                 return
             reopened = True
@@ -167,19 +186,19 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
             continue
         clock.advance(_STEP_S)
         try:
-            if state is SessionState.TIME_AUTH_PENDING:
+            if state is _TIME_AUTH_PENDING:
                 submitted = (_utc_time(clock.now) if script.submit_utc_time
                              else device.displayed_time(clock.now))
                 authflow.verify_time_auth(device, submitted,
                                           session.pending_captcha.text,
                                           clock.now)
                 log(PHASE_AUTH, f"time-auth-ok submitted={submitted}")
-            elif state is SessionState.CREDENTIALS_PENDING:
+            elif state is _CREDENTIALS_PENDING:
                 authflow.verify_credentials(device, script.username,
                                             script.password, credentials,
                                             clock.now)
                 log(PHASE_AUTH, "credentials-ok")
-            elif state is SessionState.PASSPORT_VISIBLE:
+            elif state is _PASSPORT_VISIBLE:
                 _, index = authflow.begin_image_auth(device, rng, clock.now)
                 log(PHASE_AUTH, f"image-prompted index={index}")
             else:  # IMAGE_AUTH_PENDING
@@ -205,7 +224,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
     events: list[TranscriptEvent] = []
 
     def log(phase: str, detail: str) -> None:
-        events.append(TranscriptEvent(clock.now, phase, detail))
+        events.append(_new_record(TranscriptEvent, (clock.now, phase, detail)))
 
     def finish(outcome: Outcome, context: str = "",
                alert_reason: str | None = None) -> CheckTranscript:

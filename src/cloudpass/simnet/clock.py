@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import date, datetime, timezone
+from functools import lru_cache
 
 from ..errors import ValidationError
 
@@ -36,10 +37,21 @@ class VirtualClock:
         return self.now
 
 
+# "00" to "59": the two digits of an hour, a minute or a second.
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
+
+
+@lru_cache(maxsize=1024)
+def _iso_date(days: int) -> str:
+    """The calendar date ``days`` after the epoch; a run's reports name
+    few distinct days, so each is formatted once."""
+    return date.fromordinal(EPOCH_ORDINAL + days).isoformat()
+
+
 def render_iso(ts: int) -> str:
     """ISO-8601 rendering, used only at the report boundary."""
     days, seconds = divmod(ts, 86400)
     hours, seconds = divmod(seconds, 3600)
     minutes, seconds = divmod(seconds, 60)
-    return (f"{date.fromordinal(EPOCH_ORDINAL + days).isoformat()}"
-            f"T{hours:02d}:{minutes:02d}:{seconds:02d}Z")
+    two = _TWO_DIGITS
+    return f"{_iso_date(days)}T{two[hours]}:{two[minutes]}:{two[seconds]}Z"

@@ -31,13 +31,19 @@ class ScenarioEvent(NamedTuple):
     details: dict
 
 
+# Builds a record from its field tuple, as the NamedTuple's own __new__
+# does, without that Python-level call.
+_new_record = tuple.__new__
+
+
 class EventLog:
     def __init__(self):
         self.events: list[ScenarioEvent] = []
 
     def emit(self, ts: int, actor: str, event: str, **details) -> ScenarioEvent:
-        ev = ScenarioEvent(len(self.events), ts, actor, event, details)
-        self.events.append(ev)
+        events = self.events
+        ev = _new_record(ScenarioEvent, (len(events), ts, actor, event, details))
+        events.append(ev)
         return ev
 
 

@@ -200,8 +200,10 @@ def test_transcript_validate_accepts_protocol_order():
     ((_AUTH, _PERMIT), Outcome.ISOLATE, "OUTCOME_DETAIL_MISMATCH"),
     ((_AUTH, (PHASE_OUTCOME, "ISOLATE compare=NOT_FOUND")), Outcome.PERMIT,
      "OUTCOME_DETAIL_MISMATCH"),
+    ((("bogus", "x"), _PERMIT), Outcome.PERMIT, "UNKNOWN_PHASE"),
 ], ids=["out-of-order", "outcome-not-last", "empty", "no-outcome",
-        "two-outcomes", "detail-names-other", "detail-names-isolate"])
+        "two-outcomes", "detail-names-other", "detail-names-isolate",
+        "unknown-phase"])
 def test_transcript_validate_rejects(entries, outcome, code):
     with pytest.raises(ValidationError) as err:
         _transcript(*entries, outcome=outcome).validate()

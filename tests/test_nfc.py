@@ -63,6 +63,27 @@ def test_frame_length_mismatch_rejected():
     assert err.value.code == "BAD_FRAME_LENGTH"
 
 
+def test_frame_every_tag_byte():
+    # answer and the reader's _exchange compare frame types with ``is``,
+    # so a known tag must decode to the member itself; the enum call is
+    # the reference for which bytes are known.
+    known = 0
+    for tag in range(256):
+        raw = bytes([tag]) + b"\x00\x00\x00\x00"
+        try:
+            member = FrameType(tag)
+        except ValueError:
+            with pytest.raises(NfcError) as err:
+                decode_frame(raw)
+            assert str(err.value) == f"UNKNOWN_FRAME_TYPE: {tag:#x}"
+            continue
+        known += 1
+        frame_type, body = decode_frame(raw)
+        assert frame_type is member
+        assert body == b""
+    assert known == len(FrameType) == 6
+
+
 @given(st.sampled_from(list(FrameType)), st.binary(max_size=200))
 def test_frame_round_trip_property(frame_type, body):
     assert decode_frame(encode_frame(frame_type, body)) == (frame_type, body)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cloudpass import authflow
+from cloudpass import authflow, immigration
 from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
 from cloudpass.immigration import PHASE_AUTH, TranscriptEvent
@@ -528,6 +528,33 @@ def test_every_event_enters_through_emit(monkeypatch, scenario, seed, fault):
     assert len(calls) == len(world.events) == len(events)
     assert calls == [e.event for e in events]
     assert [e.seq for e in events] == list(range(len(events)))
+
+
+@pytest.mark.parametrize("scenario,seed,fault",
+                         [case for case in golden_cases() if case[1] == 1])
+def test_every_record_is_its_named_tuple(monkeypatch, scenario, seed, fault):
+    # Records are built without the NamedTuple's __new__; they must still
+    # be instances of that very class and read back by field name.
+    transcripts = []
+    original = immigration.run_check
+
+    def recording_run_check(*args, **kwargs):
+        transcript = original(*args, **kwargs)
+        transcripts.append(transcript)
+        return transcript
+
+    monkeypatch.setattr(immigration, "run_check", recording_run_check)
+    text = (SCENARIOS / scenario).read_text()
+    faults = (parse_fault(fault),) if fault else ()
+    world, _ = run(load_scenario(text, seed), faults)
+    assert world.events and transcripts
+    for e in world.events:
+        assert type(e) is ScenarioEvent
+        assert (e.seq, e.ts, e.actor, e.event, e.details) == tuple(e)
+    for transcript in transcripts:
+        for line in transcript.events:
+            assert type(line) is TranscriptEvent
+            assert (line.ts, line.phase, line.detail) == tuple(line)
 
 
 def test_fault_tamper_isolates():
