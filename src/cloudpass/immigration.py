@@ -11,11 +11,16 @@ the whole protocol runs again.
 Outcome mapping: exhausted or timed-out authentication and any failure
 at the NFC layer mean the traveler could not legitimately present the
 visa, so the desk sends the device a lock command over NFC, opening a
-channel first if none is open, and the transcript names the reason for
-the police alert; the engine reports that alert. A comparison
+channel first if none is open, and the police are alerted. A comparison
 discrepancy (MISMATCH or a visa the airport never received) isolates
 the traveler for manual handling instead. Only a byte-exact match
 permits travel.
+
+Every outcome but PERMIT has one cause, ``(phase, code)``: the phase
+that decided and its code, such as ``("nfc", "HASH_MISMATCH")`` or
+``("compare", "NOT_FOUND")``. The transcript holds it as data, and the
+outcome line and the police-alert line are rendered from it in one
+place; the engine reports the alert from the same cause.
 """
 
 from __future__ import annotations
@@ -81,6 +86,14 @@ class Outcome(Enum):
     LOCK_AND_ALERT = "LOCK_AND_ALERT"
 
 
+# What decided an outcome: the phase and that phase's code.
+Cause = tuple[str, str]
+
+# Each outcome's transcript line, formatted with the fields of its cause.
+_OUTCOME_LINES = {Outcome.PERMIT: "PERMIT", Outcome.ISOLATE: "ISOLATE {0}={1}",
+                  Outcome.LOCK_AND_ALERT: "LOCK_AND_ALERT cause={1}"}
+
+
 @dataclass(frozen=True)
 class DeskCheck:
     """One desk at one airport, open for a departure or arrival check."""
@@ -104,12 +117,13 @@ class TranscriptEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class CheckTranscript:
-    """What happened at the desk, phase by phase, and the outcome. A
-    LOCK_AND_ALERT check, and only one, names why the police are alerted."""
+    """What happened at the desk, phase by phase, the outcome, and its
+    cause ``(phase, code)``. A PERMIT has no cause and every other outcome
+    has one; the outcome line is the rendering of the two."""
 
     events: tuple[TranscriptEvent, ...]
     outcome: Outcome
-    alert_reason: str | None = None
+    cause: Cause | None = None
 
     def validate(self) -> None:
         try:
@@ -118,16 +132,19 @@ class CheckTranscript:
             raise ValidationError("UNKNOWN_PHASE", exc.args[0]) from None
         if order != sorted(order):
             raise ValidationError("PHASES_OUT_OF_ORDER", str(order))
-        finals = [e for e in self.events if e.phase == PHASE_OUTCOME]
+        finals = [e.detail for e in self.events if e.phase == PHASE_OUTCOME]
         if len(finals) != 1:
             raise ValidationError("BAD_OUTCOME_EVENT",
                                   f"{len(finals)} outcome events")
-        if not finals[0].detail.startswith(self.outcome.value):
-            raise ValidationError("OUTCOME_DETAIL_MISMATCH", finals[0].detail)
-        locked = self.outcome is Outcome.LOCK_AND_ALERT
-        if (self.alert_reason is not None) != locked:
-            raise ValidationError("ALERT_OUTCOME_MISMATCH",
-                                  f"{self.outcome.value} alert={self.alert_reason}")
+        # A line that names another outcome is refused before the cause
+        # is read.
+        if not finals[0].startswith(self.outcome.value):
+            raise ValidationError("OUTCOME_DETAIL_MISMATCH", finals[0])
+        if (self.cause is None) != (self.outcome is Outcome.PERMIT):
+            raise ValidationError("CAUSE_OUTCOME_MISMATCH",
+                                  f"{self.outcome.value} with cause {self.cause}")
+        if finals[0] != _OUTCOME_LINES[self.outcome].format(*self.cause or ()):
+            raise ValidationError("OUTCOME_DETAIL_MISMATCH", finals[0])
 
 
 @dataclass
@@ -226,14 +243,15 @@ def run_check(desk: DeskCheck, device: DeviceState,
     def log(phase: str, detail: str) -> None:
         events.append(_new_record(TranscriptEvent, (clock.now, phase, detail)))
 
-    def finish(outcome: Outcome, context: str = "",
-               alert_reason: str | None = None) -> CheckTranscript:
-        log(PHASE_OUTCOME, f"{outcome.value}{context}")
-        transcript = CheckTranscript(tuple(events), outcome, alert_reason)
+    def finish(outcome: Outcome, cause: Cause | None = None) -> CheckTranscript:
+        if outcome is Outcome.LOCK_AND_ALERT:
+            log(PHASE_NFC, f"police-alerted reason={cause[1]}")
+        log(PHASE_OUTCOME, _OUTCOME_LINES[outcome].format(*cause or ()))
+        transcript = CheckTranscript(tuple(events), outcome, cause)
         transcript.validate()
         return transcript
 
-    def lock_and_alert(channel: NfcChannel | None, reason: str) -> CheckTranscript:
+    def lock_and_alert(channel: NfcChannel | None, cause: Cause) -> CheckTranscript:
         try:
             if channel is None:
                 channel = establish(device, _TAP_DISTANCE_CM)
@@ -245,8 +263,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
         else:
             send_lock(channel)
             log(PHASE_NFC, "lock-sent")
-        log(PHASE_NFC, f"police-alerted reason={reason}")
-        return finish(Outcome.LOCK_AND_ALERT, f" cause={reason}", reason)
+        return finish(Outcome.LOCK_AND_ALERT, cause)
 
     transaction_id = desk.transaction_id
 
@@ -272,7 +289,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
         log(PHASE_NFC, f"tap-check passport={summary.passport_no} visa={visa_id}")
     except (AuthError, NfcError, ValidationError) as exc:
         log(PHASE_NFC, f"nfc-failed {exc.code}")
-        return lock_and_alert(channel, exc.code)
+        return lock_and_alert(channel, (PHASE_NFC, exc.code))
 
     # Phase 3: hand the airport cloud what the desk saw.
     digest = receive_desk_copy(airport_cloud, visa_id, image_bytes,
@@ -285,7 +302,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
 
     # Phase 5: outcome, stamping arrivals first.
     if result is not CompareResult.MATCH:
-        return finish(Outcome.ISOLATE, f" compare={result.value}")
+        return finish(Outcome.ISOLATE, (PHASE_COMPARE, result.value))
     if desk.checkpoint is Checkpoint.ARRIVAL:
         stamp = StampEntry(StampKind.ARRIVAL, desk.airport, clock.now)
         tap_stamp(channel, stamp)

@@ -69,6 +69,10 @@ _TRACKING_RE = re.compile(r"[A-Z0-9]{12}")
 _COUNTRY_RE = re.compile(r"[A-Z]{2,3}")
 _AIRPORT_RE = re.compile(r"[A-Z]{3}")
 _HEX64_RE = re.compile(r"[0-9a-f]{64}")
+# Integers as the scenario grammar and the wire write them: no "_"
+# separators and no digits outside ASCII, both of which int() accepts.
+_INT_RE = re.compile(r"[0-9]+")
+_SIGNED_RE = re.compile(r"[+-]?[0-9]+")
 
 # Integers travel as i64 in the canonical encoding; dates must fit one
 # when issued, so no later encoding of the document can fail.

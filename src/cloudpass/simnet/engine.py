@@ -1,7 +1,7 @@
 """Scenario execution: a fresh world per run, commands in order.
 
 The engine owns every store (clouds, devices, OTPs) and the only
-clock, and reports each police alert a desk transcript names. All
+clock, and reports a police alert for each LOCK_AND_ALERT desk check. All
 randomness flows from the scenario seed through one substream per
 actor, so identical (scenario, seed, faults) runs produce byte-identical
 event logs. Single-threaded by design; nothing here may spawn
@@ -278,9 +278,9 @@ def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
     emit, name = world.log.emit, traveler.name
     for ts, phase, detail in transcript.events:
         emit(ts, name, _DESK_EVENTS[phase], detail=detail)
-    if transcript.alert_reason is not None:
+    if transcript.outcome is immigration.Outcome.LOCK_AND_ALERT:
         world.emit(code, "police-alert", device=traveler.device.device_id,
-                   reason=transcript.alert_reason)
+                   reason=transcript.cause[1])
     world.emit(traveler.name, "check-outcome", checkpoint=checkpoint.value,
                airport=code, outcome=transcript.outcome.value)
     # The transaction's OTP is spent (or dead with its session); remember

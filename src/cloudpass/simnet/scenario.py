@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ScenarioParseError
-from ..model import (_AIRPORT_RE, _COUNTRY_RE, I64_MAX, I64_MIN,
-                     MAX_IMAGE_BYTES)
+from ..model import (_AIRPORT_RE, _COUNTRY_RE, _INT_RE, _SIGNED_RE, I64_MAX,
+                     I64_MIN, MAX_IMAGE_BYTES)
 
 __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "load_scenario",
            "parse_duration", "parse_fault"]
@@ -35,8 +35,6 @@ _TOKEN_RE = re.compile(r"\S+")
 _KEY_VALUE_RE = re.compile(r"([a-z][a-z0-9-]*)=(.*)")
 _DURATION_RE = re.compile(r"([0-9]+)(s|m|h|d)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
-_INT_RE = re.compile(r"[0-9]+")
-_SIGNED_RE = re.compile(r"[+-]?[0-9]+")
 
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, None: 1}
 

@@ -12,12 +12,11 @@ which only ``cloudpass serve`` imports.
 from __future__ import annotations
 
 import random
-import re
 
 from . import clouds
 from .clouds import AirportCloud, Checkpoint, EmbassyCloud
 from .errors import CloudPassError
-from .model import MAX_IMAGE_BYTES, IdKind
+from .model import _SIGNED_RE, MAX_IMAGE_BYTES, IdKind
 from .qrlink import resolve_link_token, token_from_wire, token_wire
 
 __all__ = ["MAX_LINE_BYTES", "handle_embassy_line", "handle_airport_line"]
@@ -28,13 +27,9 @@ __all__ = ["MAX_LINE_BYTES", "handle_embassy_line", "handle_airport_line"]
 # separators and a CRLF terminator.
 MAX_LINE_BYTES = 2 * MAX_IMAGE_BYTES + 4096
 
-# Integer arguments, as in the scenario grammar: no "_" separators and no
-# digits outside ASCII, both of which int() would accept.
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-
 
 def _int(text: str) -> int:
-    if _INT_RE.fullmatch(text):
+    if _SIGNED_RE.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # more digits than int() converts

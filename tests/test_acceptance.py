@@ -116,8 +116,8 @@ def test_c03_lock_and_alert():
     if not k.device.locked:
         failures.append("device not locked")
     alerts = [e for e in transcript.events if e.detail.startswith("police-alerted")]
-    if len(alerts) != 1 or transcript.alert_reason is None:
-        failures.append(f"{len(alerts)} alerts, reason {transcript.alert_reason}")
+    if len(alerts) != 1 or transcript.cause is None:
+        failures.append(f"{len(alerts)} alerts, cause {transcript.cause}")
     gate(3, "exhausted auth then tap", failures,
          "LOCK_AND_ALERT, device locked, exactly one police alert")
 

@@ -108,7 +108,7 @@ def test_tampered_visa_isolates_with_mismatch():
     compare_events = [e for e in transcript.events if e.phase == PHASE_COMPARE]
     assert compare_events and "MISMATCH" in compare_events[0].detail
     assert not k.device.locked
-    assert transcript.alert_reason is None
+    assert transcript.cause == (PHASE_COMPARE, "MISMATCH")
 
 
 def test_unsynced_airport_isolates_not_found():
@@ -135,7 +135,7 @@ def test_image_failure_until_timeout_locks_and_alerts():
     transcript = run(k, wrong_image_answer=True)
     assert transcript.outcome is Outcome.LOCK_AND_ALERT
     assert k.device.locked
-    assert transcript.alert_reason == "AUTH_NOT_COMPLETE"
+    assert transcript.cause == (PHASE_NFC, "AUTH_NOT_COMPLETE")
     assert [e.detail for e in transcript.events if e.phase == PHASE_NFC][-2:] == [
         "lock-sent", "police-alerted reason=AUTH_NOT_COMPLETE"]
 
@@ -170,10 +170,10 @@ def test_no_airport_cloud_is_misconfiguration():
 # transcript validation
 
 
-def _transcript(*entries, outcome=Outcome.PERMIT, alert_reason=None):
+def _transcript(*entries, outcome=Outcome.PERMIT, cause=None):
     return CheckTranscript(tuple(TranscriptEvent(ts, phase, detail)
                                  for ts, (phase, detail) in enumerate(entries)),
-                           outcome, alert_reason)
+                           outcome, cause)
 
 
 _AUTH = (PHASE_AUTH, "credentials-ok")
@@ -186,7 +186,7 @@ def test_transcript_validate_accepts_protocol_order():
     _transcript(_AUTH, _AUTH, _NFC, (PHASE_COMPARE, "compare MATCH"),
                 _PERMIT).validate()
     _transcript(_AUTH, _NFC, _LOCKED, outcome=Outcome.LOCK_AND_ALERT,
-                alert_reason="BAD_TIME").validate()
+                cause=(PHASE_NFC, "BAD_TIME")).validate()
 
 
 @pytest.mark.parametrize("entries,outcome,code", [
@@ -210,16 +210,21 @@ def test_transcript_validate_rejects(entries, outcome, code):
     assert err.value.code == code
 
 
-@pytest.mark.parametrize("entry,outcome,alert_reason,text", [
+@pytest.mark.parametrize("entry,outcome,cause,text", [
     (_LOCKED, Outcome.LOCK_AND_ALERT, None,
-     "ALERT_OUTCOME_MISMATCH: LOCK_AND_ALERT alert=None"),
-    (_PERMIT, Outcome.PERMIT, "BAD_TIME",
-     "ALERT_OUTCOME_MISMATCH: PERMIT alert=BAD_TIME"),
-], ids=["lock-without-alert", "alert-without-lock"])
-def test_transcript_alert_reason_only_with_lock(entry, outcome, alert_reason, text):
+     "CAUSE_OUTCOME_MISMATCH: LOCK_AND_ALERT with cause None"),
+    (_PERMIT, Outcome.PERMIT, (PHASE_NFC, "BAD_TIME"),
+     "CAUSE_OUTCOME_MISMATCH: PERMIT with cause ('nfc', 'BAD_TIME')"),
+    ((PHASE_OUTCOME, "ISOLATE compare=NOT_FOUND"), Outcome.ISOLATE, None,
+     "CAUSE_OUTCOME_MISMATCH: ISOLATE with cause None"),
+    # The line must be the rendering of the cause, not only name the outcome.
+    (_LOCKED, Outcome.LOCK_AND_ALERT, (PHASE_NFC, "OTP_EXPIRED"),
+     "OUTCOME_DETAIL_MISMATCH: LOCK_AND_ALERT cause=BAD_TIME"),
+], ids=["lock-without-cause", "permit-with-cause", "isolate-without-cause",
+        "line-names-other-cause"])
+def test_transcript_cause_fits_outcome(entry, outcome, cause, text):
     with pytest.raises(ValidationError) as err:
-        _transcript(_AUTH, entry, outcome=outcome,
-                    alert_reason=alert_reason).validate()
+        _transcript(_AUTH, entry, outcome=outcome, cause=cause).validate()
     assert str(err.value) == text
 
 

@@ -1,5 +1,6 @@
-"""One writer per store, checked on the source rather than on a run: a
-second writer is found even where no scenario reaches it."""
+"""One writer per store, and one renderer per outcome, checked on the
+source rather than on a run: a second writer is found even where no
+scenario reaches it."""
 
 import ast
 from pathlib import Path
@@ -14,24 +15,15 @@ def _is_attr(node, attr: str) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == attr
 
 
-def _stores(attr: str, root: Path = SRC) -> set[tuple[str, str]]:
-    """Every place under ``root`` that stores into ``<anything>.<attr>``,
-    as ``(module path, enclosing qualified name)``: binding the attribute,
-    or setting or updating one of its items. Removing an item is not a
-    store."""
+def _sites(matches, root: Path) -> set[tuple[str, str]]:
+    """Every node under ``root`` for which ``matches`` is true, as
+    ``(module path, enclosing qualified name)``; module level is ``""``."""
     sites = set()
 
     def walk(node, module: str, scope: tuple[str, ...]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope += (node.name,)
-        stored = (
-            (_is_attr(node, attr) and isinstance(node.ctx, ast.Store))
-            or (isinstance(node, ast.Subscript) and _is_attr(node.value, attr)
-                and isinstance(node.ctx, ast.Store))
-            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _STORING_METHODS
-                and _is_attr(node.func.value, attr)))
-        if stored:
+        if matches(node):
             sites.add((module, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             walk(child, module, scope)
@@ -40,6 +32,32 @@ def _stores(attr: str, root: Path = SRC) -> set[tuple[str, str]]:
         walk(ast.parse(path.read_text(encoding="utf-8"), str(path)),
              path.relative_to(root).as_posix(), ())
     return sites
+
+
+def _stores(attr: str, root: Path = SRC) -> set[tuple[str, str]]:
+    """Every place under ``root`` that stores into ``<anything>.<attr>``:
+    binding the attribute, or setting or updating one of its items.
+    Removing an item is not a store."""
+    return _sites(lambda node: (
+        (_is_attr(node, attr) and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Subscript) and _is_attr(node.value, attr)
+            and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _STORING_METHODS
+            and _is_attr(node.func.value, attr))), root)
+
+
+def _calls(name: str, root: Path = SRC) -> set[tuple[str, str]]:
+    """Every place under ``root`` that calls ``name`` or ``<anything>.<name>``."""
+    return _sites(lambda node: isinstance(node, ast.Call) and (
+        _is_attr(node.func, name)
+        or (isinstance(node.func, ast.Name) and node.func.id == name)), root)
+
+
+def _constants(value: str, root: Path = SRC) -> set[tuple[str, str]]:
+    """Every place under ``root`` that holds the string constant ``value``."""
+    return _sites(lambda node: (isinstance(node, ast.Constant)
+                                and node.value == value), root)
 
 
 def test_only_the_device_half_of_nfc_locks_a_device():
@@ -61,3 +79,26 @@ def test_store_finder_sees_each_form_of_store(tmp_path):
         "def e(x): del x.box[1]; return x.box[2], x.box.pop(3)\n")
     assert _stores("box", tmp_path) == {("m.py", "a"), ("m.py", "b"),
                                         ("m.py", "c"), ("m.py", "K.d")}
+
+
+def test_only_finish_builds_a_transcript():
+    # The cause and the lines rendered from it are made in one place.
+    assert _calls("CheckTranscript") == {("immigration.py", "run_check.finish")}
+
+
+def test_only_the_engine_desk_check_reports_a_police_alert():
+    assert _constants("police-alert") == {("simnet/engine.py", "_run_desk_check")}
+
+
+def test_call_finder_sees_each_place_of_a_call(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import t\n"
+        "T = Box(1)\n"
+        "class K:\n"
+        "    def d(self): return t.Box(2)\n"
+        "def e():\n"
+        "    def f(): return Box(3)\n"
+        "    return Box, 'Box', f\n")
+    assert _calls("Box", tmp_path) == {("m.py", ""), ("m.py", "K.d"),
+                                       ("m.py", "e.f")}
+    assert _constants("Box", tmp_path) == {("m.py", "e")}

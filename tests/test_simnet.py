@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cloudpass import authflow, immigration
 from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
-from cloudpass.immigration import PHASE_AUTH, TranscriptEvent
+from cloudpass.immigration import PHASE_AUTH, Outcome, TranscriptEvent
 from cloudpass.model import MAX_IMAGE_BYTES
 from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind,
                               ScenarioEvent, ScenarioRng, VirtualClock,
@@ -530,11 +530,9 @@ def test_every_event_enters_through_emit(monkeypatch, scenario, seed, fault):
     assert [e.seq for e in events] == list(range(len(events)))
 
 
-@pytest.mark.parametrize("scenario,seed,fault",
-                         [case for case in golden_cases() if case[1] == 1])
-def test_every_record_is_its_named_tuple(monkeypatch, scenario, seed, fault):
-    # Records are built without the NamedTuple's __new__; they must still
-    # be instances of that very class and read back by field name.
+def _run_recording_checks(monkeypatch, scenario, seed, fault):
+    """Run one golden case; return the world, its events and the
+    transcript of every desk check, in order."""
     transcripts = []
     original = immigration.run_check
 
@@ -546,7 +544,17 @@ def test_every_record_is_its_named_tuple(monkeypatch, scenario, seed, fault):
     monkeypatch.setattr(immigration, "run_check", recording_run_check)
     text = (SCENARIOS / scenario).read_text()
     faults = (parse_fault(fault),) if fault else ()
-    world, _ = run(load_scenario(text, seed), faults)
+    world, events = run(load_scenario(text, seed), faults)
+    return world, events, transcripts
+
+
+@pytest.mark.parametrize("scenario,seed,fault",
+                         [case for case in golden_cases() if case[1] == 1])
+def test_every_record_is_its_named_tuple(monkeypatch, scenario, seed, fault):
+    # Records are built without the NamedTuple's __new__; they must still
+    # be instances of that very class and read back by field name.
+    world, _, transcripts = _run_recording_checks(monkeypatch, scenario, seed,
+                                                  fault)
     assert world.events and transcripts
     for e in world.events:
         assert type(e) is ScenarioEvent
@@ -555,6 +563,25 @@ def test_every_record_is_its_named_tuple(monkeypatch, scenario, seed, fault):
         for line in transcript.events:
             assert type(line) is TranscriptEvent
             assert (line.ts, line.phase, line.detail) == tuple(line)
+
+
+@pytest.mark.parametrize("scenario,seed,fault",
+                         [case for case in golden_cases() if case[1] == 1])
+def test_cause_and_report_agree(monkeypatch, scenario, seed, fault):
+    _, events, transcripts = _run_recording_checks(monkeypatch, scenario, seed,
+                                                   fault)
+    locks = []
+    for transcript in transcripts:
+        outcome, cause = transcript.outcome, transcript.cause
+        assert (outcome is Outcome.PERMIT) == (cause is None)
+        if outcome is Outcome.ISOLATE:
+            assert cause in {("compare", "MISMATCH"), ("compare", "NOT_FOUND")}
+        elif outcome is Outcome.LOCK_AND_ALERT:
+            assert cause[0] == "nfc"
+            locks.append(cause[1])
+    alerts = [e.details["reason"] for e in events if e.event == "police-alert"]
+    assert alerts == locks
+    assert len(alerts) == outcome_counts(events)["LOCK_AND_ALERT"]
 
 
 def test_fault_tamper_isolates():
