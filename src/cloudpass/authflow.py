@@ -27,8 +27,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import AuthError
-from .model import (AUTH_IMAGE_COUNT, AuthImage, CaptchaChallenge, DeviceState,
-                    Session, SessionState, content_hash)
+from .model import (_CREDENTIALS_PENDING, _EXPIRED, _IMAGE_AUTH_PENDING,
+                    _PASSPORT_VISIBLE, _TERMINATED, _TIME_AUTH_PENDING,
+                    _VISA_VISIBLE, AUTH_IMAGE_COUNT, AuthImage,
+                    CaptchaChallenge, DeviceState, Session, SessionState,
+                    content_hash)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -65,16 +68,6 @@ OTP_DIGITS = 6
 _TIME_RE = re.compile(r"([01][0-9]|2[0-3]):([0-5][0-9])")
 _MINUTES_PER_DAY = 1440
 _TIME_TOLERANCE_MIN = 1
-
-# Every auth step reads the session states; a module global is cheaper to
-# read than an enum member.
-_TIME_AUTH_PENDING = SessionState.TIME_AUTH_PENDING
-_CREDENTIALS_PENDING = SessionState.CREDENTIALS_PENDING
-_PASSPORT_VISIBLE = SessionState.PASSPORT_VISIBLE
-_IMAGE_AUTH_PENDING = SessionState.IMAGE_AUTH_PENDING
-_VISA_VISIBLE = SessionState.VISA_VISIBLE
-_EXPIRED = SessionState.EXPIRED
-_TERMINATED = SessionState.TERMINATED
 
 
 @dataclass(frozen=True)

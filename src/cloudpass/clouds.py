@@ -153,10 +153,10 @@ class AirportCloud:
     def snapshot_bytes(self) -> bytes:
         view = {
             "airport": self.airport,
-            "replicated": {k: list(v) for k, v in sorted(self.replicated.items())},
-            "desk_copies": {f"{k[0]}/{k[1].value}": v
-                            for k, v in sorted(self.desk_copies.items(),
-                                               key=lambda kv: (kv[0][0], kv[0][1].value))},
+            "replicated": self.replicated,
+            "desk_copies": {f"{visa_id}/{checkpoint.value}": digest
+                            for (visa_id, checkpoint), digest
+                            in self.desk_copies.items()},
             "last_sync_date": self.last_sync_date,
         }
         return json.dumps(view, sort_keys=True).encode("utf-8")

@@ -30,11 +30,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import authflow
-from .authflow import OtpStore, SessionState
+from .authflow import OtpStore
 from .clouds import (AirportCloud, Checkpoint, CompareResult, compare_visa,
                      receive_desk_copy)
 from .errors import AuthError, DeskError, NfcError, ValidationError
-from .model import DeviceState, StampEntry, StampKind
+from .model import (_CREDENTIALS_PENDING, _EXPIRED, _PASSPORT_VISIBLE,
+                    _TERMINATED, _TIME_AUTH_PENDING, _VISA_VISIBLE,
+                    DeviceState, StampEntry, StampKind)
 from .nfc import NfcChannel, establish, send_lock, tap_check, tap_stamp
 
 __all__ = [
@@ -60,15 +62,6 @@ PHASES = (PHASE_AUTH, PHASE_NFC, PHASE_DESK_COPY, PHASE_COMPARE, PHASE_STAMP,
 
 # Each phase's place in PHASES, looked up once per transcript line.
 _PHASE_INDEX = {phase: index for index, phase in enumerate(PHASES)}
-
-# The session states the auth loop compares on every step; a module
-# global is cheaper to read than an enum member.
-_TIME_AUTH_PENDING = SessionState.TIME_AUTH_PENDING
-_CREDENTIALS_PENDING = SessionState.CREDENTIALS_PENDING
-_PASSPORT_VISIBLE = SessionState.PASSPORT_VISIBLE
-_VISA_VISIBLE = SessionState.VISA_VISIBLE
-_EXPIRED = SessionState.EXPIRED
-_TERMINATED = SessionState.TERMINATED
 
 # Builds a record from its field tuple, as the NamedTuple's own __new__
 # does, without that Python-level call.
@@ -175,57 +168,51 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
     """Walk the agent through both levels until the visa is visible, the
     session dies, or the agent runs out of road. Failures stay pending, so
     a stubborn wrong answer burns clock until the 600 s wall."""
-    try:
-        session = authflow.open_session(device, clock.now, rng)
-        log(PHASE_AUTH, f"session-opened id={session.session_id}")
-    except AuthError as exc:
-        log(PHASE_AUTH, f"session-refused {exc.code}")
-        return
-    if script.oversleep_s:
-        clock.advance(script.oversleep_s)
-        log(PHASE_AUTH, f"agent-idle {script.oversleep_s}s")
-    reopened = False
-    while True:
-        session = device.session
-        state = session.state
-        if state is _VISA_VISIBLE or state is _TERMINATED:
-            return
-        if state is _EXPIRED:
-            if reopened:    # the agent reopens an expired session once
-                return
-            reopened = True
-            try:
-                session = authflow.open_session(device, clock.now, rng)
-                log(PHASE_AUTH, f"session-reopened id={session.session_id}")
-            except AuthError as exc:
-                log(PHASE_AUTH, f"session-refused {exc.code}")
-                return
-            continue
-        clock.advance(_STEP_S)
+    # The agent reopens an expired session once; only the first opening
+    # is followed by the oversleep fault's idle time.
+    for opening, idle_s in (("session-opened", script.oversleep_s),
+                            ("session-reopened", 0)):
         try:
-            if state is _TIME_AUTH_PENDING:
-                submitted = (_utc_time(clock.now) if script.submit_utc_time
-                             else device.displayed_time(clock.now))
-                authflow.verify_time_auth(device, submitted,
-                                          session.pending_captcha.text,
-                                          clock.now)
-                log(PHASE_AUTH, f"time-auth-ok submitted={submitted}")
-            elif state is _CREDENTIALS_PENDING:
-                authflow.verify_credentials(device, script.username,
-                                            script.password, credentials,
-                                            clock.now)
-                log(PHASE_AUTH, "credentials-ok")
-            elif state is _PASSPORT_VISIBLE:
-                _, index = authflow.begin_image_auth(device, rng, clock.now)
-                log(PHASE_AUTH, f"image-prompted index={index}")
-            else:  # IMAGE_AUTH_PENDING
-                index = session.pending_image_index
-                answer = ("not the right caption" if script.wrong_image_answer
-                          else script.image_answers[index])
-                authflow.verify_image_answer(device, answer, clock.now)
-                log(PHASE_AUTH, "image-auth-ok")
+            session = authflow.open_session(device, clock.now, rng)
+            log(PHASE_AUTH, f"{opening} id={session.session_id}")
         except AuthError as exc:
-            log(PHASE_AUTH, f"auth-rejected {exc.code}")
+            log(PHASE_AUTH, f"session-refused {exc.code}")
+            return
+        if idle_s:
+            clock.advance(idle_s)
+            log(PHASE_AUTH, f"agent-idle {idle_s}s")
+        while True:
+            session = device.session
+            state = session.state
+            if state is _VISA_VISIBLE or state is _TERMINATED:
+                return
+            if state is _EXPIRED:
+                break
+            clock.advance(_STEP_S)
+            try:
+                if state is _TIME_AUTH_PENDING:
+                    submitted = (_utc_time(clock.now) if script.submit_utc_time
+                                 else device.displayed_time(clock.now))
+                    authflow.verify_time_auth(device, submitted,
+                                              session.pending_captcha.text,
+                                              clock.now)
+                    log(PHASE_AUTH, f"time-auth-ok submitted={submitted}")
+                elif state is _CREDENTIALS_PENDING:
+                    authflow.verify_credentials(device, script.username,
+                                                script.password, credentials,
+                                                clock.now)
+                    log(PHASE_AUTH, "credentials-ok")
+                elif state is _PASSPORT_VISIBLE:
+                    _, index = authflow.begin_image_auth(device, rng, clock.now)
+                    log(PHASE_AUTH, f"image-prompted index={index}")
+                else:  # IMAGE_AUTH_PENDING
+                    index = session.pending_image_index
+                    answer = ("not the right caption" if script.wrong_image_answer
+                              else script.image_answers[index])
+                    authflow.verify_image_answer(device, answer, clock.now)
+                    log(PHASE_AUTH, "image-auth-ok")
+            except AuthError as exc:
+                log(PHASE_AUTH, f"auth-rejected {exc.code}")
 
 
 def run_check(desk: DeskCheck, device: DeviceState,

@@ -341,10 +341,16 @@ class SessionState(Enum):
     TERMINATED = "TERMINATED"
 
 
-# The states that hold a pending challenge. Every Session built reads
-# them, and a module global is cheaper to read than an enum member.
-_AWAITS_CAPTCHA = SessionState.TIME_AUTH_PENDING
-_AWAITS_PICTURE = SessionState.IMAGE_AUTH_PENDING
+# Every Session built and every auth step reads the states, and a module
+# global is cheaper to read than an enum member. They are bound here only;
+# authflow and immigration import them, which binds a global there too.
+_TIME_AUTH_PENDING = SessionState.TIME_AUTH_PENDING
+_CREDENTIALS_PENDING = SessionState.CREDENTIALS_PENDING
+_PASSPORT_VISIBLE = SessionState.PASSPORT_VISIBLE
+_IMAGE_AUTH_PENDING = SessionState.IMAGE_AUTH_PENDING
+_VISA_VISIBLE = SessionState.VISA_VISIBLE
+_EXPIRED = SessionState.EXPIRED
+_TERMINATED = SessionState.TERMINATED
 
 
 @dataclass(frozen=True)
@@ -375,11 +381,11 @@ class Session:
         state, index = self.state, self.pending_image_index
         if not isinstance(state, SessionState):
             raise ValidationError("BAD_SESSION_STATE", repr(state))
-        if (self.pending_captcha is None) is (state is _AWAITS_CAPTCHA):
+        if (self.pending_captcha is None) is (state is _TIME_AUTH_PENDING):
             raise ValidationError(
                 "PENDING_CAPTCHA_MISMATCH", f"{state.value} "
                 f"{'with' if self.pending_captcha else 'without'} a captcha")
-        if (index is None) is (state is _AWAITS_PICTURE):
+        if (index is None) is (state is _IMAGE_AUTH_PENDING):
             raise ValidationError(
                 "PENDING_IMAGE_MISMATCH", f"{state.value} "
                 f"{'without' if index is None else 'with'} a picture index")

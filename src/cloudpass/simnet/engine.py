@@ -25,7 +25,8 @@ from .scenario import _FAULTS, FaultKind, Scenario, ScenarioCommand
 
 __all__ = ["World", "TravelerState", "run"]
 
-_CHECK_VERBS = ("depart", "arrive")
+# The desk verbs and the checkpoint each one runs.
+_DESK_VERBS = {"depart": Checkpoint.DEPARTURE, "arrive": Checkpoint.ARRIVAL}
 # Event name each desk transcript phase is re-emitted under.
 _DESK_EVENTS = {phase: f"desk-{phase}" for phase in immigration.PHASES}
 
@@ -266,9 +267,9 @@ def _cmd_advance_clock(world: World, cmd) -> None:
     world.emit("world", "clock-advanced", seconds=seconds, now=world.clock.now)
 
 
-def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
+def _run_desk_check(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    code = cmd.args["airport"]
+    checkpoint, code = _DESK_VERBS[cmd.verb], cmd.args["airport"]
     desk = immigration.DeskCheck(checkpoint, code, world.next_desk(code),
                                  world.clock.now)
     transcript = immigration.run_check(
@@ -291,14 +292,6 @@ def _run_desk_check(world: World, cmd, checkpoint: Checkpoint) -> None:
     # replay-otp and oversleep last one desk check.
     traveler.script.replay_otp = None
     traveler.script.oversleep_s = 0
-
-
-def _cmd_depart(world: World, cmd) -> None:
-    _run_desk_check(world, cmd, Checkpoint.DEPARTURE)
-
-
-def _cmd_arrive(world: World, cmd) -> None:
-    _run_desk_check(world, cmd, Checkpoint.ARRIVAL)
 
 
 def _cmd_tamper_visa(world: World, cmd) -> None:
@@ -352,8 +345,8 @@ _HANDLERS = {
     "manifest": _cmd_manifest,
     "sync": _cmd_sync,
     "advance-clock": _cmd_advance_clock,
-    "depart": _cmd_depart,
-    "arrive": _cmd_arrive,
+    "depart": _run_desk_check,
+    "arrive": _run_desk_check,
     "tamper-visa": _cmd_tamper_visa,
     "wrong-time": _cmd_arm_script,
     "wrong-image-answer": _cmd_arm_script,
@@ -373,7 +366,7 @@ def _inject_faults(commands: list, faults) -> list:
             continue
         position = len(out)
         for i, existing in enumerate(out):
-            if (existing.verb in _CHECK_VERBS
+            if (existing.verb in _DESK_VERBS
                     and existing.args.get("name") == cmd.args.get("name")):
                 position = i
                 break

@@ -13,12 +13,11 @@ import os
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
+from ..immigration import Outcome
 from .clock import render_iso
 
 __all__ = ["ScenarioEvent", "EventLog", "event_line", "emit_report",
            "outcome_counts"]
-
-_OUTCOME_KEYS = ("PERMIT", "ISOLATE", "LOCK_AND_ALERT")
 
 
 class ScenarioEvent(NamedTuple):
@@ -78,7 +77,7 @@ def event_line(event: ScenarioEvent) -> str:
 
 
 def outcome_counts(events: list[ScenarioEvent]) -> dict[str, int]:
-    counts = {key: 0 for key in _OUTCOME_KEYS}
+    counts = {outcome.value: 0 for outcome in Outcome}
     for event in events:
         if event.event == "check-outcome":
             counts[event.details["outcome"]] += 1
@@ -101,7 +100,7 @@ def emit_report(events: list[ScenarioEvent], target) -> None:
     counts = outcome_counts(events)
     lines.append(_line(encode, len(events), iso, "world", "summary",
                        {"events": len(events),
-                        **{key.lower(): counts[key] for key in _OUTCOME_KEYS}}))
+                        **{key.lower(): n for key, n in counts.items()}}))
     text = "\n".join(lines) + "\n"
     if isinstance(target, (str, os.PathLike)):
         with io.open(target, "w", encoding="utf-8", newline="") as fp:

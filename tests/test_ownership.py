@@ -1,6 +1,6 @@
-"""One writer per store, and one renderer per outcome, checked on the
-source rather than on a run: a second writer is found even where no
-scenario reaches it."""
+"""One writer per store, one renderer per outcome and one binding per
+desk-path name, checked on the source rather than on a run: a second
+writer is found even where no scenario reaches it."""
 
 import ast
 from pathlib import Path
@@ -102,3 +102,25 @@ def test_call_finder_sees_each_place_of_a_call(tmp_path):
     assert _calls("Box", tmp_path) == {("m.py", ""), ("m.py", "K.d"),
                                        ("m.py", "e.f")}
     assert _constants("Box", tmp_path) == {("m.py", "e")}
+
+
+def _member_bindings(enum: str, root: Path = SRC) -> set[tuple[str, str]]:
+    """Every place under ``root`` that binds a name to ``<enum>.<member>``."""
+    return _sites(lambda node: (
+        isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) for target in node.targets)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == enum), root)
+
+
+def test_only_model_binds_a_session_state_member():
+    # The desk's hot paths read the states from module globals; each is
+    # bound once, in model, and imported everywhere else.
+    assert _member_bindings("SessionState") == {("model.py", "")}
+
+
+def test_only_immigration_names_an_outcome():
+    for outcome in ("PERMIT", "ISOLATE", "LOCK_AND_ALERT"):
+        modules = {module for module, _ in _constants(outcome)}
+        assert modules == {"immigration.py"}, outcome
