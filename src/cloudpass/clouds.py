@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 import json
 
-from .errors import CloudError, ValidationError
-from .model import (_HEX64_RE, MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState,
-                    IdKind, Passport, TrackingId, VisaImage, VisaRecord,
-                    VisaStatus, content_hash, new_passport, new_tracking_id,
+from .errors import CloudError
+from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
+                    Passport, TrackingId, VisaImage, VisaRecord, VisaStatus,
+                    check_format, content_hash, new_passport, new_tracking_id,
                     place_visa)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
@@ -113,9 +113,11 @@ class TravelManifest:
 
 
 class EmbassyCloud:
-    """One issuing authority's store; ``authority_id`` doubles as country."""
+    """One issuing authority's store; ``authority_id`` doubles as country,
+    so it must have the country format."""
 
     def __init__(self, authority_id: str, secret: bytes):
+        check_format("country", authority_id)
         self.authority_id = authority_id
         self.secret = secret
         self.applications: dict[str, ApplicationRecord] = {}
@@ -144,7 +146,10 @@ class EmbassyCloud:
 
 
 class AirportCloud:
+    """One airport's store; ``airport`` is its code."""
+
     def __init__(self, airport: str):
+        check_format("airport", airport)
         self.airport = airport
         self.replicated: dict[str, tuple[str, str]] = {}
         self.desk_copies: dict[tuple[str, Checkpoint], str] = {}
@@ -292,8 +297,7 @@ def download_visa_image(cloud: EmbassyCloud, token: LinkToken,
 def replicate(airport_cloud: AirportCloud, visa_id: str, passport_no: str,
               image_hash: str) -> None:
     """Store one replica row, refusing a hash that is not 64 lowercase hex."""
-    if not _HEX64_RE.fullmatch(image_hash):
-        raise ValidationError("BAD_HASH_FORMAT", repr(image_hash))
+    check_format("hex64", image_hash)
     airport_cloud.replicated[visa_id] = (passport_no, image_hash)
 
 

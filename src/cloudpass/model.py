@@ -46,6 +46,8 @@ __all__ = [
     "DeviceState",
     "PassportSummary",
     "VisaPresentation",
+    "FORMATS",
+    "check_format",
     "content_hash",
     "new_tracking_id",
     "new_passport",
@@ -63,12 +65,27 @@ TRACKING_LENGTH = 12
 PASSPORT_PAGE_COUNT = 32
 AUTH_IMAGE_COUNT = 10
 
-# Used with fullmatch: a pattern ending in ``$`` also matches before a
-# final newline.
-_TRACKING_RE = re.compile(r"[A-Z0-9]{12}")
-_COUNTRY_RE = re.compile(r"[A-Z]{2,3}")
-_AIRPORT_RE = re.compile(r"[A-Z]{3}")
-_HEX64_RE = re.compile(r"[0-9a-f]{64}")
+# The identifier formats, each defined here only: name -> (pattern, the
+# refusal code, the refusal detail with the value as its one field). The
+# records, the grammar, the wire and the stores read them. Used with
+# fullmatch: a pattern ending in ``$`` also matches before a final newline.
+FORMATS = {
+    "tracking": (re.compile(r"[A-Z0-9]{12}"), "BAD_TRACKING_FORMAT",
+                 "tracking id must be 12 chars of A-Z0-9, got {!r}"),
+    "country": (re.compile(r"[A-Z]{2,3}"), "BAD_COUNTRY_CODE", "{!r}"),
+    "airport": (re.compile(r"[A-Z]{3}"), "BAD_AIRPORT_CODE",
+                "airport must be 3 uppercase letters, got {!r}"),
+    "hex64": (re.compile(r"[0-9a-f]{64}"), "BAD_HASH_FORMAT", "{!r}"),
+}
+
+
+def check_format(name: str, value: str) -> None:
+    """Refuse ``value`` unless it has the format ``FORMATS[name]``."""
+    pattern, code, detail = FORMATS[name]
+    if not pattern.fullmatch(value):
+        raise ValidationError(code, detail.format(value))
+
+
 # Integers as the scenario grammar and the wire write them: no "_"
 # separators and no digits outside ASCII, both of which int() accepts.
 _INT_RE = re.compile(r"[0-9]+")
@@ -77,6 +94,19 @@ _SIGNED_RE = re.compile(r"[+-]?[0-9]+")
 # Integers travel as i64 in the canonical encoding; dates must fit one
 # when issued, so no later encoding of the document can fail.
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _in_i64(literal: str, low: int = I64_MIN, high: int = I64_MAX) -> int | None:
+    """The value of ``literal``, which matched ``_INT_RE`` or
+    ``_SIGNED_RE``, if it lies in ``[low, high]``, a range inside i64;
+    else None. Only the significant digits are converted, at most 19, so
+    neither zero padding nor ``int()``'s digit limit decides a result."""
+    digits = literal.lstrip("+-").lstrip("0")
+    if len(digits) > 19:
+        return None
+    value = int(digits or "0") * (-1 if literal[0] == "-" else 1)
+    return value if low <= value <= high else None
+
 
 # Largest visa image an embassy issues. Scenarios and the wire protocol
 # are bounded by it too, so no input can ask for an unbounded buffer.
@@ -130,10 +160,7 @@ class TrackingId:
         self.validate()
 
     def validate(self) -> None:
-        if not _TRACKING_RE.fullmatch(self.value):
-            raise ValidationError(
-                "BAD_TRACKING_FORMAT",
-                f"tracking id must be 12 chars of A-Z0-9, got {self.value!r}")
+        check_format("tracking", self.value)
         if not isinstance(self.kind, IdKind):
             raise ValidationError("BAD_TRACKING_KIND", repr(self.kind))
 
@@ -152,10 +179,7 @@ class StampEntry:
     def validate(self) -> None:
         if not isinstance(self.kind, StampKind):
             raise ValidationError("BAD_STAMP_KIND", repr(self.kind))
-        if not _AIRPORT_RE.fullmatch(self.airport):
-            raise ValidationError(
-                "BAD_AIRPORT_CODE",
-                f"airport must be 3 uppercase letters, got {self.airport!r}")
+        check_format("airport", self.airport)
         if not self.stamped_at >= 0:
             raise ValidationError("NEGATIVE_TIMESTAMP", str(self.stamped_at))
 
@@ -218,10 +242,8 @@ class Passport:
             raise ValidationError("EMPTY_PASSPORT_NO")
         if not self.holder_name:
             raise ValidationError("EMPTY_HOLDER_NAME")
-        if not _COUNTRY_RE.fullmatch(self.nationality):
-            raise ValidationError("BAD_COUNTRY_CODE", repr(self.nationality))
-        if not _COUNTRY_RE.fullmatch(self.issuing_authority):
-            raise ValidationError("BAD_COUNTRY_CODE", repr(self.issuing_authority))
+        check_format("country", self.nationality)
+        check_format("country", self.issuing_authority)
         if not self.expiry_date > self.issue_date:
             raise ValidationError("EXPIRY_NOT_AFTER_ISSUE",
                                   f"issue {self.issue_date} expiry {self.expiry_date}")
@@ -267,8 +289,7 @@ class VisaImage:
     def validate(self) -> None:
         if not self.media_type:
             raise ValidationError("EMPTY_MEDIA_TYPE")
-        if not _HEX64_RE.fullmatch(self.content_hash):
-            raise ValidationError("BAD_HASH_FORMAT", repr(self.content_hash))
+        check_format("hex64", self.content_hash)
         if self.content_hash != content_hash(self.data):
             raise ValidationError("HASH_MISMATCH", "stored hash does not match image bytes")
 
@@ -294,10 +315,8 @@ class VisaRecord:
             raise ValidationError("EMPTY_VISA_ID")
         if not self.passport_no:
             raise ValidationError("EMPTY_PASSPORT_NO")
-        if not _COUNTRY_RE.fullmatch(self.issuing_country):
-            raise ValidationError("BAD_COUNTRY_CODE", repr(self.issuing_country))
-        if not _COUNTRY_RE.fullmatch(self.destination_country):
-            raise ValidationError("BAD_COUNTRY_CODE", repr(self.destination_country))
+        check_format("country", self.issuing_country)
+        check_format("country", self.destination_country)
         if not self.valid_to > self.valid_from:
             raise ValidationError("VISA_WINDOW_EMPTY",
                                   f"from {self.valid_from} to {self.valid_to}")
@@ -305,8 +324,7 @@ class VisaRecord:
             raise ValidationError(
                 "DATE_OUT_OF_RANGE",
                 f"from {self.valid_from} to {self.valid_to} must fit i64")
-        if not _HEX64_RE.fullmatch(self.image_hash):
-            raise ValidationError("BAD_HASH_FORMAT", repr(self.image_hash))
+        check_format("hex64", self.image_hash)
         if not isinstance(self.status, VisaStatus):
             raise ValidationError("BAD_STATUS", repr(self.status))
 
@@ -325,10 +343,8 @@ class AuthImage:
     def validate(self) -> None:
         if not 0 <= self.index < AUTH_IMAGE_COUNT:
             raise ValidationError("BAD_IMAGE_INDEX", str(self.index))
-        if not _HEX64_RE.fullmatch(self.image_hash):
-            raise ValidationError("BAD_HASH_FORMAT", repr(self.image_hash))
-        if not _HEX64_RE.fullmatch(self.answer_hash):
-            raise ValidationError("BAD_HASH_FORMAT", repr(self.answer_hash))
+        check_format("hex64", self.image_hash)
+        check_format("hex64", self.answer_hash)
 
 
 class SessionState(Enum):

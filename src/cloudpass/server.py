@@ -63,7 +63,7 @@ class CloudServer(socketserver.ThreadingTCPServer):
 
 def _default_cloud(role: str, name: str | None):
     if role == "embassy":
-        authority = name or "EMBASSY"
+        authority = name or "XX"
         secret = hashlib.sha256(f"wire-secret:{authority}".encode()).digest()[:16]
         return EmbassyCloud(authority, secret)
     return AirportCloud(name or "XXX")

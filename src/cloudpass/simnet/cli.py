@@ -1,6 +1,7 @@
 """Command-line front end: run scenarios, validate them, serve a cloud.
 
-Exit codes: 0 success, 1 scenario parse error, 2 runtime fault during
+Exit codes: 0 success, 1 refused input (a scenario parse error, a usage
+error, or a ``serve --name`` the cloud refuses), 2 runtime fault during
 execution, 3 file or network trouble.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import ScenarioParseError, ScenarioRuntimeError
+from ..errors import ScenarioParseError, ScenarioRuntimeError, ValidationError
 from .engine import run
 from .events import emit_report
 from .scenario import load_scenario, parse_fault
@@ -20,8 +21,17 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any refused input; argparse's own
+    2 is this CLI's runtime fault. Its subparsers are built as this class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cloudpass",
         description="Deterministic border-crossing simulation")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=("embassy", "airport"))
     p_serve.add_argument("--port", type=int, required=True)
     p_serve.add_argument("--name", default=None,
-                         help="authority id or airport code")
+                         help="embassy country code (default XX) or "
+                         "airport code (default XXX)")
     return parser
 
 
@@ -104,6 +115,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from ..server import serve
     try:
         serve(args.role, args.port, args.name)
+    except ValidationError as exc:  # the cloud refused --name; nothing bound
+        print(f"cloudpass: --name {args.name}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (OSError, OverflowError) as exc:  # OverflowError: port not 0-65535
         print(f"cloudpass: cannot serve on port {args.port}: {exc}",
               file=sys.stderr)

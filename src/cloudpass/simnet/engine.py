@@ -119,7 +119,7 @@ def _cmd_traveler(world: World, cmd) -> None:
     if name in world.travelers:
         raise CloudError("DUPLICATE_TRAVELER", name)
     device_id = cmd.args.get("device", f"{name}-phone")
-    offset = int(cmd.args.get("offset-min", "0"))
+    offset = cmd.args.get("offset-min", 0)
     stream = world.rng.stream(f"traveler:{name}")
     answers = tuple(f"{name} keepsake {i}" for i in range(AUTH_IMAGE_COUNT))
     images = tuple(
@@ -157,7 +157,7 @@ def _cmd_approve_passport(world: World, cmd) -> None:
         cloud, traveler.passport_tracking, passport_no=passport_no,
         holder_name=traveler.name, nationality=traveler.home_authority,
         issue_date=world.clock.now,
-        expiry_date=world.clock.now + cmd.duration("expire-in"))
+        expiry_date=world.clock.now + cmd.args["expire-in"])
     traveler.passport_no = passport_no
     world.emit(traveler.home_authority, "passport-approved",
                tracking=traveler.passport_tracking, passport_no=passport_no)
@@ -201,13 +201,13 @@ def _cmd_approve_visa(world: World, cmd) -> None:
     cloud = world.embassy(traveler.visa_authority)
     stream = world.rng.stream(f"authority:{traveler.visa_authority}")
     visa_id = cmd.args.get("visa-id") or f"V{stream.getrandbits(28):07X}"
-    image_bytes = stream.randbytes(int(cmd.args["image-bytes"]))
+    image_bytes = stream.randbytes(cmd.args["image-bytes"])
     clouds.approve_visa(
         cloud, traveler.visa_tracking, visa_id=visa_id,
         passport_no=traveler.passport_no,
         destination_country=traveler.visa_authority,
         valid_from=world.clock.now,
-        valid_to=world.clock.now + cmd.duration("valid-for"),
+        valid_to=world.clock.now + cmd.args["valid-for"],
         image_bytes=image_bytes)
     traveler.visa_id = visa_id
     world.emit(traveler.visa_authority, "visa-approved",
@@ -224,7 +224,7 @@ def _cmd_download_visa(world: World, cmd) -> None:
     # The link rides a QR code: segment it, then scan its segments back.
     qr = token_to_payload(note.payload)
     token = token_from_payload(qr)
-    page = int(cmd.args["page"])
+    page = cmd.args["page"]
     image = clouds.download_visa_image(cloud, token, traveler.device, page)
     world.emit(traveler.name, "visa-downloaded", visa_id=token.resource_id,
                page=page, qr_bits=qr.total_bits, image_hash=image.content_hash)
@@ -235,7 +235,7 @@ def _cmd_manifest(world: World, cmd) -> None:
     if traveler.passport_no is None or traveler.visa_id is None:
         raise CloudError("NO_VISA", traveler.name)
     entry = ManifestEntry(traveler.passport_no, traveler.visa_id,
-                          cmd.args["airport"], cmd.duration("date"))
+                          cmd.args["airport"], cmd.args["date"])
     world.manifest.entries.append(entry)
     world.emit("world", "manifest-entry", passport_no=entry.passport_no,
                visa_id=entry.visa_id, airport=entry.airport,
@@ -251,7 +251,7 @@ def _cmd_sync(world: World, cmd) -> None:
     if world.skip_sync:
         world.emit(code, "sync-skipped", source=embassy.authority_id)
         return
-    date = (cmd.duration("date") if "date" in cmd.args else world.clock.now)
+    date = cmd.args.get("date", world.clock.now)
     dangling: list[ManifestEntry] = []
     clouds.daily_sync(airport, embassy, world.manifest, date, dangling)
     for entry in dangling:
@@ -262,7 +262,7 @@ def _cmd_sync(world: World, cmd) -> None:
 
 
 def _cmd_advance_clock(world: World, cmd) -> None:
-    seconds = cmd.duration("by")
+    seconds = cmd.args["by"]
     world.clock.advance(seconds)
     world.emit("world", "clock-advanced", seconds=seconds, now=world.clock.now)
 
@@ -300,7 +300,7 @@ def _cmd_tamper_visa(world: World, cmd) -> None:
         raise CloudError("NO_VISA", traveler.name)
     image = traveler.device.visas[traveler.visa_id]
     data = bytearray(image.data)
-    index = int(cmd.args["byte"]) % len(data)
+    index = cmd.args["byte"] % len(data)
     data[index] ^= 0xFF
     traveler.device.visas[traveler.visa_id] = VisaImage.of(bytes(data),
                                                            image.media_type)
@@ -323,7 +323,7 @@ def _cmd_arm_script(world: World, cmd) -> None:
         # next check would have read.
         script.replay_otp = traveler.last_redeemed or "000000"
     else:  # OVERSLEEP_SESSION
-        script.oversleep_s = details["wait"] = cmd.duration("wait")
+        script.oversleep_s = details["wait"] = cmd.args["wait"]
     world.emit(traveler.name, "fault-armed", **details)
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ScenarioParseError
-from ..model import (_AIRPORT_RE, _COUNTRY_RE, _INT_RE, _SIGNED_RE, I64_MAX,
-                     I64_MIN, MAX_IMAGE_BYTES)
+from ..model import (_INT_RE, _SIGNED_RE, FORMATS, I64_MAX, MAX_IMAGE_BYTES,
+                     _in_i64)
 
 __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "load_scenario",
            "parse_duration", "parse_fault"]
@@ -39,40 +39,33 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, None: 1}
 
 
-def parse_duration(text: str) -> int:
-    match = _DURATION_RE.fullmatch(text)
-    if not match:
-        raise ValueError(f"bad duration {text!r}")
-    return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
-
-
 # Scenario numbers become times, offsets and sizes held in i64 fields of
-# the canonical encoding, so each must fit one.
-def _in_i64(literal: str, low: int = I64_MIN, high: int = I64_MAX) -> bool:
-    """An integer literal whose value lies in ``[low, high]``, a range
-    inside i64. Over-long literals are refused before ``int()`` would
-    convert (or refuse) them."""
-    if len(literal.lstrip("+-").lstrip("0")) > 19:
-        return False
-    return low <= int(literal) <= high
-
-
-def _check_duration(text: str) -> bool:
+# the canonical encoding, so each must fit one, a duration in seconds.
+def _duration(text: str) -> int | None:
     match = _DURATION_RE.fullmatch(text)
-    return (bool(match) and _in_i64(match.group(1))
-            and parse_duration(text) <= I64_MAX)
+    unit = match and _DURATION_UNITS[match.group(2)]
+    count = match and _in_i64(match.group(1), 0, I64_MAX // unit)
+    return None if count is None else count * unit
 
 
+def parse_duration(text: str) -> int:
+    seconds = _duration(text)
+    if seconds is None:
+        raise ValueError(f"bad duration {text!r}")
+    return seconds
+
+
+# Each validator returns the value its text stands for, or None to refuse.
 _VALIDATORS = {
-    "word": lambda v: bool(v),
-    "name": lambda v: bool(_NAME_RE.fullmatch(v)),
-    "airport": lambda v: bool(_AIRPORT_RE.fullmatch(v)),
-    "country": lambda v: bool(_COUNTRY_RE.fullmatch(v)),
-    "int": lambda v: bool(_INT_RE.fullmatch(v)) and _in_i64(v),
-    "image-size": lambda v: (bool(_INT_RE.fullmatch(v))
+    "word": lambda v: v or None,
+    "name": lambda v: v if _NAME_RE.fullmatch(v) else None,
+    "airport": lambda v: v if FORMATS["airport"][0].fullmatch(v) else None,
+    "country": lambda v: v if FORMATS["country"][0].fullmatch(v) else None,
+    "int": lambda v: _INT_RE.fullmatch(v) and _in_i64(v),
+    "image-size": lambda v: (_INT_RE.fullmatch(v)
                              and _in_i64(v, 1, MAX_IMAGE_BYTES)),
-    "signed-int": lambda v: bool(_SIGNED_RE.fullmatch(v)) and _in_i64(v),
-    "duration": _check_duration,
+    "signed-int": lambda v: _SIGNED_RE.fullmatch(v) and _in_i64(v),
+    "duration": _duration,
 }
 
 
@@ -107,7 +100,7 @@ _FAULTS: dict[str, tuple[FaultKind, _VerbSpec]] = {
     "replay-otp": (FaultKind.REPLAY_OTP, _VerbSpec((("name", "name"),))),
     "oversleep": (FaultKind.OVERSLEEP_SESSION,
                   _VerbSpec((("name", "name"),), {"wait": "duration"},
-                            defaults={"wait": "601s"})),
+                            defaults={"wait": 601})),
     "skip-sync": (FaultKind.SKIP_SYNC, _VerbSpec()),
 }
 
@@ -121,15 +114,15 @@ _VERBS: dict[str, _VerbSpec] = {
     "approve-passport": _VerbSpec((("name", "name"),),
                                   {"passport-no": "word",
                                    "expire-in": "duration"},
-                                  defaults={"expire-in": "3650d"}),
+                                  defaults={"expire-in": 3650 * 86400}),
     "install-app": _VerbSpec((("name", "name"),)),
     "apply-visa": _VerbSpec((("name", "name"),), {"authority": "country"},
                             required=("authority",)),
     "approve-visa": _VerbSpec((("name", "name"),),
                               {"visa-id": "word", "valid-for": "duration",
                                "image-bytes": "image-size"},
-                              defaults={"valid-for": "180d",
-                                        "image-bytes": "256"}),
+                              defaults={"valid-for": 180 * 86400,
+                                        "image-bytes": 256}),
     "download-visa": _VerbSpec((("name", "name"),), {"page": "int"},
                                required=("page",)),
     "manifest": _VerbSpec((("name", "name"),),
@@ -147,14 +140,11 @@ _VERBS: dict[str, _VerbSpec] = {
 
 @dataclass(frozen=True)
 class ScenarioCommand:
-    """One parsed line: verb, arguments as text, line number."""
+    """One parsed line: verb, argument values, line number."""
 
     verb: str
     args: dict
     line_no: int
-
-    def duration(self, key: str) -> int:
-        return parse_duration(self.args[key])
 
 
 @dataclass(frozen=True)
@@ -202,20 +192,22 @@ def _parse_line(line: str, line_no: int) -> ScenarioCommand | None:
             if not value:
                 _fail(f"missing value for key {key!r}", line_no,
                       _column(bare, index) + len(key) + 1)
-            if not _VALIDATORS[spec.keys[key]](value):
+            parsed = _VALIDATORS[spec.keys[key]](value)
+            if parsed is None:
                 _fail(f"bad {spec.keys[key]} value {value!r} for {key!r}",
                       line_no, _column(bare, index) + len(key) + 1)
-            args[key] = value
+            args[key] = parsed
         else:
             if seen_key or taken == len(positionals):
                 _fail(f"unexpected argument {token!r}", line_no,
                       _column(bare, index))
             name, validator = positionals[taken]
             taken += 1
-            if not _VALIDATORS[validator](token):
+            parsed = _VALIDATORS[validator](token)
+            if parsed is None:
                 _fail(f"bad {validator} value {token!r} for {name!r}",
                       line_no, _column(bare, index))
-            args[name] = token
+            args[name] = parsed
     if taken < len(positionals):
         _fail(f"{verb} needs {positionals[taken][0]!r}", line_no,
               _column(bare, 0))

@@ -16,7 +16,7 @@ import random
 from . import clouds
 from .clouds import AirportCloud, Checkpoint, EmbassyCloud
 from .errors import CloudPassError
-from .model import _SIGNED_RE, MAX_IMAGE_BYTES, IdKind
+from .model import _SIGNED_RE, MAX_IMAGE_BYTES, IdKind, _in_i64
 from .qrlink import resolve_link_token, token_from_wire, token_wire
 
 __all__ = ["MAX_LINE_BYTES", "handle_embassy_line", "handle_airport_line"]
@@ -29,12 +29,10 @@ MAX_LINE_BYTES = 2 * MAX_IMAGE_BYTES + 4096
 
 
 def _int(text: str) -> int:
-    if _SIGNED_RE.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise CloudPassError("BAD_ARGS")
+    value = _SIGNED_RE.fullmatch(text) and _in_i64(text)
+    if value is None:
+        raise CloudPassError("BAD_ARGS")
+    return value
 
 
 def _hex(text: str) -> bytes:

@@ -46,6 +46,17 @@ def approved_visa(cloud, rng, passport_no="P0000001", visa_id="V0000001",
         image_bytes=image)
 
 
+def test_clouds_refuse_a_malformed_id():
+    # An embassy's id doubles as its country, and an airport's is its code.
+    with pytest.raises(ValidationError) as err:
+        EmbassyCloud("India", b"secret")
+    assert str(err.value) == "BAD_COUNTRY_CODE: 'India'"
+    with pytest.raises(ValidationError) as err:
+        AirportCloud("blr")
+    assert str(err.value) == ("BAD_AIRPORT_CODE: airport must be 3 uppercase "
+                              "letters, got 'blr'")
+
+
 # ---------------------------------------------------------------------------
 # applications
 

@@ -124,3 +124,18 @@ def test_only_immigration_names_an_outcome():
     for outcome in ("PERMIT", "ISOLATE", "LOCK_AND_ALERT"):
         modules = {module for module, _ in _constants(outcome)}
         assert modules == {"immigration.py"}, outcome
+
+
+def test_each_format_is_defined_once_in_model():
+    # The records, the grammar, the wire and the stores read one table.
+    from cloudpass.model import FORMATS
+    assert sorted(FORMATS) == ["airport", "country", "hex64", "tracking"]
+    for pattern, code, _ in FORMATS.values():
+        assert _constants(code) == {("model.py", "")}, code
+        assert _constants(pattern.pattern) == {("model.py", "")}, pattern
+
+
+def test_the_engine_reparses_no_argument():
+    # The grammar hands the engine values; it converts nothing again.
+    for name in ("int", "duration"):
+        assert "simnet/engine.py" not in {module for module, _ in _calls(name)}, name

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudpass import authflow, immigration
+from cloudpass.clouds import EmbassyCloud
 from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
 from cloudpass.immigration import PHASE_AUTH, Outcome, TranscriptEvent
@@ -29,6 +30,7 @@ from cloudpass.simnet.cli import main as cli_main
 from cloudpass.simnet.clock import CLOCK_MAX
 from cloudpass.simnet.engine import _HANDLERS
 from cloudpass.simnet.scenario import _FAULTS, _TOKEN_RE, _VALIDATORS, _column
+from cloudpass.wire import handle_embassy_line
 
 from test_golden import _cases as golden_cases
 
@@ -241,6 +243,56 @@ def test_i64_extremes_accepted(line):
     assert len(load_scenario(line + "\n").commands) == 1
 
 
+def _digit_limit_probe() -> list:
+    """What the grammar, the duration parser and the wire make of long
+    integer literals: each value, or the refusal's type and text."""
+    padded, long = "0" * 5000 + "1", "9" * 5000
+    embassy = EmbassyCloud("IN", b"digit-limit")
+    tracking = handle_embassy_line(embassy, "SUBMIT alice PASSPORT_APPLICATION",
+                                   random.Random(7)).split()[1]
+    attempts = [
+        lambda: load_scenario(f"advance-clock {padded}s\n").commands[0].args,
+        lambda: load_scenario(f"traveler alice offset-min=-{padded}\n"
+                              ).commands[0].args,
+        lambda: load_scenario(f"tamper-visa alice byte={long}\n"),
+        lambda: parse_fault(f"oversleep alice wait={padded}m").args,
+        lambda: parse_fault(f"tamper-visa alice byte={padded}").args,
+        lambda: parse_duration(f"{padded}d"),
+        lambda: parse_duration(long),
+    ] + [lambda issued=issued: handle_embassy_line(
+        embassy, f"APPROVE_PASSPORT {tracking} P1 alice IN {issued} 100", None)
+        for issued in (long, f"-{long}", f"+{padded}")]
+    results = []
+    for attempt in attempts:
+        try:
+            results.append(attempt())
+        except (ScenarioParseError, ValueError) as exc:
+            results.append((type(exc).__name__, str(exc)))
+    return results
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int digit limit")
+def test_int_digit_limit_decides_nothing():
+    """``int()`` refuses a literal over ``sys.get_int_max_str_digits()``
+    digits, zero padding included; no result may depend on it."""
+    limited = _digit_limit_probe()
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        unlimited = _digit_limit_probe()
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert limited == unlimited
+    assert limited[:2] == [{"by": 1}, {"name": "alice", "offset-min": -1}]
+    assert limited[2][0] == "ScenarioParseError"
+    assert limited[3:6] == [{"name": "alice", "wait": 60},
+                            {"name": "alice", "byte": 1}, 86400]
+    assert limited[6][0] == "ValueError"
+    assert limited[7:9] == ["ERR BAD_ARGS", "ERR BAD_ARGS"]
+    assert limited[9].startswith("OK ")
+
+
 @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"],
                          ids=["form-feed", "file-separator", "nel",
                               "line-separator"])
@@ -337,7 +389,7 @@ def test_parse_fault_round_trips_to_command():
     command = parse_fault("tamper-visa alice byte=17")
     assert command.verb == "tamper-visa"
     assert _FAULTS[command.verb][0] is FaultKind.TAMPER_VISA_BYTE
-    assert command.args == {"name": "alice", "byte": "17"}
+    assert command.args == {"name": "alice", "byte": 17}
 
 
 def test_parse_fault_rejects_non_fault_verbs():
@@ -791,7 +843,7 @@ def test_fault_spec_accepts_what_parse_fault_accepts(text, valid):
 
 def test_fault_spec_gets_its_verbs_defaults():
     assert parse_fault("oversleep alice").args == {"name": "alice",
-                                                   "wait": "601s"}
+                                                   "wait": 601}
 
 
 def _run_with_fault_between_checks(fault: str, seed: int = 1):
@@ -1049,6 +1101,19 @@ def test_cli_time_overflow_exit_2(tmp_path, capsys, scenario, faults, code):
         args += ["--fault", fault]
     assert cli_main(args) == 2
     assert code in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", str(SCENARIOS / "happy_path.cps"), "--seed", "abc"],
+    ["validate"],
+    [],
+], ids=["bad-seed", "no-scenario", "no-command"])
+def test_cli_usage_error_exit_1(argv, capsys):
+    # A usage error is refused input, like a parse error; 2 is a runtime fault.
+    with pytest.raises(SystemExit) as err:
+        cli_main(argv)
+    assert err.value.code == 1
+    assert "error: " in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_3(capsys):

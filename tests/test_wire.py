@@ -16,7 +16,7 @@ import pytest
 
 from cloudpass.clouds import AirportCloud, EmbassyCloud
 from cloudpass.model import MAX_IMAGE_BYTES, content_hash
-from cloudpass.server import CloudServer
+from cloudpass.server import CloudServer, _default_cloud
 from cloudpass.wire import (MAX_LINE_BYTES, handle_airport_line,
                             handle_embassy_line)
 from cloudpass.simnet.cli import main as cli_main
@@ -379,6 +379,34 @@ def test_import_cloudpass_leaves_the_socket_shell_out():
     assert "cloudpass.wire" in added
     assert not added & {"socket", "socketserver", "selectors",
                         "cloudpass.server"}
+
+
+def test_default_clouds_can_work():
+    embassy = _default_cloud("embassy", None)
+    tracking = ask(embassy, "SUBMIT alice PASSPORT_APPLICATION").split()[1]
+    line = f"APPROVE_PASSPORT {tracking} P1 alice IN 0 100"
+    assert ask(embassy, line).startswith("OK ")
+    airport = _default_cloud("airport", None)
+    assert ask(airport, f"REPLICATE V1 P1 {'0' * 64}") == "OK"
+
+
+@pytest.mark.parametrize("role,name,code", [
+    ("embassy", "India", "BAD_COUNTRY_CODE"),
+    ("airport", "blr", "BAD_AIRPORT_CODE"),
+])
+def test_serve_refuses_a_malformed_name(role, name, code):
+    # In a child process, so a server that starts anyway is cut by the
+    # timeout instead of holding the test run.
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cloudpass.simnet.cli", "serve",
+         "--role", role, "--port", "0", "--name", name],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stdout == ""                # it never said it listens
+    assert proc.stderr.startswith("cloudpass: ")
+    assert proc.stderr.count("\n") == 1
+    assert code in proc.stderr
 
 
 @pytest.mark.parametrize("port", ["70000", "-1"])
