@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from ..errors import ScenarioParseError, ScenarioRuntimeError, ValidationError
+from ..model import _SIGNED_RE, _in_i64
 from .engine import run
 from .events import emit_report
 from .scenario import load_scenario, parse_fault
@@ -30,6 +31,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _integer(literal: str) -> int:
+    """An integer option read by the scenario grammar's rule: ASCII digits
+    with an optional sign, inside i64, zero padding allowed; anything else
+    is a usage error. ``int()`` would also take ``_`` separators and other
+    scripts' digits, and its digit limit would refuse long zero padding."""
+    value = _in_i64(literal) if _SIGNED_RE.fullmatch(literal) else None
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"not an integer in i64: {literal[:32]!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cloudpass",
@@ -38,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("--scenario", required=True, help="scenario file")
-    p_run.add_argument("--seed", type=int, default=0, help="world seed")
+    p_run.add_argument("--seed", type=_integer, default=0, help="world seed")
     p_run.add_argument("--report", help="write the event report here "
                        "(default: stdout)")
     p_run.add_argument("--fault", action="append", default=[],
@@ -52,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser("serve", help="expose one cloud over TCP")
     p_serve.add_argument("--role", required=True,
                          choices=("embassy", "airport"))
-    p_serve.add_argument("--port", type=int, required=True)
+    p_serve.add_argument("--port", type=_integer, required=True)
     p_serve.add_argument("--name", default=None,
                          help="embassy country code (default XX) or "
                          "airport code (default XXX)")

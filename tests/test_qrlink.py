@@ -10,6 +10,7 @@ implementation under test.
 import itertools
 import math
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -83,9 +84,9 @@ def oracle_min_bits(data: bytes) -> int:
 
 # -- reference automaton -------------------------------------------------------
 #
-# ``encode_payload``'s automaton stepped once per byte, with no skip ahead
-# inside digit runs. The skip must give the same segments, not just the
-# same bit total, so the two are compared segment by segment.
+# ``encode_payload``'s automaton stepped once per byte, with no memo and
+# no run stepped whole. The run jump must give the same segments, not just
+# the same bit total, so the two are compared segment by segment.
 
 
 def reference_segments(raw: bytes):
@@ -293,19 +294,39 @@ def test_encode_long_digit_run_closed_form():
     assert decode_payload(payload) == data
 
 
-# A digit run alone, and after and before a byte of each other kind: a
+# A run alone, and after and before a byte of each other kind: a
 # lowercase letter (BYTE), an uppercase one (ALPHANUMERIC), a kanji pair
 # and a lone kanji lead byte.
 _AFFIXES = (b"", b"a", b"A", b"\x81\x40", b"\x81")
 
+# Bytes to draw one run from, one alphabet per byte class of the encoder:
+# digits; other alphanumerics; other bytes below 0x81; lead bytes that
+# make a valid pair with any byte; kanji pairs with lone lead bytes and
+# near misses; other high bytes, none of them a lead byte.
+_RUN_ALPHABETS = (
+    b"0123456789",
+    b"ABCXYZ $%*+-./:",
+    b"abcxyz@\x00\x7f\x80",
+    bytes(range(0x82, 0x9F)) + bytes(range(0xE1, 0xEB)),
+    b"\x81\x81\x40\x9f\xfc\xfd\xe0\xeb\xbf\xc0\x3f",
+    b"\xa0\xc1\xdf\xec\xf0\xfd\xff",
+)
 
+
+# Named for the digit-run skip it first checked, it now steps a run of
+# every class: digit runs of each length up to 200, the other classes up
+# to 60 (past their transients) and a few lengths beyond.
 @pytest.mark.parametrize("suffix", _AFFIXES)
 @pytest.mark.parametrize("prefix", _AFFIXES)
 def test_digit_run_skip_matches_reference(prefix, suffix):
     rng = random.Random(prefix + suffix)
-    for length in range(1, 201):
-        data = prefix + bytes(rng.choices(b"0123456789", k=length)) + suffix
-        assert _segments(encode_payload(data)) == reference_segments(data), data
+    for alphabet in _RUN_ALPHABETS:
+        lengths = range(1, 201) if alphabet.isdigit() else (*range(1, 61), 97,
+                                                            150, 200)
+        for length in lengths:
+            data = prefix + bytes(rng.choices(alphabet, k=length)) + suffix
+            assert (_segments(encode_payload(data))
+                    == reference_segments(data)), data
 
 
 _DIGIT_HEAVY = st.lists(
@@ -318,6 +339,64 @@ _DIGIT_HEAVY = st.lists(
 @given(_DIGIT_HEAVY)
 def test_digit_heavy_mixes_match_reference(data):
     assert _segments(encode_payload(data)) == reference_segments(data)
+
+
+_CLASS_RUNS = st.lists(
+    st.sampled_from(_RUN_ALPHABETS).flatmap(
+        lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=1,
+                                  max_size=200).map(bytes)),
+    min_size=1, max_size=6).map(b"".join)
+
+
+@settings(deadline=None)
+@given(_CLASS_RUNS)
+def test_class_runs_match_reference(data):
+    assert _segments(encode_payload(data)) == reference_segments(data)
+
+
+def test_kanji_pair_pattern_spells_ranges():
+    pair = re.compile(q._PAIR)
+    for hi in range(256):
+        for lo in range(256):
+            word = bytes((hi, lo))
+            assert bool(pair.fullmatch(word)) == _kanji_ok(word), word
+
+
+def test_long_runs_walk_back_as_stepped(monkeypatch):
+    # A walk back over a long run is memoised as one of the same length
+    # modulo the walk's period; it must give what walking every byte does.
+    monkeypatch.setattr(q, "_NODES", {})
+    monkeypatch.setattr(q, "_START", q._node((q._UNREACHABLE,) * 8))
+    rng = random.Random(20)
+    for _ in range(300):
+        encode_payload(bytes(rng.choice(b"07Aa\x81\x82\x40\xe0\xff")
+                             for _ in range(rng.randint(1, 30))))
+    responses = [r for node in q._NODES.values() for r in node[:4] if r]
+    for response in rng.sample(responses, 40):
+        transient, cycle = response[4], response[5]
+        limit = transient + 18 * cycle
+        for n in (limit - 1, limit, limit + 1, limit + 7 * cycle + 5):
+            for state in (None, *range(8)):
+                opens, before = q._walk_back(response, n, state)
+                opens = [(j + n if j < 0 else j, s) for j, s in opens]
+                assert (opens, before) == q._walk(response, n, state)
+
+
+def test_memo_stays_small(monkeypatch):
+    # Relative costs are bounded, so the memo is finite. From empty, 20,000
+    # random strings of 1-40 bytes over every byte value left 646 relative
+    # states, 386 run responses and 1,328 memoised walks back, and no
+    # response longer than 19 steps (transient plus cycle).
+    monkeypatch.setattr(q, "_NODES", {})
+    monkeypatch.setattr(q, "_START", q._node((q._UNREACHABLE,) * 8))
+    rng = random.Random(2020)
+    for _ in range(20_000):
+        encode_payload(rng.randbytes(rng.randint(1, 40)))
+    responses = [r for node in q._NODES.values() for r in node[:4] if r]
+    assert len(q._NODES) < 1_000
+    assert len(responses) < 1_000
+    assert sum(len(r[6]) for r in responses) < 3_000
+    assert max(len(r[1]) for r in responses) <= 24
 
 
 @pytest.mark.parametrize("data", [

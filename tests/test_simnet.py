@@ -1107,13 +1107,43 @@ def test_cli_time_overflow_exit_2(tmp_path, capsys, scenario, faults, code):
     ["run", "--scenario", str(SCENARIOS / "happy_path.cps"), "--seed", "abc"],
     ["validate"],
     [],
-], ids=["bad-seed", "no-scenario", "no-command"])
+    # --seed and --port follow the grammar's integer rule: ASCII digits
+    # with an optional sign, inside i64; int() would take all of these.
+    ["run", "--scenario", str(SCENARIOS / "happy_path.cps"), "--seed", "1_000"],
+    ["run", "--scenario", str(SCENARIOS / "happy_path.cps"),
+     "--seed", "9223372036854775808"],
+    ["run", "--scenario", str(SCENARIOS / "happy_path.cps"), "--seed", "\u0663"],
+    ["run", "--scenario", str(SCENARIOS / "happy_path.cps"), "--seed", " 1"],
+    ["serve", "--role", "airport", "--port", "8_000"],
+    ["serve", "--role", "airport", "--port", "\u0668\u0660"],
+], ids=["bad-seed", "no-scenario", "no-command", "seed-underscore",
+        "seed-past-i64", "seed-arabic-indic-digit", "seed-space",
+        "port-underscore", "port-arabic-indic-digits"])
 def test_cli_usage_error_exit_1(argv, capsys):
     # A usage error is refused input, like a parse error; 2 is a runtime fault.
     with pytest.raises(SystemExit) as err:
         cli_main(argv)
     assert err.value.code == 1
     assert "error: " in capsys.readouterr().err
+
+
+def test_cli_zero_padded_seed_is_its_value(capsys):
+    """A seed padded with zeros past ``int()``'s digit limit runs, under
+    the default limit and with none, and reports as its value does."""
+    happy = str(SCENARIOS / "happy_path.cps")
+    assert cli_main(["run", "--scenario", happy, "--seed", "1"]) == 0
+    want = capsys.readouterr().out
+    padded = ["run", "--scenario", happy, "--seed", "0" * 5000 + "1"]
+    assert cli_main(padded) == 0
+    assert capsys.readouterr().out == want
+    if hasattr(sys, "set_int_max_str_digits"):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert cli_main(padded) == 0
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert capsys.readouterr().out == want
 
 
 def test_cli_missing_file_exit_3(capsys):
