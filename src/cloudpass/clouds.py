@@ -124,7 +124,9 @@ class EmbassyCloud:
         self.visas: dict[str, VisaRecord] = {}
         self.passports: dict[str, Passport] = {}
         self.blobs: dict[str, bytes] = {}
-        self.notifications_out: list[Notification] = []
+        # The latest notice per (recipient, kind); a newer one replaces it.
+        self.latest_notices: dict[tuple[str, NotificationKind],
+                                  Notification] = {}
 
     def has_resource(self, kind: ResourceKind, resource_id: str) -> bool:
         if kind is ResourceKind.PASSPORT_APP:
@@ -216,7 +218,7 @@ def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
     token = mint_link_token(cloud, ResourceKind.PASSPORT_APP, passport_no)
     resolve_link_token(token, cloud)  # a notification never carries a dud link
     note = Notification(record.applicant, NotificationKind.PASSPORT_READY, token)
-    cloud.notifications_out.append(note)
+    cloud.latest_notices[note.recipient, note.kind] = note
     return note
 
 
@@ -242,7 +244,7 @@ def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
     token = mint_link_token(cloud, ResourceKind.VISA_IMAGE, visa_id)
     resolve_link_token(token, cloud)
     note = Notification(record.applicant, NotificationKind.VISA_READY, token)
-    cloud.notifications_out.append(note)
+    cloud.latest_notices[note.recipient, note.kind] = note
     return note
 
 

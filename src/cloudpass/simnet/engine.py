@@ -66,7 +66,7 @@ class World:
         return self.log.events
 
     def emit(self, actor: str, event: str, **details) -> None:
-        self.log.emit(self.clock.now, actor, event, **details)
+        self.log.emit(self.clock.now, actor, event, details)
 
     def traveler(self, name: str) -> TravelerState:
         state = self.travelers.get(name)
@@ -87,10 +87,10 @@ class World:
 
 def _latest_notification(cloud: EmbassyCloud, recipient: str,
                          kind: NotificationKind):
-    for note in reversed(cloud.notifications_out):
-        if note.recipient == recipient and note.kind is kind:
-            return note
-    raise CloudError("NO_NOTIFICATION", f"{kind.value} for {recipient}")
+    note = cloud.latest_notices.get((recipient, kind))
+    if note is None:
+        raise CloudError("NO_NOTIFICATION", f"{kind.value} for {recipient}")
+    return note
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def _run_desk_check(world: World, cmd) -> None:
         credentials=world.credentials, otp_store=world.otp_store)
     emit, name = world.log.emit, traveler.name
     for ts, phase, detail in transcript.events:
-        emit(ts, name, _DESK_EVENTS[phase], detail=detail)
+        emit(ts, name, _DESK_EVENTS[phase], {"detail": detail})
     if transcript.outcome is immigration.Outcome.LOCK_AND_ALERT:
         world.emit(code, "police-alert", device=traveler.device.device_id,
                    reason=transcript.cause[1])

@@ -140,7 +140,7 @@ def test_approve_passport_duplicate_number_rejected():
                                 passport_no="P1")
     bound = clouds.download_passport_app(cloud, note.payload, fresh_device(rng))
     tracking = submit_application(cloud, "bob", IdKind.PASSPORT_APPLICATION, rng)
-    before, notes = cloud.snapshot_bytes(), list(cloud.notifications_out)
+    before, notes = cloud.snapshot_bytes(), dict(cloud.latest_notices)
     with pytest.raises(CloudError) as err:
         clouds.approve_passport(cloud, tracking.value, passport_no="P1",
                                 holder_name="bob", nationality="IN",
@@ -149,7 +149,7 @@ def test_approve_passport_duplicate_number_rejected():
     assert cloud.passports["P1"] is bound
     assert bound.holder_name == "alice" and bound.bound_device == "phone-1"
     assert cloud.snapshot_bytes() == before
-    assert cloud.notifications_out == notes
+    assert cloud.latest_notices == notes
     assert clouds.application_status(cloud, tracking.value) is AppStatus.SUBMITTED
 
 

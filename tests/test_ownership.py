@@ -81,6 +81,17 @@ def test_store_finder_sees_each_form_of_store(tmp_path):
                                         ("m.py", "c"), ("m.py", "K.d")}
 
 
+def test_only_event_log_emit_appends_to_a_run_log():
+    # The benchmark's traced events.emitted count wraps EventLog.emit, so
+    # an event put into the list anywhere else would be missing from it.
+    growing = _sites(lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"append", "extend", "insert"}
+        and _is_attr(node.func.value, "events")), SRC)
+    assert growing == {("simnet/events.py", "EventLog.emit")}
+    assert _stores("events") == {("simnet/events.py", "EventLog.__init__")}
+
+
 def test_only_finish_builds_a_transcript():
     # The cause and the lines rendered from it are made in one place.
     assert _calls("CheckTranscript") == {("immigration.py", "run_check.finish")}

@@ -12,14 +12,14 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cloudpass import authflow, immigration
 from cloudpass.clouds import EmbassyCloud
 from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
-from cloudpass.immigration import PHASE_AUTH, Outcome, TranscriptEvent
+from cloudpass.immigration import PHASE_AUTH, PHASES, Outcome, TranscriptEvent
 from cloudpass.model import MAX_IMAGE_BYTES
 from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind,
                               ScenarioEvent, ScenarioRng, VirtualClock,
@@ -428,8 +428,8 @@ def test_empty_log_reports_single_summary_line():
 
 def test_report_has_one_line_per_event_plus_summary():
     log = EventLog()
-    log.emit(0, "world", "boot")
-    log.emit(5, "alice", "check-outcome", outcome="PERMIT")
+    log.emit(0, "world", "boot", {})
+    log.emit(5, "alice", "check-outcome", {"outcome": "PERMIT"})
     buf = io.StringIO()
     emit_report(log.events, buf)
     lines = buf.getvalue().splitlines()
@@ -439,7 +439,7 @@ def test_report_has_one_line_per_event_plus_summary():
 
 def test_event_line_key_order_fixed():
     log = EventLog()
-    ev = log.emit(3, "alice", "ping", extra=1)
+    ev = log.emit(3, "alice", "ping", {"extra": 1})
     pairs = json.loads(event_line(ev), object_pairs_hook=list)
     assert [k for k, _ in pairs] == ["seq", "ts", "actor", "event", "details"]
 
@@ -465,7 +465,7 @@ def test_event_records_keep_field_order_and_refuse_assignment(cls, fields,
 def test_report_reemission_is_byte_identical():
     log = EventLog()
     for i in range(4):
-        log.emit(i, "a", "tick", n=i)
+        log.emit(i, "a", "tick", {"n": i})
     first, second = io.StringIO(), io.StringIO()
     emit_report(log.events, first)
     emit_report(log.events, second)
@@ -480,7 +480,10 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner,
                                                                 max_size=4),
     max_leaves=8)
-_DETAILS = st.dictionaries(_TEXT, _JSON, max_size=5)
+# A one-entry dict of two strs is the shape the report quotes without the
+# encoder (every desk transcript line has it), so it is drawn on its own too.
+_DETAILS = (st.dictionaries(_TEXT, _JSON, max_size=5)
+            | st.dictionaries(_TEXT, _TEXT, min_size=1, max_size=1))
 # Small timestamps repeat and go backwards; large ones reach the last second.
 _TS = st.integers(0, 3) | st.integers(0, CLOCK_MAX)
 
@@ -493,6 +496,8 @@ def _dumps_line(seq, ts, actor, event, details) -> str:
 
 
 @given(st.integers(0, 10**6), _TS, _TEXT, _TEXT, _DETAILS)
+@example(0, 0, "alice", "desk-auth", {"detail": 'say "hi"\\ \x00\x1f\x7f'})
+@example(1, 0, "\u2028", "\ud800", {"\udfff\U0001f600": "\u2028\ud83d\xe9"})
 def test_event_line_matches_json_dumps(seq, ts, actor, event, details):
     line = event_line(ScenarioEvent(seq, ts, actor, event, details))
     assert line == _dumps_line(seq, ts, actor, event, details)
@@ -502,15 +507,20 @@ _OUTCOME = st.sampled_from(["PERMIT", "ISOLATE", "LOCK_AND_ALERT"])
 
 
 # Line content is event_line's property above; this one varies the order
-# and repetition of timestamps and the outcome counts.
-@given(st.lists(st.tuples(_TS, st.sampled_from(["alice", "BLR"]), st.one_of(
-    st.tuples(st.just("check-outcome"), st.fixed_dictionaries({"outcome": _OUTCOME})),
-    st.tuples(st.just("tick"), st.dictionaries(st.just("n"), st.integers())))),
+# and repetition of timestamps, actor and event names (each quoted once a
+# report), and the outcome counts.
+@given(st.lists(st.tuples(_TS, st.sampled_from(["alice", "BLR", "bob", "world"]),
+    st.one_of(
+        st.tuples(st.just("check-outcome"),
+                  st.fixed_dictionaries({"outcome": _OUTCOME})),
+        st.tuples(st.just("tick"), st.dictionaries(st.just("n"), st.integers())),
+        st.tuples(st.sampled_from([f"desk-{phase}" for phase in PHASES]),
+                  st.fixed_dictionaries({"detail": _TEXT})))),
     max_size=12))
 def test_emit_report_is_event_lines_plus_summary(entries):
     log = EventLog()
     for ts, actor, (event, details) in entries:
-        log.emit(ts, actor, event, **details)
+        log.emit(ts, actor, event, details)
     counts = outcome_counts(log.events)
     summary = {"events": len(log.events),
                **{key.lower(): n for key, n in counts.items()}}
@@ -525,8 +535,8 @@ def test_emit_report_is_event_lines_plus_summary(entries):
 
 def test_outcome_counts_only_reads_check_outcomes():
     log = EventLog()
-    log.emit(0, "x", "police-alert", outcome="LOCK_AND_ALERT")
-    log.emit(1, "x", "check-outcome", outcome="ISOLATE")
+    log.emit(0, "x", "police-alert", {"outcome": "LOCK_AND_ALERT"})
+    log.emit(1, "x", "check-outcome", {"outcome": "ISOLATE"})
     assert outcome_counts(log.events) == {"PERMIT": 0, "ISOLATE": 1,
                                           "LOCK_AND_ALERT": 0}
 
@@ -548,6 +558,21 @@ def test_happy_path_two_permits_one_stamp():
     stamps = world.traveler("alice").device.passport.all_stamps()
     assert len(stamps) == 1
     assert stamps[0].kind.value == "ARRIVAL"
+
+
+def test_install_app_takes_the_latest_passport_notice():
+    # Two approvals for alice and one for bob, then a visa notice for
+    # alice: install-app reads alice's newest PASSPORT_READY notice.
+    world, events = run(load_scenario(
+        "embassy IN\ntraveler alice\ntraveler bob\n"
+        "apply-passport alice authority=IN\napprove-passport alice passport-no=P1\n"
+        "apply-passport alice authority=IN\napprove-passport alice passport-no=P2\n"
+        "apply-passport bob authority=IN\napprove-passport bob passport-no=P3\n"
+        "apply-visa alice authority=IN\napprove-visa alice\n"
+        "install-app alice\n", seed=1))
+    assert world.traveler("alice").device.passport.passport_no == "P2"
+    assert events[-1].event == "passport-installed"
+    assert events[-1].details["passport_no"] == "P2"
 
 
 def test_happy_path_same_seed_byte_identical():
