@@ -3,9 +3,9 @@
 Everything the other layers exchange (passports, pages, visa records,
 image blobs, device state) is defined here as a value type with
 construction-time validation, plus a deterministic tagged binary
-encoding. The exact byte layout is documented in docs/encoding.md and
-is covered by round-trip tests; any change to field order or framing is
-a wire-format break.
+encoding for the records that cross a byte boundary. The exact byte
+layout is documented in docs/encoding.md and is covered by round-trip
+tests; any change to field order or framing is a wire-format break.
 
 Times and dates are plain integers: seconds since the scenario epoch.
 They are rendered as ISO-8601 only when a report is written.
@@ -57,7 +57,6 @@ __all__ = [
     "canonical_serialize",
     "canonical_deserialize",
     "register_codec",
-    "fields_codec",
 ]
 
 TRACKING_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -215,6 +214,23 @@ class PassportPage:
                                   f"page {self.page_no} stamps must be non-decreasing")
 
 
+def _check_passport_fields(record: "Passport | PassportSummary") -> None:
+    """The rules on the fields a passport shares with its summary, one rule
+    per field, so a summary from a device meets its passport's rules."""
+    if not record.passport_no:
+        raise ValidationError("EMPTY_PASSPORT_NO")
+    if not record.holder_name:
+        raise ValidationError("EMPTY_HOLDER_NAME")
+    check_format("country", record.nationality)
+    check_format("country", record.issuing_authority)
+    issue, expiry = record.issue_date, record.expiry_date
+    if not expiry > issue:
+        raise ValidationError("EXPIRY_NOT_AFTER_ISSUE", f"issue {issue} expiry {expiry}")
+    if not (issue >= I64_MIN and expiry <= I64_MAX):
+        raise ValidationError("DATE_OUT_OF_RANGE",
+                              f"issue {issue} expiry {expiry} must fit i64")
+
+
 # The pages of every new passport, each checked once, here.
 _BLANK_PAGES = tuple(PassportPage(n) for n in range(1, PASSPORT_PAGE_COUNT + 1))
 
@@ -238,19 +254,7 @@ class Passport:
         self.validate()
 
     def validate(self) -> None:
-        if not self.passport_no:
-            raise ValidationError("EMPTY_PASSPORT_NO")
-        if not self.holder_name:
-            raise ValidationError("EMPTY_HOLDER_NAME")
-        check_format("country", self.nationality)
-        check_format("country", self.issuing_authority)
-        if not self.expiry_date > self.issue_date:
-            raise ValidationError("EXPIRY_NOT_AFTER_ISSUE",
-                                  f"issue {self.issue_date} expiry {self.expiry_date}")
-        if not (self.issue_date >= I64_MIN and self.expiry_date <= I64_MAX):
-            raise ValidationError(
-                "DATE_OUT_OF_RANGE",
-                f"issue {self.issue_date} expiry {self.expiry_date} must fit i64")
+        _check_passport_fields(self)
         numbers = [p.page_no for p in self.pages]
         if numbers != list(range(1, len(numbers) + 1)):
             raise ValidationError("PAGES_NOT_CONTIGUOUS", f"page numbers {numbers[:5]}...")
@@ -481,10 +485,7 @@ class PassportSummary:
         self.validate()
 
     def validate(self) -> None:
-        if not self.passport_no:
-            raise ValidationError("EMPTY_PASSPORT_NO")
-        if not self.holder_name:
-            raise ValidationError("EMPTY_HOLDER_NAME")
+        _check_passport_fields(self)
 
 
 @dataclass(frozen=True)
@@ -580,8 +581,8 @@ def summarize(passport: Passport) -> PassportSummary:
 # fields in declaration order. Primitives: i64 = 8-byte big-endian two's
 # complement; str/bytes = 4-byte big-endian length + payload (str is UTF-8);
 # bool = 1 byte; enums = their member name as str; optional = presence byte
-# then the value; lists = 4-byte count + elements; maps = 4-byte count +
-# key-sorted (key, value) pairs. See docs/encoding.md.
+# then the value, never a list or a map; lists = 4-byte count + records;
+# maps = 4-byte count + key-sorted (key, record) pairs. See docs/encoding.md.
 #
 # Every body is derived from its dataclass declaration: fields_codec compiles
 # one writer and one reader per record when the record is registered. A
@@ -628,7 +629,8 @@ class _Writer:
     def enum(self, v: Enum) -> None:
         self.text(v.name)
 
-    # Containers take the writer of one element, called ``write(w, v)``.
+    # An optional takes the writer of its value, called ``write(w, v)``;
+    # a list or a map holds records.
 
     def opt(self, v, write: Callable) -> None:
         if v is None:
@@ -637,16 +639,16 @@ class _Writer:
             self.buf.append(1)
             write(self, v)
 
-    def seq(self, values: tuple, write: Callable) -> None:
+    def seq(self, values: tuple) -> None:
         self.u32(len(values))
         for v in values:
-            write(self, v)
+            _write_record(self, v)
 
-    def map(self, items: dict, write: Callable) -> None:
+    def map(self, items: dict) -> None:
         self.u32(len(items))
         for key in sorted(items):
             self.text(key)
-            write(self, items[key])
+            _write_record(self, items[key])
 
 
 class _Reader:
@@ -724,22 +726,22 @@ class _Reader:
             raise ValidationError("BAD_OPTION_BYTE", str(flag))
         return flag == 1
 
-    # Containers take the reader of one element, called ``read(r, arg)``.
+    # A list or a map holds records of the type ``cls``.
 
-    def seq(self, read: Callable, arg) -> tuple:
+    def seq(self, cls: type) -> tuple:
         items = []
         for _ in range(self.u32()):
-            items.append(read(self, arg))
+            items.append(_read_record(self, cls))
         return tuple(items)
 
-    def map(self, read: Callable, arg) -> dict:
+    def map(self, cls: type) -> dict:
         items = {}
         for _ in range(self.u32()):
             key = self.text()
             if items and key <= key_before:
                 raise ValidationError("MAP_KEYS_NOT_SORTED",
                                       f"{key!r} after {key_before!r}")
-            items[key] = read(self, arg)
+            items[key] = _read_record(self, cls)
             key_before = key
         return items
 
@@ -752,10 +754,12 @@ _CODEC_BY_TYPE: dict[type, tuple[int, Callable, Callable]] = {}
 _CODEC_BY_TAG: dict[int, tuple[type, Callable, Callable]] = {}
 
 
-def register_codec(cls: type, tag: int, write_body: Callable, read_body: Callable) -> None:
-    """Hook a record type into the canonical encoder; tags must be unique."""
+def register_codec(cls: type, tag: int) -> None:
+    """Build a record type's codec and hook it into the canonical encoder
+    under ``tag``; tags and types must be unique."""
     if tag in _CODEC_BY_TAG or cls in _CODEC_BY_TYPE:
         raise ValueError(f"codec already registered: {cls.__name__} / {tag:#x}")
+    write_body, read_body = fields_codec(cls)
     _CODEC_BY_TYPE[cls] = (tag, write_body, read_body)
     _CODEC_BY_TAG[tag] = (cls, write_body, read_body)
 
@@ -816,32 +820,38 @@ def canonical_deserialize(data: bytes, expected: type | None = None):
 _PRIMITIVES = {str: "text", int: "i64", bytes: "raw", bool: "boolean"}
 
 
+def _is_record(hint) -> bool:
+    return isinstance(hint, type) and dataclasses.is_dataclass(hint)
+
+
 def _kind(hint) -> tuple[str, object]:
     """How a field type is encoded: a primitive's method name, ``enum`` or
-    ``record`` with the type itself, or ``opt``, ``seq`` or ``map`` with the
-    element type. TypeError if the type has no encoding."""
+    ``record`` with the type itself, ``opt`` with the type it holds, or
+    ``seq`` or ``map`` with the record type they hold. TypeError if the
+    type has no encoding: a list or a map holds records only, and an
+    optional holds no container."""
     if hint in _PRIMITIVES:
         return _PRIMITIVES[hint], hint
     if isinstance(hint, type) and issubclass(hint, Enum):
         return "enum", hint
-    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+    if _is_record(hint):
         return "record", hint
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
+    if (origin in (typing.Union, types.UnionType) and args[1:] == (type(None),)
+            and _kind(args[0])[0] not in ("seq", "map")):
         return "opt", args[0]
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis and _is_record(args[0]):
         return "seq", args[0]
-    if origin is dict and len(args) == 2 and args[0] is str:
+    if origin is dict and len(args) == 2 and args[0] is str and _is_record(args[1]):
         return "map", args[1]
     raise TypeError(hint)
 
 
 class _Source:
-    """The source of one record's codec and the objects it names."""
+    """The names one record's codec source uses, bound to their objects."""
 
     def __init__(self):
         self.env: dict[str, object] = {}
-        self.defs: list[str] = []
 
     def name(self, obj) -> str:
         for name, value in self.env.items():
@@ -851,48 +861,28 @@ class _Source:
         self.env[name] = obj
         return name
 
-    def define(self, function: str) -> str:
-        """Add a function, given from its parameters on, and name it."""
-        name = f"_f{len(self.defs)}"
-        self.defs.append(f"def {name}{function}")
-        return name
-
     def write(self, hint) -> str:
         """A call writing one value to ``w``, with ``{}`` in its place."""
         kind, element = _kind(hint)
-        if kind in ("opt", "seq", "map"):
-            return f"{self.name(getattr(_Writer, kind))}(w, {{}}, {self.writer(element)})"
+        if kind == "opt":
+            return f"{self.name(_Writer.opt)}(w, {{}}, {self.writer(element)})"
         return f"{self.writer(hint)}(w, {{}})"
 
     def writer(self, hint) -> str:
-        """The name of a function writing one value as ``write(w, v)``."""
+        """The name of a function writing one value, not an optional, as
+        ``write(w, v)``."""
         kind, _ = _kind(hint)
-        if kind == "record":
-            return self.name(_write_record)
-        if kind in ("opt", "seq", "map"):
-            return self.define(f"(w, v): {self.write(hint).format('v')}")
-        return self.name(getattr(_Writer, kind))
+        return self.name(_write_record if kind == "record" else getattr(_Writer, kind))
 
     def read(self, hint) -> str:
         """An expression reading one value from ``r``."""
         kind, element = _kind(hint)
         if kind == "opt":
             return f"({self.read(element)} if {self.name(_Reader.present)}(r) else None)"
-        if kind in ("seq", "map"):
-            return f"{self.name(getattr(_Reader, kind))}(r, {', '.join(self.reader(element))})"
-        if kind in ("enum", "record"):
-            return "{}(r, {})".format(*self.reader(hint))
-        return f"{self.name(getattr(_Reader, kind))}(r)"
-
-    def reader(self, hint) -> tuple[str, str]:
-        """A function reading one value as ``read(r, arg)``: the names of
-        ``read`` and ``arg``."""
-        kind, _ = _kind(hint)
-        if kind == "record":
-            return self.name(_read_record), self.name(hint)
-        if kind == "enum":
-            return self.name(_Reader.enum), self.name(hint)
-        return self.define(f"(r, _): return {self.read(hint)}"), "None"
+        read = self.name(_read_record if kind == "record" else getattr(_Reader, kind))
+        if hint in _PRIMITIVES:
+            return f"{read}(r)"
+        return f"{read}(r, {self.name(element)})"
 
 
 def fields_codec(cls: type) -> tuple[Callable, Callable]:
@@ -918,21 +908,19 @@ def fields_codec(cls: type) -> tuple[Callable, Callable]:
         # field on, they are passed by name.
         keyword = keyword or f.kw_only
         reads.append(f"{f.name}={read}" if keyword else read)
-    source.defs.append(f"def write_body(w, x): {'; '.join(writes) or 'pass'}")
-    source.defs.append(f"def read_body(r): return {source.name(cls)}({', '.join(reads)})")
-    exec(compile("\n".join(source.defs), f"<{cls.__name__} codec>", "exec"), source.env)
+    code = (f"def write_body(w, x): {'; '.join(writes) or 'pass'}\n"
+            f"def read_body(r): return {source.name(cls)}({', '.join(reads)})")
+    exec(compile(code, f"<{cls.__name__} codec>", "exec"), source.env)
     return source.env["write_body"], source.env["read_body"]
 
 
-register_codec(TrackingId, 0x01, *fields_codec(TrackingId))
-register_codec(StampEntry, 0x02, *fields_codec(StampEntry))
-register_codec(PassportPage, 0x03, *fields_codec(PassportPage))
-register_codec(Passport, 0x04, *fields_codec(Passport))
-register_codec(VisaImage, 0x05, *fields_codec(VisaImage))
-register_codec(VisaRecord, 0x06, *fields_codec(VisaRecord))
-register_codec(AuthImage, 0x07, *fields_codec(AuthImage))
-register_codec(DeviceState, 0x08, *fields_codec(DeviceState))
-register_codec(PassportSummary, 0x09, *fields_codec(PassportSummary))
-register_codec(VisaPresentation, 0x0A, *fields_codec(VisaPresentation))
-register_codec(CaptchaChallenge, 0x21, *fields_codec(CaptchaChallenge))
-register_codec(Session, 0x22, *fields_codec(Session))
+register_codec(StampEntry, 0x02)
+register_codec(PassportPage, 0x03)
+register_codec(Passport, 0x04)
+register_codec(VisaImage, 0x05)
+register_codec(AuthImage, 0x07)
+register_codec(DeviceState, 0x08)
+register_codec(PassportSummary, 0x09)
+register_codec(VisaPresentation, 0x0A)
+register_codec(CaptchaChallenge, 0x21)
+register_codec(Session, 0x22)

@@ -40,7 +40,7 @@ import re
 
 from .errors import QrError, ValidationError
 from .model import (_Writer, canonical_deserialize, canonical_serialize,
-                    fields_codec, register_codec)
+                    register_codec)
 
 __all__ = [
     "QrMode",
@@ -154,12 +154,6 @@ class QrSegment:
         if not _MODES[self.mode][0](payload):
             raise QrError("BAD_SEGMENT_CHAR",
                           f"payload not valid for {self.mode.name}")
-
-    @property
-    def char_count(self) -> int:
-        if self.mode is QrMode.KANJI:
-            return len(self.payload) // 2
-        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -514,4 +508,4 @@ def token_from_payload(payload: QrPayload) -> LinkToken:
     return token_from_wire(decode_payload(payload).decode("ascii"))
 
 
-register_codec(LinkToken, 0x30, *fields_codec(LinkToken))
+register_codec(LinkToken, 0x30)

@@ -106,7 +106,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         emit_report(events, sys.stdout)
         return EXIT_OK
     try:
-        emit_report(events, args.report)
+        with open(args.report, "w", encoding="utf-8", newline="") as report:
+            emit_report(events, report)
     except OSError as exc:
         print(f"cloudpass: cannot write {args.report}: {exc}",
               file=sys.stderr)

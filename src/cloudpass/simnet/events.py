@@ -7,9 +7,7 @@ outcome counts. Re-emitting the same log yields byte-identical output.
 
 from __future__ import annotations
 
-import io
 import json
-import os
 from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -108,7 +106,7 @@ def outcome_counts(events: list[ScenarioEvent]) -> dict[str, int]:
 def emit_report(events: list[ScenarioEvent], target) -> None:
     """Write the log as JSON lines plus the trailing summary line.
 
-    ``target`` is a path or a text stream. N events produce N + 1 lines;
+    ``target`` is a text stream. N events produce N + 1 lines;
     an empty log still produces its summary line with all counts zero.
     """
     encode, names = _details_encoder(), _Quoted()
@@ -124,9 +122,4 @@ def emit_report(events: list[ScenarioEvent], target) -> None:
                        names["summary"],
                        {"events": len(events),
                         **{key.lower(): n for key, n in counts.items()}}))
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, (str, os.PathLike)):
-        with io.open(target, "w", encoding="utf-8", newline="") as fp:
-            fp.write(text)
-    else:
-        target.write(text)
+    target.write("\n".join(lines) + "\n")

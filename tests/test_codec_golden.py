@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import struct
 import sys
 import typing
 from dataclasses import replace
@@ -33,9 +34,8 @@ from cloudpass import model
 from cloudpass.authflow import (CaptchaChallenge, Session, SessionState,
                                 make_auth_image)
 from cloudpass.errors import ValidationError
-from cloudpass.model import (AUTH_IMAGE_COUNT, DeviceState, IdKind,
-                             StampEntry, StampKind, TrackingId, VisaImage,
-                             VisaPresentation, VisaRecord, VisaStatus,
+from cloudpass.model import (AUTH_IMAGE_COUNT, DeviceState, StampEntry,
+                             StampKind, VisaImage, VisaPresentation,
                              add_stamp, canonical_deserialize,
                              canonical_serialize, new_passport, place_visa,
                              summarize)
@@ -69,14 +69,10 @@ def records() -> dict[str, object]:
                              pending_captcha=captcha)
 
     return {
-        "TrackingId": TrackingId("ABCDEF123456", IdKind.VISA_APPLICATION),
         "StampEntry": passport.page(3).stamps[1],
         "PassportPage": passport.page(3),
         "Passport": passport,
         "VisaImage": visa_us,
-        "VisaRecord": VisaRecord("V-US-0001", "P7654321", "IN", "US", 0,
-                                 365 * 86400, visa_us.content_hash,
-                                 VisaStatus.ISSUED),
         "AuthImage": images[7],
         "DeviceState": device,
         "PassportSummary": summarize(passport),
@@ -159,32 +155,18 @@ def test_documented_layout_is_declared():
                           for f in dataclasses.fields(cls)], name
 
 
-@pytest.mark.parametrize("kind", [float, dict[int, str], list[int]],
-                         ids=["float", "dict", "list"])
+# A list or a map holds records only, and an optional holds no container.
+@pytest.mark.parametrize("kind", [
+    float, dict[int, str], list[int], tuple[str, ...],
+    tuple[tuple[StampEntry, ...], ...], tuple[str, ...] | None,
+], ids=["float", "dict", "list", "list-of-str", "list-of-lists",
+        "optional-list"])
 def test_field_without_encoding_is_refused_when_built(kind):
     # Not registered: the registry is what the pins above read.
     Throwaway = dataclasses.make_dataclass(
         "Throwaway", [("name", str), ("amount", kind)], frozen=True)
     with pytest.raises(TypeError, match=r"^Throwaway\.amount: no canonical"):
         model.fields_codec(Throwaway)
-
-
-def test_nested_kinds_round_trip():
-    # No registered record nests containers or holds a list of primitives,
-    # so the bodies are driven directly.
-    Nested = dataclasses.make_dataclass("Nested", [
-        ("names", tuple[str, ...]), ("gaps", tuple[int | None, ...]),
-        ("table", dict[str, tuple[bool, ...]]),
-        ("kinds", tuple[StampKind, ...] | None)], frozen=True)
-    write_body, read_body = model.fields_codec(Nested)
-    for value in (Nested(("a", "\u00e9"), (1, None), {"b": (True,), "a": ()},
-                         (StampKind.ARRIVAL,)),
-                  Nested((), (), {}, None)):
-        w = model._Writer()
-        write_body(w, value)
-        r = model._Reader(bytes(w.buf))
-        assert read_body(r) == value
-        assert r.pos == len(w.buf)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +182,17 @@ def _refused_or_canonical(data: bytes) -> None:
     except ValidationError:
         return
     assert canonical_serialize(record) == data
+
+
+# Retired tags, never reused: 0x01 was TrackingId and 0x06 VisaRecord.
+@pytest.mark.parametrize("tag", [0x01, 0x06])
+def test_retired_tags_are_unknown(tag):
+    # The body of a TrackingId as 0x01 encoded it.
+    body = (struct.pack(">I", 12) + b"ABCDEF123456"
+            + struct.pack(">I", 16) + b"VISA_APPLICATION")
+    with pytest.raises(ValidationError) as err:
+        canonical_deserialize(struct.pack(">BI", tag, len(body)) + body)
+    assert err.value.code == "UNKNOWN_TAG"
 
 
 @pytest.mark.parametrize("name", sorted(_ENCODED))

@@ -944,6 +944,17 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert summary["details"]["permit"] == 2
 
 
+def test_cli_run_report_unwritable_exit_3(tmp_path, capsys):
+    report = tmp_path / "missing" / "out.jsonl"
+    code = cli_main(["run", "--scenario", str(SCENARIOS / "happy_path.cps"),
+                     "--report", str(report)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"cloudpass: cannot write {report}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_cli_run_stdout_when_no_report(tmp_path, capsys):
     code = cli_main(["run", "--scenario", str(SCENARIOS / "happy_path.cps")])
     assert code == 0
