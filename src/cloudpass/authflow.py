@@ -110,15 +110,18 @@ def make_auth_image(index: int, image_bytes: bytes, answer: str) -> AuthImage:
     return AuthImage(index, content_hash(image_bytes), _hash_answer(answer))
 
 
+def _password_hash(salt: bytes, password: str) -> str:
+    return hashlib.sha256(salt + password.encode("utf-8")).hexdigest()
+
+
 def make_credential(username: str, password: str, rng) -> Credential:
     salt = rng.randbytes(16)
-    return Credential(username, salt,
-                      hashlib.sha256(salt + password.encode("utf-8")).hexdigest())
+    return Credential(username, salt, _password_hash(salt, password))
 
 
 def _password_matches(credential: Credential, password: str) -> bool:
-    digest = hashlib.sha256(credential.password_salt + password.encode("utf-8"))
-    return digest.hexdigest() == credential.password_hash
+    digest = _password_hash(credential.password_salt, password)
+    return digest == credential.password_hash
 
 
 # ---------------------------------------------------------------------------

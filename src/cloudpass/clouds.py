@@ -202,6 +202,19 @@ def _application_for_approval(cloud: EmbassyCloud, tracking_value: str,
     return record
 
 
+def _approve(cloud: EmbassyCloud, record: ApplicationRecord, kind: ResourceKind,
+             resource_id: str, notice: NotificationKind) -> Notification:
+    """Mark the application approved for its issued resource, and file the
+    applicant's notice with a link to it."""
+    record.status = AppStatus.APPROVED
+    record.resource_id = resource_id
+    token = mint_link_token(cloud, kind, resource_id)
+    resolve_link_token(token, cloud)  # a notification never carries a dud link
+    note = Notification(record.applicant, notice, token)
+    cloud.latest_notices[note.recipient, note.kind] = note
+    return note
+
+
 def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
                      passport_no: str, holder_name: str, nationality: str,
                      issue_date: int, expiry_date: int) -> Notification:
@@ -213,13 +226,8 @@ def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
     passport = new_passport(passport_no, holder_name, nationality,
                             cloud.authority_id, issue_date, expiry_date)
     cloud.passports[passport_no] = passport
-    record.status = AppStatus.APPROVED
-    record.resource_id = passport_no
-    token = mint_link_token(cloud, ResourceKind.PASSPORT_APP, passport_no)
-    resolve_link_token(token, cloud)  # a notification never carries a dud link
-    note = Notification(record.applicant, NotificationKind.PASSPORT_READY, token)
-    cloud.latest_notices[note.recipient, note.kind] = note
-    return note
+    return _approve(cloud, record, ResourceKind.PASSPORT_APP, passport_no,
+                    NotificationKind.PASSPORT_READY)
 
 
 def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
@@ -239,13 +247,8 @@ def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
                       VisaStatus.ISSUED)
     cloud.visas[visa_id] = visa
     cloud.blobs[image_hash] = bytes(image_bytes)
-    record.status = AppStatus.APPROVED
-    record.resource_id = visa_id
-    token = mint_link_token(cloud, ResourceKind.VISA_IMAGE, visa_id)
-    resolve_link_token(token, cloud)
-    note = Notification(record.applicant, NotificationKind.VISA_READY, token)
-    cloud.latest_notices[note.recipient, note.kind] = note
-    return note
+    return _approve(cloud, record, ResourceKind.VISA_IMAGE, visa_id,
+                    NotificationKind.VISA_READY)
 
 
 # ---------------------------------------------------------------------------

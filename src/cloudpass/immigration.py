@@ -159,11 +159,6 @@ class AgentScript:
     oversleep_s: int = 0                # idle right after opening the session
 
 
-def _utc_time(now: int) -> str:
-    minutes = (now // 60) % 1440
-    return f"{minutes // 60:02d}:{minutes % 60:02d}"
-
-
 def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> None:
     """Walk the agent through both levels until the visa is visible, the
     session dies, or the agent runs out of road. Failures stay pending, so
@@ -191,8 +186,11 @@ def _drive_auth(device, script: AgentScript, clock, rng, credentials, log) -> No
             clock.advance(_STEP_S)
             try:
                 if state is _TIME_AUTH_PENDING:
-                    submitted = (_utc_time(clock.now) if script.submit_utc_time
-                                 else device.displayed_time(clock.now))
+                    # UTC now is what the device, running clock_offset_min
+                    # ahead of UTC, showed that many minutes ago.
+                    shown_at = (clock.now - 60 * device.clock_offset_min
+                                if script.submit_utc_time else clock.now)
+                    submitted = device.displayed_time(shown_at)
                     authflow.verify_time_auth(device, submitted,
                                               session.pending_captcha.text,
                                               clock.now)

@@ -229,6 +229,8 @@ def _check_passport_fields(record: "Passport | PassportSummary") -> None:
     if not (issue >= I64_MIN and expiry <= I64_MAX):
         raise ValidationError("DATE_OUT_OF_RANGE",
                               f"issue {issue} expiry {expiry} must fit i64")
+    if not isinstance(record.status, PassportStatus):
+        raise ValidationError("BAD_STATUS", repr(record.status))
 
 
 # The pages of every new passport, each checked once, here.
@@ -263,8 +265,6 @@ class Passport:
             raise ValidationError("DUPLICATE_VISA_SLOT", repr(slots))
         if self.bound_device == "":
             raise ValidationError("EMPTY_DEVICE_ID")
-        if not isinstance(self.status, PassportStatus):
-            raise ValidationError("BAD_STATUS", repr(self.status))
 
     def page(self, page_no: int) -> PassportPage:
         if not 1 <= page_no <= len(self.pages):
@@ -380,6 +380,17 @@ class CaptchaChallenge:
     challenge_id: str
     text: str
     issued_at: int
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        if not self.challenge_id:
+            raise ValidationError("EMPTY_CHALLENGE_ID")
+        if not self.text:
+            raise ValidationError("EMPTY_CAPTCHA_TEXT")
+        if not self.issued_at >= 0:
+            raise ValidationError("NEGATIVE_TIMESTAMP", str(self.issued_at))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ concurrency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import authflow, clouds, immigration
 from ..clouds import (AirportCloud, Checkpoint, EmbassyCloud, ManifestEntry,
@@ -27,6 +27,9 @@ __all__ = ["World", "TravelerState", "run"]
 
 # The desk verbs and the checkpoint each one runs.
 _DESK_VERBS = {"depart": Checkpoint.DEPARTURE, "arrive": Checkpoint.ARRIVAL}
+# The apply verbs and the kind of application each one files.
+_APPLY_KINDS = {"apply-passport": IdKind.PASSPORT_APPLICATION,
+                "apply-visa": IdKind.VISA_APPLICATION}
 # Event name each desk transcript phase is re-emitted under.
 _DESK_EVENTS = {phase: f"desk-{phase}" for phase in immigration.PHASES}
 
@@ -38,13 +41,18 @@ class TravelerState:
     name: str
     device: DeviceState
     script: immigration.AgentScript    # what they do at the desk, faults too
-    home_authority: str | None = None
-    visa_authority: str | None = None
-    passport_tracking: str | None = None
-    visa_tracking: str | None = None
+    # (authority, tracking id) of the latest application of each kind. A
+    # newer application replaces its entry; what was issued stays below.
+    applications: dict[IdKind, tuple[str, str]] = field(default_factory=dict)
     passport_no: str | None = None
     visa_id: str | None = None
     last_redeemed: str | None = None
+
+    def application(self, kind: IdKind) -> tuple[str, str]:
+        application = self.applications.get(kind)
+        if application is None:
+            raise CloudError("NO_APPLICATION", self.name)
+        return application
 
 
 class World:
@@ -133,43 +141,39 @@ def _cmd_traveler(world: World, cmd) -> None:
     world.emit(name, "traveler-created", device=device_id, offset_min=offset)
 
 
-def _cmd_apply_passport(world: World, cmd) -> None:
+def _cmd_apply(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
     authority = cmd.args["authority"]
     cloud = world.embassy(authority)
     stream = world.rng.stream(f"authority:{authority}")
     tracking = clouds.submit_application(cloud, traveler.name,
-                                         IdKind.PASSPORT_APPLICATION, stream)
-    traveler.home_authority = authority
-    traveler.passport_tracking = tracking.value
+                                         _APPLY_KINDS[cmd.verb], stream)
+    traveler.applications[tracking.kind] = authority, tracking.value
     world.emit(traveler.name, "application-submitted", authority=authority,
                kind=tracking.kind.value, tracking=tracking.value)
 
 
 def _cmd_approve_passport(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    if traveler.passport_tracking is None or traveler.home_authority is None:
-        raise CloudError("NO_APPLICATION", traveler.name)
-    cloud = world.embassy(traveler.home_authority)
-    stream = world.rng.stream(f"authority:{traveler.home_authority}")
+    authority, tracking = traveler.application(IdKind.PASSPORT_APPLICATION)
+    cloud = world.embassy(authority)
+    stream = world.rng.stream(f"authority:{authority}")
     passport_no = cmd.args.get("passport-no") or f"P{stream.getrandbits(28):07X}"
     note = clouds.approve_passport(
-        cloud, traveler.passport_tracking, passport_no=passport_no,
-        holder_name=traveler.name, nationality=traveler.home_authority,
-        issue_date=world.clock.now,
+        cloud, tracking, passport_no=passport_no, holder_name=traveler.name,
+        nationality=authority, issue_date=world.clock.now,
         expiry_date=world.clock.now + cmd.args["expire-in"])
     traveler.passport_no = passport_no
-    world.emit(traveler.home_authority, "passport-approved",
-               tracking=traveler.passport_tracking, passport_no=passport_no)
-    world.emit(traveler.home_authority, "notification-sent",
-               recipient=note.recipient, kind=note.kind.value)
+    world.emit(authority, "passport-approved", tracking=tracking,
+               passport_no=passport_no)
+    world.emit(authority, "notification-sent", recipient=note.recipient,
+               kind=note.kind.value)
 
 
 def _cmd_install_app(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    if traveler.home_authority is None:
-        raise CloudError("NO_APPLICATION", traveler.name)
-    cloud = world.embassy(traveler.home_authority)
+    authority, _ = traveler.application(IdKind.PASSPORT_APPLICATION)
+    cloud = world.embassy(authority)
     note = _latest_notification(cloud, traveler.name,
                                 NotificationKind.PASSPORT_READY)
     passport = clouds.download_passport_app(cloud, note.payload,
@@ -179,47 +183,29 @@ def _cmd_install_app(world: World, cmd) -> None:
                passport_no=passport.passport_no)
 
 
-def _cmd_apply_visa(world: World, cmd) -> None:
-    traveler = world.traveler(cmd.args["name"])
-    authority = cmd.args["authority"]
-    cloud = world.embassy(authority)
-    stream = world.rng.stream(f"authority:{authority}")
-    tracking = clouds.submit_application(cloud, traveler.name,
-                                         IdKind.VISA_APPLICATION, stream)
-    traveler.visa_authority = authority
-    traveler.visa_tracking = tracking.value
-    world.emit(traveler.name, "application-submitted", authority=authority,
-               kind=tracking.kind.value, tracking=tracking.value)
-
-
 def _cmd_approve_visa(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    if traveler.visa_tracking is None or traveler.visa_authority is None:
-        raise CloudError("NO_APPLICATION", traveler.name)
+    authority, tracking = traveler.application(IdKind.VISA_APPLICATION)
     if traveler.passport_no is None:
         raise CloudError("NO_PASSPORT", traveler.name)
-    cloud = world.embassy(traveler.visa_authority)
-    stream = world.rng.stream(f"authority:{traveler.visa_authority}")
+    cloud = world.embassy(authority)
+    stream = world.rng.stream(f"authority:{authority}")
     visa_id = cmd.args.get("visa-id") or f"V{stream.getrandbits(28):07X}"
     image_bytes = stream.randbytes(cmd.args["image-bytes"])
     clouds.approve_visa(
-        cloud, traveler.visa_tracking, visa_id=visa_id,
-        passport_no=traveler.passport_no,
-        destination_country=traveler.visa_authority,
-        valid_from=world.clock.now,
+        cloud, tracking, visa_id=visa_id, passport_no=traveler.passport_no,
+        destination_country=authority, valid_from=world.clock.now,
         valid_to=world.clock.now + cmd.args["valid-for"],
         image_bytes=image_bytes)
     traveler.visa_id = visa_id
-    world.emit(traveler.visa_authority, "visa-approved",
-               tracking=traveler.visa_tracking, visa_id=visa_id,
+    world.emit(authority, "visa-approved", tracking=tracking, visa_id=visa_id,
                image_hash=cloud.visas[visa_id].image_hash)
 
 
 def _cmd_download_visa(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    if traveler.visa_authority is None:
-        raise CloudError("NO_APPLICATION", traveler.name)
-    cloud = world.embassy(traveler.visa_authority)
+    authority, _ = traveler.application(IdKind.VISA_APPLICATION)
+    cloud = world.embassy(authority)
     note = _latest_notification(cloud, traveler.name, NotificationKind.VISA_READY)
     # The link rides a QR code: segment it, then scan its segments back.
     qr = token_to_payload(note.payload)
@@ -336,10 +322,10 @@ _HANDLERS = {
     "embassy": _cmd_embassy,
     "airport": _cmd_airport,
     "traveler": _cmd_traveler,
-    "apply-passport": _cmd_apply_passport,
+    "apply-passport": _cmd_apply,
     "approve-passport": _cmd_approve_passport,
     "install-app": _cmd_install_app,
-    "apply-visa": _cmd_apply_visa,
+    "apply-visa": _cmd_apply,
     "approve-visa": _cmd_approve_visa,
     "download-visa": _cmd_download_visa,
     "manifest": _cmd_manifest,

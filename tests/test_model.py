@@ -453,6 +453,24 @@ def test_presentation_refuses_empty_visa_id_when_built_and_decoded():
     assert err.value.code == "EMPTY_VISA_ID"
 
 
+@pytest.mark.parametrize("fields,code", [
+    (dict(challenge_id="", text="ABCDEF", issued_at=0), "EMPTY_CHALLENGE_ID"),
+    (dict(challenge_id="c-1", text="", issued_at=0), "EMPTY_CAPTCHA_TEXT"),
+    (dict(challenge_id="c-1", text="ABCDEF", issued_at=-5), "NEGATIVE_TIMESTAMP"),
+], ids=["challenge-id", "text", "issued-at"])
+def test_captcha_refuses_bad_fields_when_decoded(fields, code):
+    """A captcha decoded alone or inside its session meets the checks of
+    one built in code."""
+    captcha = _unchecked(CaptchaChallenge, **fields)
+    session = _unchecked(Session, session_id="s-1",
+                         state=SessionState.TIME_AUTH_PENDING, activated_at=0,
+                         pending_captcha=captcha, pending_image_index=None)
+    for record in (captcha, session):
+        with pytest.raises(ValidationError) as err:
+            canonical_deserialize(canonical_serialize(record))
+        assert err.value.code == code
+
+
 # One failing input per check a record makes, with the exact text the
 # CLI prints after ``line L: ``.
 _VISA = VisaRecord("V1", "P1234567", "IN", "US", 0, 10, EMPTY_SHA256,
@@ -524,6 +542,10 @@ _REFUSALS = [
     ("auth-image-hash", lambda: replace(_AUTH, image_hash=""), "BAD_HASH_FORMAT: ''"),
     ("auth-answer-hash", lambda: replace(_AUTH, answer_hash="x"),
      "BAD_HASH_FORMAT: 'x'"),
+    ("captcha-id", lambda: replace(_CAPTCHA, challenge_id=""), "EMPTY_CHALLENGE_ID"),
+    ("captcha-text", lambda: replace(_CAPTCHA, text=""), "EMPTY_CAPTCHA_TEXT"),
+    ("captcha-time", lambda: replace(_CAPTCHA, issued_at=-5),
+     "NEGATIVE_TIMESTAMP: -5"),
     ("session-state", lambda: Session("s-1", "VISA_VISIBLE", 0),
      "BAD_SESSION_STATE: 'VISA_VISIBLE'"),
     ("session-no-captcha", lambda: Session("s-1", SessionState.TIME_AUTH_PENDING, 0),
@@ -556,6 +578,8 @@ _REFUSALS = [
      "EMPTY_PASSPORT_NO"),
     ("summary-holder", lambda: PassportSummary(**{**_SUMMARY, "holder_name": ""}),
      "EMPTY_HOLDER_NAME"),
+    ("summary-status", lambda: PassportSummary(**{**_SUMMARY, "status": "ACTIVE"}),
+     "BAD_STATUS: 'ACTIVE'"),
     ("presentation-visa-id", lambda: VisaPresentation(
         PassportSummary(**_SUMMARY), "", VisaImage.of(b"x")), "EMPTY_VISA_ID"),
 ]

@@ -575,6 +575,21 @@ def test_install_app_takes_the_latest_passport_notice():
     assert events[-1].details["passport_no"] == "P2"
 
 
+def test_approve_passport_takes_the_latest_application():
+    # The second application replaces the first: the US embassy approves
+    # it under its own tracking id, and IN's application is left pending.
+    world, events = run(load_scenario(
+        "embassy IN\nembassy US\ntraveler alice\n"
+        "apply-passport alice authority=IN\napply-passport alice authority=US\n"
+        "approve-passport alice\n", seed=1))
+    submitted = [e.details for e in events if e.event == "application-submitted"]
+    assert [d["authority"] for d in submitted] == ["IN", "US"]
+    approved = next(e for e in events if e.event == "passport-approved")
+    assert approved.actor == "US"
+    assert approved.details["tracking"] == submitted[1]["tracking"]
+    assert submitted[0]["tracking"] != submitted[1]["tracking"]
+
+
 def test_happy_path_same_seed_byte_identical():
     first = report_bytes(run(load_scenario(HAPPY, seed=42))[1])
     second = report_bytes(run(load_scenario(HAPPY, seed=42))[1])
@@ -1051,11 +1066,20 @@ def test_cli_runtime_error_names_the_failing_fault(tmp_path, capsys):
     ("traveler alice\nmanifest alice airport=BLR date=1d\n", "NO_VISA"),
     ("traveler alice\ntamper-visa alice byte=7\n", "NO_VISA"),
     ("embassy IN\nsync BLR from=IN\n", "NO_SUCH_AIRPORT"),
+    ("embassy US\ntraveler alice\napply-visa alice authority=US\n"
+     "install-app alice\n", "NO_APPLICATION"),
+    ("embassy IN\ntraveler alice\napply-passport alice authority=IN\n"
+     "download-visa alice page=3\n", "NO_APPLICATION"),
+    ("embassy IN\ntraveler alice\napply-passport alice authority=IN\n"
+     "approve-visa alice\n", "NO_APPLICATION"),
 ], ids=["no-such-authority", "no-notification", "duplicate-airport",
         "duplicate-traveler", "approve-passport-no-application",
         "install-app-no-application", "approve-visa-no-application",
         "download-visa-no-application", "approve-visa-no-passport",
-        "manifest-no-visa", "tamper-visa-no-visa", "no-such-airport"])
+        "manifest-no-visa", "tamper-visa-no-visa", "no-such-airport",
+        "visa-application-does-not-install-app",
+        "passport-application-does-not-download-visa",
+        "passport-application-does-not-approve-visa"])
 def test_cli_engine_refusal_exit_2(tmp_path, capsys, scenario, code):
     path = tmp_path / "refused.cps"
     path.write_text(scenario)
