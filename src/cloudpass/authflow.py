@@ -31,7 +31,7 @@ from .model import (_CREDENTIALS_PENDING, _EXPIRED, _IMAGE_AUTH_PENDING,
                     _PASSPORT_VISIBLE, _TERMINATED, _TIME_AUTH_PENDING,
                     _VISA_VISIBLE, AUTH_IMAGE_COUNT, AuthImage,
                     CaptchaChallenge, DeviceState, Session, SessionState,
-                    content_hash)
+                    content_hash, record)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -70,7 +70,7 @@ _MINUTES_PER_DAY = 1440
 _TIME_TOLERANCE_MIN = 1
 
 
-@dataclass(frozen=True)
+@record
 class Credential:
     """An enrolled user; the password is kept as a salted SHA-256."""
 

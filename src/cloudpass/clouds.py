@@ -16,7 +16,7 @@ writer of a replica row, for the daily sync and the wire alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 import json
 
@@ -24,7 +24,7 @@ from .errors import CloudError
 from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
                     Passport, TrackingId, VisaImage, VisaRecord, VisaStatus,
                     check_format, content_hash, new_passport, new_tracking_id,
-                    place_visa)
+                    place_visa, record, replace)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
 __all__ = [
@@ -86,7 +86,7 @@ class ApplicationRecord:
     resource_id: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Notification:
     """Approval message; the payload token must verify at emission time."""
 
@@ -95,7 +95,7 @@ class Notification:
     payload: LinkToken
 
 
-@dataclass(frozen=True)
+@record
 class ManifestEntry:
     """One booked crossing: passport, visa, airport and date."""
 

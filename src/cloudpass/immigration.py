@@ -36,7 +36,7 @@ from .clouds import (AirportCloud, Checkpoint, CompareResult, compare_visa,
 from .errors import AuthError, DeskError, NfcError, ValidationError
 from .model import (_CREDENTIALS_PENDING, _EXPIRED, _PASSPORT_VISIBLE,
                     _TERMINATED, _TIME_AUTH_PENDING, _VISA_VISIBLE,
-                    DeviceState, StampEntry, StampKind)
+                    DeviceState, StampEntry, StampKind, record)
 from .nfc import NfcChannel, establish, send_lock, tap_check, tap_stamp
 
 __all__ = [
@@ -87,7 +87,7 @@ _OUTCOME_LINES = {Outcome.PERMIT: "PERMIT", Outcome.ISOLATE: "ISOLATE {0}={1}",
                   Outcome.LOCK_AND_ALERT: "LOCK_AND_ALERT cause={1}"}
 
 
-@dataclass(frozen=True)
+@record
 class DeskCheck:
     """One desk at one airport, open for a departure or arrival check."""
 
@@ -108,7 +108,7 @@ class TranscriptEvent(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class CheckTranscript:
     """What happened at the desk, phase by phase, the outcome, and its
     cause ``(phase, code)``. A PERMIT has no cause and every other outcome

@@ -7,6 +7,11 @@ encoding for the records that cross a byte boundary. The exact byte
 layout is documented in docs/encoding.md and is covered by round-trip
 tests; any change to field order or framing is a wire-format break.
 
+Immutable values are declared with ``record``: a class body of annotated
+fields, rebuilt with a slot per field and one generated ``__init__``. The
+one mutable record, ``DeviceState``, stays a dataclass and checks itself
+again each time it is encoded.
+
 Times and dates are plain integers: seconds since the scenario epoch.
 They are rendered as ISO-8601 only when a report is written.
 
@@ -15,13 +20,13 @@ Annotations here are evaluated when each class is built (there is no
 reads field types without compiling annotation strings.
 """
 
-import dataclasses
 import hashlib
+import operator
 import re
 import struct
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Callable, Collection
 
@@ -57,6 +62,8 @@ __all__ = [
     "canonical_serialize",
     "canonical_deserialize",
     "register_codec",
+    "record",
+    "replace",
 ]
 
 TRACKING_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -145,10 +152,83 @@ class VisaStatus(Enum):
     REVOKED = "REVOKED"
 
 
+# ---------------------------------------------------------------------------
+# Records
+
+
+class _Record:
+    """What every record shares, read through its class's ``_values``: its
+    field values, in order, as a tuple."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__match_args__, self._values(self))
+        return (f"{type(self).__qualname__}("
+                f"{', '.join(f'{name}={value!r}' for name, value in fields)})")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+def record(cls: type) -> type:
+    """Rebuild ``cls``, a class with no base whose annotations are its
+    fields, as an immutable record with a slot per field. Its one
+    generated method is ``__init__``, which takes the fields in order
+    with their defaults, stores them and calls ``__post_init__`` if the
+    class has one; it stores through each slot's ``__set__``, so
+    ``__post_init__`` normalises with ``object.__setattr__``. Records
+    compare equal only to records of their own class, hash and print as
+    a frozen dataclass does, refuse assignment with
+    ``FrozenInstanceError`` and copy and pickle through the constructor,
+    so a copy meets every check again."""
+    names = tuple(vars(cls).get("__annotations__", {}))
+    namespace = {key: value for key, value in vars(cls).items()
+                 if key not in ("__dict__", "__weakref__", *names)}
+    get = operator.attrgetter(*names)
+    namespace.update(
+        __slots__=names, __match_args__=names, __qualname__=cls.__qualname__,
+        _values=get if len(names) > 1 else staticmethod(lambda x: (get(x),)))
+    new = type(cls.__name__, (_Record,), namespace)
+    defaults = {f"_d_{name}": vars(cls)[name] for name in names if name in vars(cls)}
+    params = [f"{name}=_d_{name}" if f"_d_{name}" in defaults else name
+              for name in names]
+    env = {f"_set_{name}": vars(new)[name].__set__ for name in names} | defaults
+    body = [f"_set_{name}(self, {name})" for name in names]
+    if hasattr(new, "__post_init__"):
+        env["_post_init"] = new.__post_init__
+        body.append("_post_init(self)")
+    code = f"def __init__(self, {', '.join(params)}): {'; '.join(body)}"
+    exec(compile(code, f"<{cls.__name__} record>", "exec"), env)
+    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    new.__init__ = env["__init__"]
+    return new
+
+
+def replace(obj: _Record, **changes) -> _Record:
+    """``obj`` with ``changes`` to its fields, built through its
+    constructor, so every check runs again."""
+    return type(obj)(**dict(zip(obj.__match_args__, obj._values(obj)), **changes))
+
+
 # Each check below formats its refusal text only when it fails.
 
 
-@dataclass(frozen=True)
+@record
 class TrackingId:
     """Application reference shown to the applicant while they wait."""
 
@@ -164,7 +244,7 @@ class TrackingId:
             raise ValidationError("BAD_TRACKING_KIND", repr(self.kind))
 
 
-@dataclass(frozen=True)
+@record
 class StampEntry:
     """An entry or exit stamp: which way, at which airport, and when."""
 
@@ -183,7 +263,7 @@ class StampEntry:
             raise ValidationError("NEGATIVE_TIMESTAMP", str(self.stamped_at))
 
 
-@dataclass(frozen=True)
+@record
 class PassportPage:
     """One page. A page holding a visa slot also carries that visa's stamps."""
 
@@ -237,7 +317,7 @@ def _check_passport_fields(record: "Passport | PassportSummary") -> None:
 _BLANK_PAGES = tuple(PassportPage(n) for n in range(1, PASSPORT_PAGE_COUNT + 1))
 
 
-@dataclass(frozen=True)
+@record
 class Passport:
     """An issued passport: holder, dates, status and all its pages."""
 
@@ -275,7 +355,7 @@ class Passport:
         return [s for p in self.pages for s in p.stamps]
 
 
-@dataclass(frozen=True)
+@record
 class VisaImage:
     """Opaque image blob; the hash is always recomputable from the bytes."""
 
@@ -298,7 +378,7 @@ class VisaImage:
             raise ValidationError("HASH_MISMATCH", "stored hash does not match image bytes")
 
 
-@dataclass(frozen=True)
+@record
 class VisaRecord:
     """One issued visa, tied to a passport and to its image by hash."""
 
@@ -333,7 +413,7 @@ class VisaRecord:
             raise ValidationError("BAD_STATUS", repr(self.status))
 
 
-@dataclass(frozen=True)
+@record
 class AuthImage:
     """One of the ten enrolled challenge pictures. Fixed for the device's life."""
 
@@ -373,7 +453,7 @@ _EXPIRED = SessionState.EXPIRED
 _TERMINATED = SessionState.TERMINATED
 
 
-@dataclass(frozen=True)
+@record
 class CaptchaChallenge:
     """The captcha a new session shows for level 1."""
 
@@ -393,7 +473,7 @@ class CaptchaChallenge:
             raise ValidationError("NEGATIVE_TIMESTAMP", str(self.issued_at))
 
 
-@dataclass(frozen=True)
+@record
 class Session:
     """One sign-in on a device; ``authflow`` drives it through its states.
     It holds a captcha only while it awaits the time check, and a picture
@@ -480,7 +560,7 @@ class DeviceState:
         return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
-@dataclass(frozen=True)
+@record
 class PassportSummary:
     """What the desk reader sees during a check; no page detail."""
 
@@ -499,7 +579,7 @@ class PassportSummary:
         _check_passport_fields(self)
 
 
-@dataclass(frozen=True)
+@record
 class VisaPresentation:
     """Body of a check response: summary, chosen visa, and its image.
     The summary and the image checked themselves when they were built."""
@@ -595,11 +675,11 @@ def summarize(passport: Passport) -> PassportSummary:
 # then the value, never a list or a map; lists = 4-byte count + records;
 # maps = 4-byte count + key-sorted (key, record) pairs. See docs/encoding.md.
 #
-# Every body is derived from its dataclass declaration: fields_codec compiles
+# Every body is derived from its class declaration: fields_codec compiles
 # one writer and one reader per record when the record is registered. A
-# frozen record checked itself when it was built, so the writer checks it
-# no more; a mutable record (DeviceState) checks itself each time it is
-# encoded. The reader builds records through the same constructors.
+# ``record`` checked itself when it was built, so the writer checks it no
+# more; the mutable DeviceState checks itself each time it is encoded. The
+# reader builds records through the same constructors.
 
 
 _I64 = struct.Struct(">q")
@@ -832,7 +912,7 @@ _PRIMITIVES = {str: "text", int: "i64", bytes: "raw", bool: "boolean"}
 
 
 def _is_record(hint) -> bool:
-    return isinstance(hint, type) and dataclasses.is_dataclass(hint)
+    return isinstance(hint, type) and hasattr(hint, "__match_args__")
 
 
 def _kind(hint) -> tuple[str, object]:
@@ -897,28 +977,27 @@ class _Source:
 
 
 def fields_codec(cls: type) -> tuple[Callable, Callable]:
-    """Body writer and reader for a dataclass record, compiled once: the
-    writer makes one call per field, in declaration order, each encoded by
-    its annotated type, and the reader is one call of ``cls`` on the fields
+    """Body writer and reader for a record, compiled once: the writer
+    makes one call per field, in declaration order, each encoded by its
+    annotated type, and the reader is one call of ``cls`` on the fields
     as read, so decoded input meets the same checks as a record built in
-    code. A record that is not frozen checks itself before it is written.
-    A field type with no encoding is a TypeError here, before any record
-    is encoded."""
-    hints = typing.get_type_hints(cls)
+    code. A class not built by ``record`` (the mutable ``DeviceState``)
+    checks itself before it is written. A field type with no encoding is
+    a TypeError here, before any record is encoded."""
     source = _Source()
-    writes = [] if cls.__dataclass_params__.frozen else ["x.validate()"]
+    writes = [] if issubclass(cls, _Record) else ["x.validate()"]
     reads, keyword = [], False
-    for f in dataclasses.fields(cls):
+    for name, hint in typing.get_type_hints(cls).items():
         try:
-            write, read = source.write(hints[f.name]), source.read(hints[f.name])
+            write, read = source.write(hint), source.read(hint)
         except TypeError:
-            raise TypeError(f"{cls.__name__}.{f.name}: no canonical "
-                            f"encoding for {hints[f.name]!r}") from None
-        writes.append(write.format(f"x.{f.name}"))
-        # Arguments are read in field order; from the first keyword-only
-        # field on, they are passed by name.
-        keyword = keyword or f.kw_only
-        reads.append(f"{f.name}={read}" if keyword else read)
+            raise TypeError(f"{cls.__name__}.{name}: no canonical "
+                            f"encoding for {hint!r}") from None
+        writes.append(write.format(f"x.{name}"))
+        # Arguments are read in field order; from the first field outside
+        # ``__match_args__`` (a keyword-only one) on, they are passed by name.
+        keyword = keyword or name not in cls.__match_args__
+        reads.append(f"{name}={read}" if keyword else read)
     code = (f"def write_body(w, x): {'; '.join(writes) or 'pass'}\n"
             f"def read_body(r): return {source.name(cls)}({', '.join(reads)})")
     exec(compile(code, f"<{cls.__name__} codec>", "exec"), source.env)

@@ -32,7 +32,6 @@ is no encryption at this layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import hashlib
@@ -40,7 +39,7 @@ import re
 
 from .errors import QrError, ValidationError
 from .model import (_Writer, canonical_deserialize, canonical_serialize,
-                    register_codec)
+                    record, register_codec)
 
 __all__ = [
     "QrMode",
@@ -137,7 +136,7 @@ _MODES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class QrSegment:
     """A run of bytes encoded in one QR mode."""
 
@@ -156,7 +155,7 @@ class QrSegment:
                           f"payload not valid for {self.mode.name}")
 
 
-@dataclass(frozen=True)
+@record
 class QrPayload:
     """The segments of one QR code and the bits they cost in all."""
 
@@ -443,7 +442,7 @@ class ResourceKind(Enum):
     VISA_IMAGE = "VISA_IMAGE"
 
 
-@dataclass(frozen=True)
+@record
 class LinkToken:
     """Pointer to one downloadable resource, signed by its authority."""
 

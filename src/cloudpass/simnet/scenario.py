@@ -20,12 +20,13 @@ command runs, and a rejection names the line and column it tripped on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import types
 from enum import Enum
+from typing import Mapping
 
 from ..errors import ScenarioParseError
 from ..model import (_INT_RE, _SIGNED_RE, FORMATS, I64_MAX, MAX_IMAGE_BYTES,
-                     _in_i64)
+                     _in_i64, record)
 
 __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "load_scenario",
            "parse_duration", "parse_fault"]
@@ -69,14 +70,14 @@ _VALIDATORS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class _VerbSpec:
     """One verb's grammar: positionals, keys, required keys, defaults."""
 
     positionals: tuple[tuple[str, str], ...] = ()   # (arg name, validator)
-    keys: dict = field(default_factory=dict)        # key -> validator
+    keys: Mapping[str, str] = types.MappingProxyType({})  # key -> validator
     required: tuple[str, ...] = ()
-    defaults: dict = field(default_factory=dict)
+    defaults: Mapping[str, object] = types.MappingProxyType({})
 
 
 class FaultKind(Enum):
@@ -138,7 +139,7 @@ _VERBS: dict[str, _VerbSpec] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioCommand:
     """One parsed line: verb, argument values, line number."""
 
@@ -147,7 +148,7 @@ class ScenarioCommand:
     line_no: int
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """A parsed scenario: its seed and commands in file order."""
 

@@ -9,7 +9,6 @@ not that the dice came up wrong.
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -22,7 +21,8 @@ from cloudpass.clouds import (AirportCloud, Checkpoint, EmbassyCloud,
                               daily_sync)
 from cloudpass.errors import AuthError, NfcError
 from cloudpass.immigration import DeskCheck, Outcome, run_check
-from cloudpass.model import VisaImage, VisaRecord, VisaStatus, content_hash
+from cloudpass.model import (VisaImage, VisaRecord, VisaStatus, content_hash,
+                             replace)
 from cloudpass.nfc import establish
 from cloudpass.qrlink import decode_payload, encode_payload
 from cloudpass.simnet import load_scenario, outcome_counts, run

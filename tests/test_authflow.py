@@ -336,7 +336,7 @@ def test_timeout_600_expired():
 
 
 def test_timeout_terminated_absorbing():
-    from dataclasses import replace
+    from cloudpass.model import replace
     k = fresh()
     s = open_at(k, 0)
     terminated = replace(s, state=SessionState.TERMINATED,

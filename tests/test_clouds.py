@@ -322,7 +322,7 @@ def test_sync_dangling_entry_reported_and_skipped():
 
 def test_sync_drops_revoked_visa():
     from cloudpass.model import VisaStatus
-    from dataclasses import replace
+    from cloudpass.model import replace
     rng = random.Random(0)
     cloud = _embassy_with_visas(rng, ["V0000001"])
     manifest = TravelManifest([ManifestEntry("P0000001", "V0000001", "BLR", 0)])

@@ -22,7 +22,6 @@ import re
 import struct
 import sys
 import typing
-from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from cloudpass.model import (AUTH_IMAGE_COUNT, DeviceState, StampEntry,
                              StampKind, VisaImage, VisaPresentation,
                              add_stamp, canonical_deserialize,
                              canonical_serialize, new_passport, place_visa,
-                             summarize)
+                             replace, summarize)
 from cloudpass.qrlink import LinkToken, ResourceKind
 
 _DIGESTS = Path(__file__).resolve().parent / "golden" / "codec_digests.json"
@@ -151,8 +150,8 @@ def test_documented_layout_is_declared():
     for tag, name, fields in documented:
         cls = model._CODEC_BY_TAG[tag][0]
         hints = typing.get_type_hints(cls)
-        assert fields == [(f.name, _declared_kind(hints[f.name]))
-                          for f in dataclasses.fields(cls)], name
+        assert fields == [(field, _declared_kind(hint))
+                          for field, hint in hints.items()], name
 
 
 # A list or a map holds records only, and an optional holds no container.

@@ -1,9 +1,11 @@
 """Value layer: identifiers, passports, stamps, and the canonical codec."""
 
+import copy
+import pickle
 import random
 import re
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 from enum import Enum
 
 import pytest
@@ -21,7 +23,7 @@ from cloudpass.model import (CaptchaChallenge, DeviceState, IdKind,
                              add_stamp, canonical_deserialize,
                              canonical_serialize, content_hash,
                              new_passport, new_tracking_id, place_visa,
-                             summarize)
+                             replace, summarize)
 
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -592,6 +594,78 @@ def test_record_refusal_text(build, text):
         build()
     assert str(err.value) == text
     assert err.value.code == text.split(":", 1)[0]
+
+
+# ---------------------------------------------------------------------------
+# What every record built by ``model.record`` keeps of a frozen dataclass
+
+
+def test_record_refuses_assignment_and_deletion():
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'airport'"):
+        _STAMP.airport = "BLR"
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'airport'"):
+        del _STAMP.airport
+    with pytest.raises(FrozenInstanceError):
+        _STAMP.extra = 1
+    assert _STAMP.airport == "JFK"
+
+
+def test_record_equals_only_its_own_class():
+    @model.record
+    class Here:
+        a: int
+        b: str
+
+    @model.record
+    class There:
+        a: int
+        b: str
+
+    assert Here(1, "x") == Here(1, "x")
+    assert Here(1, "x") != There(1, "x")
+    assert Here(1, "x") != (1, "x")
+
+
+def test_equal_records_hash_equal():
+    twin = StampEntry(StampKind.ARRIVAL, "JFK", 10)
+    assert twin == _STAMP and twin is not _STAMP
+    assert hash(twin) == hash(_STAMP) == hash((StampKind.ARRIVAL, "JFK", 10))
+    assert len({_passport(), _passport()}) == 1
+
+
+def test_record_repr_is_the_dataclass_text():
+    assert repr(_STAMP) == ("StampEntry(kind=<StampKind.ARRIVAL: 'ARRIVAL'>, "
+                            "airport='JFK', stamped_at=10)")
+    session = Session("s-1", SessionState.TIME_AUTH_PENDING, 0,
+                      pending_captcha=_CAPTCHA)
+    assert repr(session) == (
+        "Session(session_id='s-1', state=<SessionState.TIME_AUTH_PENDING: "
+        "'TIME_AUTH_PENDING'>, activated_at=0, pending_captcha=CaptchaChallenge("
+        "challenge_id='c-1', text='ABCDEF', issued_at=0), pending_image_index=None)")
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_record_copies_through_its_constructor(copy_of):
+    passport = place_visa(_passport(), "V1", 3, {"V1"})
+    assert copy_of(passport) == passport
+    assert copy_of(_CAPTCHA) == _CAPTCHA
+    bad = _unchecked(StampEntry, kind=StampKind.ARRIVAL, airport="jfk", stamped_at=0)
+    with pytest.raises(ValidationError) as err:
+        copy_of(bad)
+    assert err.value.code == "BAD_AIRPORT_CODE"
+
+
+def test_replace_builds_through_the_constructor():
+    later = replace(_STAMP, stamped_at=11)
+    assert later == StampEntry(StampKind.ARRIVAL, "JFK", 11)
+    assert _STAMP.stamped_at == 10
+    with pytest.raises(ValidationError) as err:
+        replace(_STAMP, stamped_at=-1)
+    assert err.value.code == "NEGATIVE_TIMESTAMP"
+    with pytest.raises(TypeError):
+        replace(_STAMP, gate="B7")
 
 
 @pytest.mark.parametrize("state,captcha,index,code", [

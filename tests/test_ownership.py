@@ -150,3 +150,52 @@ def test_the_engine_reparses_no_argument():
     # The grammar hands the engine values; it converts nothing again.
     for name in ("int", "duration"):
         assert "simnet/engine.py" not in {module for module, _ in _calls(name)}, name
+
+
+
+def _frozen_dataclass(node) -> bool:
+    """A class decorated ``dataclass(..., frozen=...)``, by either name."""
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Call)
+        and (_is_attr(d.func, "dataclass")
+             or (isinstance(d.func, ast.Name) and d.func.id == "dataclass"))
+        and any(k.arg == "frozen" for k in d.keywords)
+        for d in node.decorator_list)
+
+
+def _dataclasses_replace(node) -> bool:
+    """``dataclasses.replace``, or ``replace`` imported from dataclasses."""
+    return ((_is_attr(node, "replace") and isinstance(node.value, ast.Name)
+             and node.value.id == "dataclasses")
+            or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                and "replace" in {alias.name for alias in node.names}))
+
+
+def test_immutable_values_are_records():
+    # One frozen-record path, model.record. The mutable DeviceState is the
+    # one registered class that is not a record: it checks itself when it
+    # is encoded. model.replace rebuilds through the constructor.
+    import cloudpass.qrlink  # noqa: F401  (registers LinkToken)
+    from cloudpass import model
+    assert _sites(_frozen_dataclass, SRC) == set()
+    assert _sites(_dataclasses_replace, SRC) == set()
+    assert {cls for cls in model._CODEC_BY_TYPE
+            if not issubclass(cls, model._Record)} == {model.DeviceState}
+
+
+def test_record_guards_see_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(eq=False, frozen=True)\n"
+        "class B:\n"
+        "    y: int = 0\n"
+        "    def c(self): return dataclasses.replace(self, y=1)\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    z: int\n")
+    assert _sites(_frozen_dataclass, tmp_path) == {("m.py", "A"), ("m.py", "B")}
+    assert _sites(_dataclasses_replace, tmp_path) == {("m.py", ""), ("m.py", "B.c")}

@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from cloudpass.clouds import EmbassyCloud
 from cloudpass.errors import (ScenarioParseError, ScenarioRuntimeError,
                               ValidationError)
 from cloudpass.immigration import PHASE_AUTH, PHASES, Outcome, TranscriptEvent
-from cloudpass.model import MAX_IMAGE_BYTES
+from cloudpass.model import MAX_IMAGE_BYTES, replace
 from cloudpass.simnet import (SCENARIO_EPOCH, EventLog, FaultKind,
                               ScenarioEvent, ScenarioRng, VirtualClock,
                               emit_report, event_line, load_scenario,
