@@ -31,7 +31,7 @@ from .model import (_CREDENTIALS_PENDING, _EXPIRED, _IMAGE_AUTH_PENDING,
                     _PASSPORT_VISIBLE, _TERMINATED, _TIME_AUTH_PENDING,
                     _VISA_VISIBLE, AUTH_IMAGE_COUNT, AuthImage,
                     CaptchaChallenge, DeviceState, Session, SessionState,
-                    content_hash, record)
+                    content_hash, draw_below, draw_text, record)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -141,7 +141,7 @@ def open_session(device: DeviceState, now: int, rng) -> Session:
     session_id = f"s-{rng.getrandbits(32):08x}"
     captcha = CaptchaChallenge(
         f"c-{rng.getrandbits(32):08x}",
-        "".join(rng.choice(CAPTCHA_ALPHABET) for _ in range(CAPTCHA_LENGTH)),
+        draw_text(rng, CAPTCHA_ALPHABET, CAPTCHA_LENGTH),
         now)
     session = Session(session_id, _TIME_AUTH_PENDING,
                       activated_at=now, pending_captcha=captcha)
@@ -214,7 +214,7 @@ def verify_credentials(device: DeviceState, username: str, password: str,
 def begin_image_auth(device: DeviceState, rng, now: int) -> tuple[Session, int]:
     """Level 2: pick one of the ten enrolled pictures uniformly."""
     session = _gate(device, _PASSPORT_VISIBLE, now)
-    index = rng.randrange(AUTH_IMAGE_COUNT)
+    index = draw_below(rng, AUTH_IMAGE_COUNT)
     session = Session(session.session_id, _IMAGE_AUTH_PENDING,
                       session.activated_at, pending_image_index=index)
     device.session = session
@@ -242,7 +242,7 @@ def issue_otp(store: OtpStore, transaction_id: str, rng) -> Otp:
     existing = store.get(transaction_id)
     if existing is not None and not existing.used:
         raise AuthError("OTP_ALREADY_ISSUED", transaction_id)
-    otp = Otp(f"{rng.randrange(10 ** OTP_DIGITS):0{OTP_DIGITS}d}")
+    otp = Otp(f"{draw_below(rng, 10 ** OTP_DIGITS):0{OTP_DIGITS}d}")
     store.by_transaction[transaction_id] = otp
     return otp
 

@@ -16,9 +16,11 @@ writer of a replica row, for the daily sync and the wire alike.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
 import json
+from operator import itemgetter
 
 from .errors import CloudError
 from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
@@ -107,9 +109,35 @@ class ManifestEntry:
 
 @dataclass
 class TravelManifest:
-    """The booked crossings an airport syncs visa records for."""
+    """The booked crossings airports sync visa records for, in the order
+    they were booked. Rows are only ever appended to ``entries``."""
 
     entries: list[ManifestEntry] = field(default_factory=list)
+
+    def __post_init__(self):
+        # Each airport's rows as (travel date, booking index, row), sorted,
+        # so a sync finds its window by bisection. Rows appended to
+        # ``entries`` join at the next lookup.
+        self._by_airport: dict[str, list[tuple[int, int, ManifestEntry]]] = {}
+        self._indexed = 0
+        self._index_new_rows()
+
+    def _index_new_rows(self) -> None:
+        entries = self.entries
+        for i in range(self._indexed, len(entries)):
+            entry = entries[i]
+            insort(self._by_airport.setdefault(entry.airport, []),
+                   (entry.travel_date, i, entry))
+        self._indexed = len(entries)
+
+    def window(self, airport: str, start: int, end: int) -> list[ManifestEntry]:
+        """``airport``'s rows with travel dates in ``[start, end]``, in the
+        order they were booked."""
+        self._index_new_rows()
+        rows = self._by_airport.get(airport, [])
+        lo = bisect_left(rows, (start,))
+        hi = bisect_right(rows, (end, self._indexed))
+        return [entry for _, _, entry in sorted(rows[lo:hi], key=itemgetter(1))]
 
 
 class EmbassyCloud:
@@ -202,14 +230,13 @@ def _application_for_approval(cloud: EmbassyCloud, tracking_value: str,
     return record
 
 
-def _approve(cloud: EmbassyCloud, record: ApplicationRecord, kind: ResourceKind,
-             resource_id: str, notice: NotificationKind) -> Notification:
-    """Mark the application approved for its issued resource, and file the
-    applicant's notice with a link to it."""
-    record.status = AppStatus.APPROVED
-    record.resource_id = resource_id
-    token = mint_link_token(cloud, kind, resource_id)
+def _approve(cloud: EmbassyCloud, record: ApplicationRecord, token: LinkToken,
+             notice: NotificationKind) -> Notification:
+    """Mark the application approved for the resource just stored, and
+    file the applicant's notice with its link, minted before the store."""
     resolve_link_token(token, cloud)  # a notification never carries a dud link
+    record.status = AppStatus.APPROVED
+    record.resource_id = token.resource_id
     note = Notification(record.applicant, notice, token)
     cloud.latest_notices[note.recipient, note.kind] = note
     return note
@@ -225,9 +252,10 @@ def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
         raise CloudError("DUPLICATE_PASSPORT_NO", passport_no)
     passport = new_passport(passport_no, holder_name, nationality,
                             cloud.authority_id, issue_date, expiry_date)
+    # A number the link cannot carry is refused before anything is stored.
+    token = mint_link_token(cloud, ResourceKind.PASSPORT_APP, passport_no)
     cloud.passports[passport_no] = passport
-    return _approve(cloud, record, ResourceKind.PASSPORT_APP, passport_no,
-                    NotificationKind.PASSPORT_READY)
+    return _approve(cloud, record, token, NotificationKind.PASSPORT_READY)
 
 
 def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
@@ -245,10 +273,10 @@ def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
     visa = VisaRecord(visa_id, passport_no, cloud.authority_id,
                       destination_country, valid_from, valid_to, image_hash,
                       VisaStatus.ISSUED)
+    token = mint_link_token(cloud, ResourceKind.VISA_IMAGE, visa_id)
     cloud.visas[visa_id] = visa
     cloud.blobs[image_hash] = bytes(image_bytes)
-    return _approve(cloud, record, ResourceKind.VISA_IMAGE, visa_id,
-                    NotificationKind.VISA_READY)
+    return _approve(cloud, record, token, NotificationKind.VISA_READY)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +340,10 @@ def daily_sync(airport_cloud: AirportCloud, embassy_cloud: EmbassyCloud,
     """Pull records for this airport's manifested travelers into the
     replica. Dangling manifest rows are reported and skipped, never fatal.
     Running the same sync twice is indistinguishable from running it once.
+    Only the rows inside the window are visited.
     """
-    for entry in manifest.entries:
-        if entry.airport != airport_cloud.airport:
-            continue
-        if not date <= entry.travel_date <= date + SYNC_HORIZON_S:
-            continue
+    for entry in manifest.window(airport_cloud.airport, date,
+                                 date + SYNC_HORIZON_S):
         record = embassy_cloud.visas.get(entry.visa_id)
         if record is None:
             if dangling_out is not None:

@@ -38,7 +38,7 @@ import hashlib
 import re
 
 from .errors import QrError, ValidationError
-from .model import (_Writer, canonical_deserialize, canonical_serialize,
+from .model import (_text_field, canonical_deserialize, canonical_serialize,
                     record, register_codec)
 
 __all__ = [
@@ -452,12 +452,14 @@ class LinkToken:
     signature: str
 
 
+# A kind's field as the token body writes it (its name as text), built
+# once per member.
+_KIND_FIELDS = {kind: _text_field(kind.name) for kind in ResourceKind}
+
+
 def _signing_bytes(authority_id: str, kind: ResourceKind, resource_id: str) -> bytes:
-    w = _Writer()
-    w.text(authority_id)
-    w.enum(kind)
-    w.text(resource_id)
-    return bytes(w.buf)
+    """What the authority signs: the token body's first three fields."""
+    return _text_field(authority_id) + _KIND_FIELDS[kind] + _text_field(resource_id)
 
 
 def _sign(authority_id: str, kind: ResourceKind, resource_id: str,

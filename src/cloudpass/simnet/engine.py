@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import authflow, clouds, immigration
-from ..clouds import (AirportCloud, Checkpoint, EmbassyCloud, ManifestEntry,
-                      NotificationKind, TravelManifest)
+from ..clouds import (AirportCloud, AppStatus, Checkpoint, EmbassyCloud,
+                      ManifestEntry, Notification, NotificationKind,
+                      TravelManifest)
 from ..errors import CloudError, CloudPassError, ScenarioRuntimeError
 from ..model import AUTH_IMAGE_COUNT, DeviceState, IdKind, VisaImage
 from ..qrlink import token_from_payload, token_to_payload
@@ -41,18 +42,18 @@ class TravelerState:
     name: str
     device: DeviceState
     script: immigration.AgentScript    # what they do at the desk, faults too
-    # (authority, tracking id) of the latest application of each kind. A
-    # newer application replaces its entry; what was issued stays below.
-    applications: dict[IdKind, tuple[str, str]] = field(default_factory=dict)
+    # (authority, tracking id) of every application of each kind, oldest
+    # first. An approval takes the newest; what was issued stays below.
+    applications: dict[IdKind, list[tuple[str, str]]] = field(default_factory=dict)
     passport_no: str | None = None
     visa_id: str | None = None
     last_redeemed: str | None = None
 
-    def application(self, kind: IdKind) -> tuple[str, str]:
-        application = self.applications.get(kind)
-        if application is None:
+    def applications_of(self, kind: IdKind) -> list[tuple[str, str]]:
+        applications = self.applications.get(kind)
+        if applications is None:
             raise CloudError("NO_APPLICATION", self.name)
-        return application
+        return applications
 
 
 class World:
@@ -93,12 +94,17 @@ class World:
         return f"{airport}-D{self._desk_seq[airport]}"
 
 
-def _latest_notification(cloud: EmbassyCloud, recipient: str,
-                         kind: NotificationKind):
-    note = cloud.latest_notices.get((recipient, kind))
-    if note is None:
-        raise CloudError("NO_NOTIFICATION", f"{kind.value} for {recipient}")
-    return note
+def _issued_notice(world: World, traveler: TravelerState, kind: IdKind,
+                   notice: NotificationKind) -> tuple[EmbassyCloud, Notification]:
+    """The embassy that approved the traveler's newest approved application
+    of ``kind``, and its latest ``notice`` to them. A newer application
+    still pending elsewhere does not hide what was issued."""
+    for authority, tracking in reversed(traveler.applications_of(kind)):
+        cloud = world.embassy(authority)
+        if cloud.applications[tracking].status is AppStatus.APPROVED:
+            # An approval files its notice in the same step.
+            return cloud, cloud.latest_notices[traveler.name, notice]
+    raise CloudError("NO_NOTIFICATION", f"{notice.value} for {traveler.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +154,15 @@ def _cmd_apply(world: World, cmd) -> None:
     stream = world.rng.stream(f"authority:{authority}")
     tracking = clouds.submit_application(cloud, traveler.name,
                                          _APPLY_KINDS[cmd.verb], stream)
-    traveler.applications[tracking.kind] = authority, tracking.value
+    traveler.applications.setdefault(tracking.kind, []).append(
+        (authority, tracking.value))
     world.emit(traveler.name, "application-submitted", authority=authority,
                kind=tracking.kind.value, tracking=tracking.value)
 
 
 def _cmd_approve_passport(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    authority, tracking = traveler.application(IdKind.PASSPORT_APPLICATION)
+    authority, tracking = traveler.applications_of(IdKind.PASSPORT_APPLICATION)[-1]
     cloud = world.embassy(authority)
     stream = world.rng.stream(f"authority:{authority}")
     passport_no = cmd.args.get("passport-no") or f"P{stream.getrandbits(28):07X}"
@@ -172,10 +179,8 @@ def _cmd_approve_passport(world: World, cmd) -> None:
 
 def _cmd_install_app(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    authority, _ = traveler.application(IdKind.PASSPORT_APPLICATION)
-    cloud = world.embassy(authority)
-    note = _latest_notification(cloud, traveler.name,
-                                NotificationKind.PASSPORT_READY)
+    cloud, note = _issued_notice(world, traveler, IdKind.PASSPORT_APPLICATION,
+                                 NotificationKind.PASSPORT_READY)
     passport = clouds.download_passport_app(cloud, note.payload,
                                             traveler.device)
     world.emit(traveler.name, "passport-installed",
@@ -185,7 +190,7 @@ def _cmd_install_app(world: World, cmd) -> None:
 
 def _cmd_approve_visa(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    authority, tracking = traveler.application(IdKind.VISA_APPLICATION)
+    authority, tracking = traveler.applications_of(IdKind.VISA_APPLICATION)[-1]
     if traveler.passport_no is None:
         raise CloudError("NO_PASSPORT", traveler.name)
     cloud = world.embassy(authority)
@@ -204,9 +209,8 @@ def _cmd_approve_visa(world: World, cmd) -> None:
 
 def _cmd_download_visa(world: World, cmd) -> None:
     traveler = world.traveler(cmd.args["name"])
-    authority, _ = traveler.application(IdKind.VISA_APPLICATION)
-    cloud = world.embassy(authority)
-    note = _latest_notification(cloud, traveler.name, NotificationKind.VISA_READY)
+    cloud, note = _issued_notice(world, traveler, IdKind.VISA_APPLICATION,
+                                 NotificationKind.VISA_READY)
     # The link rides a QR code: segment it, then scan its segments back.
     qr = token_to_payload(note.payload)
     token = token_from_payload(qr)

@@ -373,6 +373,74 @@ def test_sync_matches_brute_force_oracle():
         assert airport.replicated == expected
 
 
+def _scanned_sync(airport, cloud, entries, date):
+    """The sync as a scan of every row in booking order: the replica it
+    leaves and the dangling rows it reports, in order."""
+    replicated, dangling = dict(airport.replicated), []
+    for e in entries:
+        if e.airport != airport.airport or not date <= e.travel_date <= date + SYNC_HORIZON_S:
+            continue
+        rec = cloud.visas.get(e.visa_id)
+        if rec is None:
+            dangling.append(e)
+        else:
+            replicated[e.visa_id] = (rec.passport_no, rec.image_hash)
+    return list(replicated.items()), dangling
+
+
+def test_sync_keeps_the_booking_order_of_rows_booked_between_syncs():
+    # Rows are booked out of travel-date order, some twice, some dangling;
+    # the replica's insertion order and the dangling list match a scan.
+    rng = random.Random(5)
+    visa_ids = [f"V{i:07d}" for i in range(8)]
+    cloud = _embassy_with_visas(rng, visa_ids)
+    manifest = TravelManifest()
+    airports = {code: AirportCloud(code) for code in ("BLR", "JFK")}
+    for day in range(12):
+        for _ in range(6):
+            manifest.entries.append(ManifestEntry(
+                "P0000001", rng.choice(visa_ids + ["V9999998", "V9999999"]),
+                rng.choice(sorted(airports)), rng.randrange(0, 14 * 86400)))
+        for airport in airports.values():
+            expected = _scanned_sync(airport, cloud, manifest.entries, day * 86400)
+            dangling = []
+            daily_sync(airport, cloud, manifest, day * 86400, dangling)
+            assert (list(airport.replicated.items()), dangling) == expected
+
+
+def test_sync_visits_only_rows_in_its_window():
+    # Work count: a sync reads the rows inside its window, plus the rows
+    # booked since the last lookup, once, to index them; no other row.
+    touched = set()
+
+    class Row(ManifestEntry):
+        def __getattribute__(self, name):
+            touched.add(id(self))
+            return object.__getattribute__(self, name)
+
+    rng = random.Random(9)
+    visa_ids = [f"V{i:07d}" for i in range(4)]
+    cloud = _embassy_with_visas(rng, visa_ids)
+    manifest = TravelManifest()
+    airports = [AirportCloud("BLR"), AirportCloud("JFK")]
+    for day in range(40):
+        booked = [Row("P0000001", rng.choice(visa_ids), code,
+                      (day + rng.randrange(0, 4)) * 86400)
+                  for code in ("BLR", "JFK") for _ in range(3)]
+        rng.shuffle(booked)
+        manifest.entries.extend(booked)
+        new = {id(row) for row in booked}
+        for airport in airports:
+            date = day * 86400
+            window = {id(row) for row in manifest.entries
+                      if row.airport == airport.airport
+                      and date <= row.travel_date <= date + SYNC_HORIZON_S}
+            touched.clear()
+            daily_sync(airport, cloud, manifest, date)
+            assert touched == window | new
+            new = set()
+
+
 # ---------------------------------------------------------------------------
 # desk copies and comparison
 

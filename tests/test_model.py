@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 from enum import Enum
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cloudpass import model
@@ -87,6 +87,49 @@ def test_tracking_id_bad_format_rejected():
         TrackingId("short", IdKind.PASSPORT_APPLICATION)
     with pytest.raises(ValidationError):
         TrackingId("abcdefgh1234", IdKind.PASSPORT_APPLICATION)
+
+
+# ---------------------------------------------------------------------------
+# random draws: the stdlib's choice and randrange are the reference
+
+
+_SIXTY_FOUR = model.TRACKING_ALPHABET + "abcdefghijklmnopqrstuvwxyz+/"
+
+
+@given(st.integers(0, 2**64), st.integers(1, 64), st.integers(0, 40))
+@example(42, 36, 12)   # a tracking id
+@example(7, 32, 6)     # a captcha
+@example(1, 1, 5)
+@example(2**64, 64, 40)
+def test_draw_text_matches_choice(seed, size, length):
+    alphabet = _SIXTY_FOUR[:size]
+    ours, reference = random.Random(seed), random.Random(seed)
+    drawn = model.draw_text(ours, alphabet, length)
+    assert drawn == "".join(reference.choice(alphabet) for _ in range(length))
+    assert ours.getstate() == reference.getstate()
+
+
+@given(st.integers(0, 2**64), st.integers(1, 2**64))
+@example(3, 10)          # an auth image index
+@example(3, 10**6)       # an OTP
+@example(5, 1)
+@example(5, 2**32)
+@example(5, 2**32 + 1)
+@example(5, 2**64)
+def test_draw_below_matches_randrange(seed, n):
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert model.draw_below(ours, n) == reference.randrange(n)
+    assert ours.getstate() == reference.getstate()
+
+
+def test_draws_refuse_an_empty_range():
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        model.draw_below(rng, 0)
+    with pytest.raises(ValueError):
+        model.draw_text(rng, "", 3)
+    assert rng.getstate() == random.Random(0).getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,14 @@ def test_each_format_is_defined_once_in_model():
         assert _constants(pattern.pattern) == {("model.py", "")}, pattern
 
 
+def test_every_draw_is_a_model_draw():
+    # Ids, codes and indices come from model.draw_below and draw_text,
+    # which rest on getrandbits alone, not on how random.choice and
+    # randrange are derived from it.
+    assert _calls("choice") == set()
+    assert _calls("randrange") == set()
+
+
 def test_the_engine_reparses_no_argument():
     # The grammar hands the engine values; it converts nothing again.
     for name in ("int", "duration"):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudpass import qrlink as q
-from cloudpass.errors import QrError
+from cloudpass.errors import QrError, ValidationError
 from cloudpass.model import StampEntry, StampKind, canonical_serialize
 from cloudpass.qrlink import (LinkToken, QrMode, QrPayload, QrSegment,
                               ResourceKind, classify_mode, decode_payload,
@@ -496,6 +496,30 @@ def test_token_deleted_resource_unknown():
     with pytest.raises(QrError) as err:
         resolve_link_token(token, auth)
     assert err.value.code == "UNKNOWN_RESOURCE"
+
+
+@pytest.mark.parametrize("kind", list(ResourceKind))
+@pytest.mark.parametrize("authority_id, resource_id", [
+    ("IN", "V1"), ("US", "V-US-0001"), ("GB", "\u00dc-\u6771\u4eac-\U0001f600"),
+    ("IND", ""),
+])
+def test_signing_bytes_are_the_token_body_first_three_fields(
+        kind, authority_id, resource_id):
+    token = LinkToken(authority_id, kind, resource_id, "ab" * 32)
+    body = canonical_serialize(token)[5:]   # past the tag and body length
+    signing = q._signing_bytes(authority_id, kind, resource_id)
+    signature = token.signature.encode()
+    assert body == signing + len(signature).to_bytes(4, "big") + signature
+
+
+def test_signing_bytes_refuse_what_the_codec_refuses():
+    for args in [("IN\ud800", ResourceKind.VISA_IMAGE, "V1"),
+                 ("IN", ResourceKind.PASSPORT_APP, "P\udfff")]:
+        with pytest.raises(ValidationError) as signed:
+            q._signing_bytes(*args)
+        with pytest.raises(ValidationError) as encoded:
+            canonical_serialize(LinkToken(*args, "00"))
+        assert signed.value.code == encoded.value.code == "BAD_UTF8"
 
 
 def test_token_wire_round_trip():

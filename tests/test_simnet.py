@@ -589,6 +589,30 @@ def test_approve_passport_takes_the_latest_application():
     assert submitted[0]["tracking"] != submitted[1]["tracking"]
 
 
+def test_install_app_reads_the_issuing_authority_past_a_pending_application():
+    # IN issued alice's passport; a newer application at US is still
+    # pending, and install-app reads IN's notice, not US's empty outbox.
+    world, events = run(load_scenario(
+        "embassy IN\nembassy US\ntraveler alice\n"
+        "apply-passport alice authority=IN\napprove-passport alice passport-no=P1\n"
+        "apply-passport alice authority=US\ninstall-app alice\n", seed=1))
+    assert world.traveler("alice").device.passport.passport_no == "P1"
+    assert events[-1].event == "passport-installed"
+    assert events[-1].details["passport_no"] == "P1"
+
+
+def test_download_visa_reads_the_issuing_authority_past_a_pending_application():
+    world, events = run(load_scenario(
+        "embassy IN\nembassy US\nembassy GB\ntraveler alice\n"
+        "apply-passport alice authority=IN\napprove-passport alice\n"
+        "install-app alice\n"
+        "apply-visa alice authority=US\napprove-visa alice visa-id=V1\n"
+        "apply-visa alice authority=GB\ndownload-visa alice page=3\n", seed=1))
+    assert "V1" in world.traveler("alice").device.visas
+    assert events[-1].event == "visa-downloaded"
+    assert events[-1].details["visa_id"] == "V1"
+
+
 def test_happy_path_same_seed_byte_identical():
     first = report_bytes(run(load_scenario(HAPPY, seed=42))[1])
     second = report_bytes(run(load_scenario(HAPPY, seed=42))[1])
@@ -1054,6 +1078,9 @@ def test_cli_runtime_error_names_the_failing_fault(tmp_path, capsys):
      "NO_SUCH_AUTHORITY"),
     ("embassy IN\ntraveler alice\napply-passport alice authority=IN\n"
      "install-app alice\n", "NO_NOTIFICATION"),
+    ("embassy IN\nembassy US\ntraveler alice\napply-passport alice authority=IN\n"
+     "approve-passport alice\napply-visa alice authority=US\n"
+     "download-visa alice page=3\n", "NO_NOTIFICATION"),
     ("airport BLR\nairport BLR\n", "DUPLICATE_AIRPORT"),
     ("traveler alice\ntraveler alice\n", "DUPLICATE_TRAVELER"),
     ("traveler alice\napprove-passport alice\n", "NO_APPLICATION"),
@@ -1071,7 +1098,8 @@ def test_cli_runtime_error_names_the_failing_fault(tmp_path, capsys):
      "download-visa alice page=3\n", "NO_APPLICATION"),
     ("embassy IN\ntraveler alice\napply-passport alice authority=IN\n"
      "approve-visa alice\n", "NO_APPLICATION"),
-], ids=["no-such-authority", "no-notification", "duplicate-airport",
+], ids=["no-such-authority", "no-notification", "no-visa-approved",
+        "duplicate-airport",
         "duplicate-traveler", "approve-passport-no-application",
         "install-app-no-application", "approve-visa-no-application",
         "download-visa-no-application", "approve-visa-no-passport",

@@ -168,6 +168,24 @@ def test_embassy_image_too_large(embassy):
     assert ask(embassy, f"STATUS {tracking}", rng) == "OK SUBMITTED"
 
 
+@pytest.mark.parametrize("kind, bad, good", [
+    ("PASSPORT", "P\ud800 bob IN 0 100", "P1 bob IN 0 100"),
+    ("VISA", "V\ud800 P1 US 0 999 00ff", "V1 P1 US 0 999 00ff"),
+], ids=["passport", "visa"])
+def test_refused_approval_leaves_the_store_as_it_was(embassy, kind, bad, good):
+    # A lone surrogate cannot ride the link, so the approval is refused;
+    # it stores no document, files no notice, and the retry is approved.
+    rng = random.Random(7)
+    tracking = ask(embassy, f"SUBMIT bob {kind}_APPLICATION", rng).split()[1]
+    snapshot = ask(embassy, "SNAPSHOT", rng)
+    assert ask(embassy, f"APPROVE_{kind} {tracking} {bad}", rng) == "ERR BAD_UTF8"
+    assert ask(embassy, "SNAPSHOT", rng) == snapshot
+    assert ask(embassy, f"STATUS {tracking}", rng) == "OK SUBMITTED"
+    assert embassy.latest_notices == {}
+    assert ask(embassy, f"APPROVE_{kind} {tracking} {good}", rng).startswith("OK ")
+    assert ask(embassy, f"STATUS {tracking}", rng) == "OK APPROVED"
+
+
 def test_embassy_errors_pass_through(embassy):
     assert ask(embassy, "STATUS NOPE") == "ERR NOT_FOUND"
     assert ask(embassy, "RESOLVE 00ff") == "ERR BAD_TOKEN_WIRE"
