@@ -25,8 +25,8 @@ from operator import itemgetter
 from .errors import CloudError
 from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
                     Passport, TrackingId, VisaImage, VisaRecord, VisaStatus,
-                    check_format, content_hash, new_passport, new_tracking_id,
-                    place_visa, record, replace)
+                    _text_field, check_format, content_hash, new_passport,
+                    new_tracking_id, place_visa, record, replace)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
 __all__ = [
@@ -252,7 +252,9 @@ def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
         raise CloudError("DUPLICATE_PASSPORT_NO", passport_no)
     passport = new_passport(passport_no, holder_name, nationality,
                             cloud.authority_id, issue_date, expiry_date)
-    # A number the link cannot carry is refused before anything is stored.
+    # A name the codec cannot write, or a number the link cannot carry,
+    # is refused before anything is stored.
+    _text_field(holder_name)
     token = mint_link_token(cloud, ResourceKind.PASSPORT_APP, passport_no)
     cloud.passports[passport_no] = passport
     return _approve(cloud, record, token, NotificationKind.PASSPORT_READY)
@@ -273,6 +275,9 @@ def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
     visa = VisaRecord(visa_id, passport_no, cloud.authority_id,
                       destination_country, valid_from, valid_to, image_hash,
                       VisaStatus.ISSUED)
+    # As for a passport: the link carries the visa id, and the codec's
+    # rule refuses a passport number UTF-8 cannot hold.
+    _text_field(passport_no)
     token = mint_link_token(cloud, ResourceKind.VISA_IMAGE, visa_id)
     cloud.visas[visa_id] = visa
     cloud.blobs[image_hash] = bytes(image_bytes)
@@ -357,12 +362,13 @@ def daily_sync(airport_cloud: AirportCloud, embassy_cloud: EmbassyCloud,
     airport_cloud.last_sync_date = date
 
 
-def receive_desk_copy(airport_cloud: AirportCloud, visa_id: str, data: bytes,
-                      checkpoint: Checkpoint) -> str:
-    """Store the hash of what the desk just read off a device."""
-    digest = content_hash(data)
+def receive_desk_copy(airport_cloud: AirportCloud, visa_id: str, digest: str,
+                      checkpoint: Checkpoint) -> None:
+    """Store the hash of what the desk just read off a device, refusing a
+    hash that is not 64 lowercase hex. The caller hashed the bytes: the
+    desk's decoded image checked its own hash when it was built."""
+    check_format("hex64", digest)
     airport_cloud.desk_copies[(visa_id, checkpoint)] = digest
-    return digest
 
 
 def compare_visa(airport_cloud: AirportCloud, visa_id: str,

@@ -270,15 +270,15 @@ def run_check(desk: DeskCheck, device: DeviceState,
         log(PHASE_NFC, "otp-redeemed")
         channel = establish(device, _TAP_DISTANCE_CM)
         log(PHASE_NFC, f"channel-open distance={_TAP_DISTANCE_CM}")
-        summary, visa_id, image_bytes = tap_check(channel)
+        summary, visa_id, image = tap_check(channel)
         log(PHASE_NFC, f"tap-check passport={summary.passport_no} visa={visa_id}")
     except (AuthError, NfcError, ValidationError) as exc:
         log(PHASE_NFC, f"nfc-failed {exc.code}")
         return lock_and_alert(channel, (PHASE_NFC, exc.code))
 
     # Phase 3: hand the airport cloud what the desk saw.
-    digest = receive_desk_copy(airport_cloud, visa_id, image_bytes,
-                               desk.checkpoint)
+    digest = image.content_hash
+    receive_desk_copy(airport_cloud, visa_id, digest, desk.checkpoint)
     log(PHASE_DESK_COPY, f"desk-copy-stored hash={digest[:16]}")
 
     # Phase 4: replica comparison.

@@ -178,14 +178,16 @@ def _exchange(channel: NfcChannel, request: bytes, reply: FrameType) -> bytes:
 def tap_check(channel: NfcChannel):
     """Desk reads the presented visa page.
 
-    Returns ``(summary, visa_id, image_bytes)``. The device picks the
-    page: the one the traveler placed their visa on, not the reader.
+    Returns ``(summary, visa_id, image)``; the decoded ``VisaImage``
+    checked its bytes against its hash when it was built. The device
+    picks the page: the one the traveler placed their visa on, not the
+    reader.
     """
     _guard_live(channel)
     body = _exchange(channel, encode_frame(FrameType.CHECK_REQ), FrameType.CHECK_RESP)
     presented = canonical_deserialize(body, VisaPresentation)
     channel.checked_visa_id = presented.visa_id
-    return presented.passport, presented.visa_id, presented.image.data
+    return presented.passport, presented.visa_id, presented.image
 
 
 def tap_stamp(channel: NfcChannel, stamp: StampEntry) -> None:

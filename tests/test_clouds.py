@@ -168,6 +168,37 @@ def test_approve_visa_image_too_large_rejected():
     approved_visa(cloud, rng, image=bytes(MAX_IMAGE_BYTES))
 
 
+@pytest.mark.parametrize("kind, fields", [
+    (IdKind.PASSPORT_APPLICATION, {"holder_name": "b\ud800b"}),
+    (IdKind.PASSPORT_APPLICATION, {"passport_no": "P\ud800"}),
+    (IdKind.VISA_APPLICATION, {"passport_no": "P\udfff1"}),
+    (IdKind.VISA_APPLICATION, {"visa_id": "V\ud800"}),
+], ids=["holder", "passport-no", "visa-passport-no", "visa-id"])
+def test_approval_refuses_text_the_codec_cannot_write(kind, fields):
+    # A lone surrogate would be stored and then fail the holder's NFC
+    # presentation; the codec's own rule refuses it before anything is
+    # stored, and the retry with clean text is approved.
+    cloud, rng = fresh_embassy()
+    tracking = submit_application(cloud, "bob", kind, rng)
+    if kind is IdKind.PASSPORT_APPLICATION:
+        approve, good = clouds.approve_passport, {
+            "passport_no": "P1", "holder_name": "bob", "nationality": "IN",
+            "issue_date": 0, "expiry_date": 10**9}
+    else:
+        approve, good = clouds.approve_visa, {
+            "visa_id": "V1", "passport_no": "P1", "destination_country": "US",
+            "valid_from": 0, "valid_to": 10**9, "image_bytes": b"pixels"}
+    before = cloud.snapshot_bytes()
+    with pytest.raises(ValidationError) as err:
+        approve(cloud, tracking.value, **{**good, **fields})
+    assert err.value.code == "BAD_UTF8"
+    assert cloud.snapshot_bytes() == before
+    assert cloud.latest_notices == {}
+    assert clouds.application_status(cloud, tracking.value) is AppStatus.SUBMITTED
+    approve(cloud, tracking.value, **good)
+    assert clouds.application_status(cloud, tracking.value) is AppStatus.APPROVED
+
+
 # ---------------------------------------------------------------------------
 # downloads
 
@@ -456,8 +487,8 @@ def _replicated_airport(image=b"visa pixels"):
 
 def test_desk_copy_matches_replica():
     airport = _replicated_airport()
-    digest = receive_desk_copy(airport, "V0000001", b"image 0",
-                               Checkpoint.DEPARTURE)
+    digest = content_hash(b"image 0")
+    receive_desk_copy(airport, "V0000001", digest, Checkpoint.DEPARTURE)
     assert digest == airport.replicated["V0000001"][1]
     assert compare_visa(airport, "V0000001", Checkpoint.DEPARTURE) is CompareResult.MATCH
 
@@ -466,14 +497,26 @@ def test_desk_copy_single_flip_mismatch():
     airport = _replicated_airport()
     tampered = bytearray(b"image 0")
     tampered[0] ^= 0x01
-    receive_desk_copy(airport, "V0000001", bytes(tampered), Checkpoint.ARRIVAL)
+    receive_desk_copy(airport, "V0000001", content_hash(bytes(tampered)),
+                      Checkpoint.ARRIVAL)
     assert compare_visa(airport, "V0000001", Checkpoint.ARRIVAL) is CompareResult.MISMATCH
 
 
 def test_desk_copy_for_unreplicated_visa_not_found():
     airport = _replicated_airport()
-    receive_desk_copy(airport, "V7777777", b"whatever", Checkpoint.DEPARTURE)
+    receive_desk_copy(airport, "V7777777", content_hash(b"whatever"),
+                      Checkpoint.DEPARTURE)
     assert compare_visa(airport, "V7777777", Checkpoint.DEPARTURE) is CompareResult.NOT_FOUND
+
+
+def test_desk_copy_refuses_a_malformed_hash():
+    airport = _replicated_airport()
+    digest = content_hash(b"image 0")
+    for bad in ("zz", digest.upper(), digest[:-1], digest + "0"):
+        with pytest.raises(ValidationError) as err:
+            receive_desk_copy(airport, "V0000001", bad, Checkpoint.DEPARTURE)
+        assert err.value.code == "BAD_HASH_FORMAT"
+    assert airport.desk_copies == {}
 
 
 def test_compare_without_desk_copy():
@@ -485,9 +528,11 @@ def test_compare_without_desk_copy():
 
 def test_checkpoints_keep_separate_desk_copies():
     airport = _replicated_airport()
-    receive_desk_copy(airport, "V0000001", b"image 0", Checkpoint.DEPARTURE)
+    receive_desk_copy(airport, "V0000001", content_hash(b"image 0"),
+                      Checkpoint.DEPARTURE)
     tampered = b"image 0x"
-    receive_desk_copy(airport, "V0000001", tampered, Checkpoint.ARRIVAL)
+    receive_desk_copy(airport, "V0000001", content_hash(tampered),
+                      Checkpoint.ARRIVAL)
     assert compare_visa(airport, "V0000001", Checkpoint.DEPARTURE) is CompareResult.MATCH
     assert compare_visa(airport, "V0000001", Checkpoint.ARRIVAL) is CompareResult.MISMATCH
 

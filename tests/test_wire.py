@@ -13,8 +13,12 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cloudpass import wire
 from cloudpass.clouds import AirportCloud, EmbassyCloud
+from cloudpass.errors import CloudPassError
 from cloudpass.model import MAX_IMAGE_BYTES, content_hash
 from cloudpass.server import CloudServer, _default_cloud
 from cloudpass.wire import (MAX_LINE_BYTES, handle_airport_line,
@@ -91,6 +95,141 @@ def test_documented_arity_is_enforced(role, embassy, airport):
 def test_bad_hex(embassy):
     long_prefix = "APPROVE_VISA t V1 P1 US 0 9"
     assert ask(embassy, f"{long_prefix} zz") == "ERR BAD_HEX"
+
+
+# Every character str.isspace() accepts: the ten ASCII ones, then the
+# Unicode ones. str.split() separates words at runs of any of them.
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+           + "".join(map(chr, range(0x2000, 0x200b)))
+           + "\u2028\u2029\u202f\u205f\u3000")
+
+
+def test_spaces_are_every_isspace_character():
+    assert _SPACES == "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+    assert len(_SPACES) == 29
+
+
+@pytest.mark.parametrize("sep", _SPACES, ids=lambda c: f"U+{ord(c):04X}")
+def test_any_whitespace_run_separates_arguments(sep):
+    # The same request with single spaces, and with runs of one separator
+    # between, before and after its words, gets the same reply; a blob
+    # followed by one more word is one argument too many.
+    image = bytes(range(256)) * 8
+
+    def approve(between: str, before: str = "", after: str = "") -> str:
+        cloud, rng = EmbassyCloud("IN", b"wire-test-secret"), random.Random(7)
+        tracking = ask(cloud, "SUBMIT alice VISA_APPLICATION", rng).split()[1]
+        words = ["APPROVE_VISA", tracking, "V1", "P1", "US", "0", "999",
+                 image.hex()]
+        return ask(cloud, before + between.join(words) + after, rng)
+
+    plain = approve(" ")
+    assert plain.startswith("OK ")
+    assert approve(sep, sep, sep) == plain
+    assert approve(sep * 2 + " ", sep, "\r\n" + sep) == plain
+    assert approve(" ", after=sep + "00") == "ERR BAD_ARGS"
+
+
+def _strings(chars: str, min_size: int = 0, max_size: int = 8):
+    # Lists of sampled characters, not st.text: shrinking a failure that
+    # drew two st.text alphabets in one example crashed Hypothesis 6.155
+    # (ValueError in its interval sets) instead of reporting the failure.
+    return st.lists(st.sampled_from(chars), min_size=min_size,
+                    max_size=max_size).map("".join)
+
+
+def _texts(spaces: str, chars: str):
+    """Runs of separators, words that may hold separators, and hex words,
+    in any order."""
+    return st.lists(st.one_of(
+        _strings(spaces, min_size=1, max_size=3),
+        _strings(chars + spaces),
+        st.binary(max_size=40).map(bytes.hex),
+    ), max_size=12).map("".join)
+
+
+# ASCII text splits on the ASCII ten alone; one non-ASCII character, a
+# lone surrogate included, makes the Unicode ones count too.
+_request_texts = st.one_of(
+    _texts(_SPACES[:10], "0aF9xZ_\x00"),
+    _texts(_SPACES, "0aF9xZ_\x00\u200b\xe9\uff12\u0663\ud800\udfff"))
+# A hex word that takes its line past the long-line bound.
+_long_hex = st.integers(wire._LONG_LINE // 4, wire._LONG_LINE // 4 + 8).map(
+    lambda n: "0aF9" * n)
+# The op, mostly as requests write it: first, then one space.
+_op = st.builds(lambda lead, sep: lead + "OP" + sep,
+                st.one_of(st.just(""), _strings(_SPACES, 1, 2)),
+                st.one_of(st.just(" "), _strings(_SPACES, 1, 3)))
+# Short lines of the op "OP", long ones, and lines with any first word.
+_request_lines = st.one_of(
+    st.tuples(_op, _request_texts),
+    st.tuples(_op, _request_texts, _long_hex, _request_texts),
+    st.tuples(_request_texts, _long_hex, _request_texts),
+    st.tuples(_request_texts),
+).map("".join)
+
+
+@given(line=_request_lines, arity=st.integers(0, 7))
+def test_split_long_equals_str_split(line, arity):
+    assert wire._split_long({"OP": (arity, None)}, line) == line.split()
+
+
+@given(line=_request_lines, arity=st.integers(0, 7))
+def test_handler_parts_equal_str_split(line, arity):
+    """Whatever the separators, the line's length and its last argument,
+    the handler of an op that takes ``arity`` arguments gets exactly the
+    words after the op, as ``str.split()`` cuts them, or the line is
+    refused as ``str.split()`` would have it."""
+    calls = []
+    ops = {"OP": (arity, lambda cloud, rng, *args: calls.append(args) or "OK")}
+    reply = wire._handle(ops, None, line)
+    words = line.split()
+    if not words:
+        assert (reply, calls) == ("ERR EMPTY_LINE", [])
+    elif words[0] != "OP":
+        assert (reply, calls) == ("ERR BAD_OP", [])
+    elif len(words) - 1 == arity:
+        assert (reply, calls) == ("OK", [tuple(words[1:])])
+    else:
+        assert (reply, calls) == ("ERR BAD_ARGS", [])
+
+
+_HEX_CHARS = "0123456789abcdefABCDEFgG\uff21\uff12\u0663\xe9\ud800"
+
+
+@pytest.mark.parametrize("token, expected", [
+    ("", b""), ("00ff", b"\x00\xff"), ("00FF", b"\x00\xff"), ("aB", b"\xab"),
+    ("0", None), ("abc", None), ("0g", None), ("zz", None),
+    ("\uff10\uff10", None), ("\u0663\u0663", None), ("\ud800\ud800", None),
+    # bytes.fromhex skips these spaces; a word never holds one.
+    ("00 ff", None), ("00\tff", None)])
+def test_hex_examples(token, expected):
+    if expected is None:
+        with pytest.raises(CloudPassError) as err:
+            wire._hex(token)
+        assert err.value.code == "BAD_HEX"
+    else:
+        assert wire._hex(token) == expected
+
+
+@given(st.one_of(
+    st.binary(max_size=64).map(bytes.hex),
+    st.binary(max_size=64).map(lambda b: b.hex().upper()),
+    _strings(_HEX_CHARS, max_size=12),
+))
+def test_hex_accepts_what_fromhex_accepts(token):
+    """On a word without whitespace, as the splitter hands it over, _hex
+    accepts exactly what bytes.fromhex accepts and returns the same bytes:
+    odd lengths, non-hex and non-ASCII digits are BAD_HEX, either case
+    decodes."""
+    try:
+        expected = bytes.fromhex(token)
+    except ValueError:
+        with pytest.raises(CloudPassError) as err:
+            wire._hex(token)
+        assert err.value.code == "BAD_HEX"
+    else:
+        assert wire._hex(token) == expected
 
 
 def test_bad_enum(embassy):
@@ -170,11 +309,14 @@ def test_embassy_image_too_large(embassy):
 
 @pytest.mark.parametrize("kind, bad, good", [
     ("PASSPORT", "P\ud800 bob IN 0 100", "P1 bob IN 0 100"),
+    ("PASSPORT", "P1 b\ud800b IN 0 100", "P1 bob IN 0 100"),
     ("VISA", "V\ud800 P1 US 0 999 00ff", "V1 P1 US 0 999 00ff"),
-], ids=["passport", "visa"])
+    ("VISA", "V1 P\ud800 US 0 999 00ff", "V1 P1 US 0 999 00ff"),
+], ids=["passport", "passport-holder", "visa", "visa-passport-no"])
 def test_refused_approval_leaves_the_store_as_it_was(embassy, kind, bad, good):
-    # A lone surrogate cannot ride the link, so the approval is refused;
-    # it stores no document, files no notice, and the retry is approved.
+    # A lone surrogate cannot ride the link, or be written by the codec,
+    # so the approval is refused; it stores no document, files no notice,
+    # and the retry is approved.
     rng = random.Random(7)
     tracking = ask(embassy, f"SUBMIT bob {kind}_APPLICATION", rng).split()[1]
     snapshot = ask(embassy, "SNAPSHOT", rng)
@@ -244,6 +386,25 @@ def test_airport_replicate_and_compare(airport):
     tampered[3] ^= 0xFF
     ask(airport, f"DESK_COPY V42 ARRIVAL {bytes(tampered).hex()}")
     assert ask(airport, "COMPARE V42 ARRIVAL") == "OK MISMATCH"
+
+
+def test_airport_compare_reads_the_whole_digest(airport):
+    # A replica digest that differs from the desk copy's only in its last
+    # hex digit is a mismatch: the comparison reads all 64 digits.
+    image = b"visa pixels"
+    digest = content_hash(image)
+    near = digest[:-1] + ("1" if digest[-1] == "0" else "0")
+    assert ask(airport, f"REPLICATE V42 P1 {near}") == "OK"
+    assert ask(airport, f"DESK_COPY V42 DEPARTURE {image.hex()}") == f"OK {digest}"
+    assert ask(airport, "COMPARE V42 DEPARTURE") == "OK MISMATCH"
+
+
+def test_airport_desk_copy_refusals_store_nothing(airport):
+    snapshot = ask(airport, "SNAPSHOT")
+    assert ask(airport, "DESK_COPY V1 DEPARTURE 0") == "ERR BAD_HEX"
+    assert ask(airport, "DESK_COPY V1 SIDEWAYS 00") == "ERR BAD_ARGS"
+    assert ask(airport, "DESK_COPY V1 DEPARTURE 00 ff") == "ERR BAD_ARGS"
+    assert ask(airport, "SNAPSHOT") == snapshot
 
 
 def test_airport_compare_unreplicated(airport):
