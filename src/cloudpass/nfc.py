@@ -26,6 +26,22 @@ stamp only while its session shows that visa. If the device
 is locked through this channel, later taps report DEVICE_LOCKED; if it
 went dark for any other reason mid-exchange, the channel is just stale.
 The channel holds its device: a tap or a lock reaches no other.
+
+A check tap repeats the same work at every desk until the traveler's
+documents change, so each half keeps what it built, in a memo
+(Michie, "'Memo' functions and machine learning", Nature 1968). The
+rule for both: keyed by exact value, bounded, refusals never kept. The
+device keeps the canonical body of its presentation under every value
+the body is built from (the passport's seven summary fields, the shown
+page's visa id and the visa image record) and wraps it in a new frame
+on every reply. The reader keeps the presentation decoded from a body
+and hands it out again only for a byte-identical body; it finds the
+entry by the body's last 64 bytes (the image hash), so a lookup hashes
+64 bytes, not the whole body. Each memo holds at most ``_MEMO_SIZE``
+entries and drops its oldest when full. A serialise or decode that
+refuses raises before anything is kept, so the next tap tries it again.
+A hit returns the very value a fresh call would: records are immutable,
+and the codec is a pure function of them.
 """
 
 from __future__ import annotations
@@ -33,10 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .authflow import SessionState
 from .errors import CloudPassError, NfcError
-from .model import (DeviceState, StampEntry, VisaPresentation, add_stamp,
-                    canonical_deserialize, canonical_serialize, summarize)
+from .model import (_VISA_VISIBLE, DeviceState, StampEntry, VisaPresentation,
+                    add_stamp, canonical_deserialize, canonical_serialize,
+                    summarize)
 
 __all__ = [
     "MAX_RANGE_CM",
@@ -54,6 +70,8 @@ __all__ = [
 MAX_RANGE_CM = 15.0
 
 _HEADER_LEN = 5
+# Entries each tap memo holds: a desk line of travelers, not a country.
+_MEMO_SIZE = 16
 
 
 class FrameType(IntEnum):
@@ -65,6 +83,9 @@ class FrameType(IntEnum):
     ERROR = 0x7F
 
 
+_FRAME_TYPES = {member.value: member for member in FrameType}
+
+
 def encode_frame(frame_type: FrameType, body: bytes = b"") -> bytes:
     return bytes([frame_type]) + len(body).to_bytes(4, "big") + body
 
@@ -73,10 +94,9 @@ def decode_frame(data: bytes) -> tuple[FrameType, bytes]:
     """Parse exactly one frame; rejects unknown tags and bad lengths."""
     if len(data) < _HEADER_LEN:
         raise NfcError("TRUNCATED_FRAME", f"{len(data)} bytes")
-    try:
-        frame_type = FrameType(data[0])
-    except ValueError:
-        raise NfcError("UNKNOWN_FRAME_TYPE", f"{data[0]:#x}") from None
+    frame_type = _FRAME_TYPES.get(data[0])
+    if frame_type is None:
+        raise NfcError("UNKNOWN_FRAME_TYPE", f"{data[0]:#x}")
     length = int.from_bytes(data[1:5], "big")
     if len(data) != _HEADER_LEN + length:
         raise NfcError("BAD_FRAME_LENGTH",
@@ -104,11 +124,41 @@ def answer(device: DeviceState, request: bytes) -> bytes:
         if frame_type is FrameType.LOCK_CMD:
             device.locked = True
             return encode_frame(FrameType.ACK)
-        passport, page, image = _shown_visa(device)
-        shown = VisaPresentation(summarize(passport), page.visa_id, image)
-        return encode_frame(FrameType.CHECK_RESP, canonical_serialize(shown))
+        return encode_frame(FrameType.CHECK_RESP,
+                            _presentation_body(*_shown_visa(device)))
     except CloudPassError as exc:
         return encode_frame(FrameType.ERROR, str(exc).encode())
+
+
+_BODIES: dict[tuple, bytes] = {}
+
+
+def _presentation_body(passport, page, image) -> bytes:
+    """The canonical body of what the device shows, kept by every value
+    it is built from. A float date equals an int one but does not
+    encode, and bytearray image bytes cannot be hashed: such a body is
+    built afresh every time."""
+    issued, expires = passport.issue_date, passport.expiry_date
+    exact = (type(issued) is int and type(expires) is int
+             and type(image.data) is bytes)
+    key = (passport.passport_no, passport.holder_name, passport.nationality,
+           passport.issuing_authority, issued, expires, passport.status,
+           page.visa_id, image)
+    body = _BODIES.get(key) if exact else None
+    if body is None:
+        body = canonical_serialize(
+            VisaPresentation(summarize(passport), page.visa_id, image))
+        if exact:
+            _keep(_BODIES, key, body)
+    return body
+
+
+def _keep(memo: dict, key, value) -> None:
+    """Store ``value`` under ``key``, first dropping the oldest entry
+    when ``memo`` is full."""
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 def _shown_visa(device: DeviceState):
@@ -116,7 +166,7 @@ def _shown_visa(device: DeviceState):
     image: what the device shows a reader, and the page it stamps, once
     the session has made the visa visible."""
     session = device.session
-    if session is None or session.state is not SessionState.VISA_VISIBLE:
+    if session is None or session.state is not _VISA_VISIBLE:
         raise NfcError("AUTH_NOT_COMPLETE")
     passport = device.passport
     if passport is None:
@@ -185,9 +235,24 @@ def tap_check(channel: NfcChannel):
     """
     _guard_live(channel)
     body = _exchange(channel, encode_frame(FrameType.CHECK_REQ), FrameType.CHECK_RESP)
-    presented = canonical_deserialize(body, VisaPresentation)
+    presented = _presentation(body)
     channel.checked_visa_id = presented.visa_id
     return presented.passport, presented.visa_id, presented.image
+
+
+_PRESENTATIONS: dict[bytes, tuple[bytes, VisaPresentation]] = {}
+
+
+def _presentation(body: bytes) -> VisaPresentation:
+    """``body`` decoded, kept under its last 64 bytes with the body
+    itself, which a later body must equal byte for byte."""
+    fingerprint = body[-64:]
+    kept = _PRESENTATIONS.get(fingerprint)
+    if kept is not None and kept[0] == body:
+        return kept[1]
+    presented = canonical_deserialize(body, VisaPresentation)
+    _keep(_PRESENTATIONS, fingerprint, (body, presented))
+    return presented
 
 
 def tap_stamp(channel: NfcChannel, stamp: StampEntry) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 import sys
 import tempfile
@@ -76,6 +77,25 @@ def test_every_pinned_case_is_run():
 def test_report_digest(scenario, seed, fault):
     expected = _pinned()[_case_id(scenario, seed, fault)]
     assert _report_digest(scenario, seed, fault) == expected
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_report_digests_hold_in_another_order_in_one_process(order):
+    # Process-wide state, the NFC tap memos among it, outlives a run; no
+    # run may read what an earlier one left.
+    cases = _cases()
+    if order == "reversed":
+        cases.reverse()
+    else:
+        random.Random(1968).shuffle(cases)
+    pinned = _pinned()
+    moved = {}
+    for case in cases:
+        digest = _report_digest(*case)
+        if digest != pinned[_case_id(*case)]:
+            moved[_case_id(*case)] = digest
+    assert len(cases) == 63
+    assert moved == {}
 
 
 if __name__ == "__main__":

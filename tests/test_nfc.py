@@ -1,6 +1,7 @@
 """Short-range frames: proximity gate, check/stamp taps, remote lock, and
 the device's and the reader's half of each exchange."""
 
+import random
 import re
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from cloudpass import nfc
 from cloudpass.errors import CloudPassError, NfcError
-from cloudpass.model import (StampEntry, StampKind, canonical_deserialize,
-                             canonical_serialize)
+from cloudpass.model import (DeviceState, StampEntry, StampKind, VisaImage,
+                             VisaPresentation, canonical_deserialize,
+                             canonical_serialize, new_passport, place_visa,
+                             replace, summarize)
 from cloudpass.nfc import (MAX_RANGE_CM, FrameType, NfcChannel, answer,
                            decode_frame, encode_frame, establish, send_lock,
                            tap_check, tap_stamp)
@@ -370,3 +373,145 @@ def test_reader_refuses_a_malformed_reply(monkeypatch, tap, reply, code):
         tap(_checked_channel())
     assert err.value.code == code
 
+
+
+# ---------------------------------------------------------------------------
+# the tap memos: a kept body or presentation is the one a fresh codec
+# call gives, for every device, in any order
+
+
+_IMAGES = tuple(VisaImage.of(random.Random(n).randbytes(4096)) for n in range(20))
+_READY = canonical_deserialize(_READY_DEVICE)
+
+
+def _device(passport_no="P1", holder="alice", visa_id="V1", image=0, issued=0):
+    """A device showing ``visa_id`` on page 1, with ``_IMAGES[image]`` or
+    with ``image`` itself when it is a ``VisaImage``."""
+    device = DeviceState(_READY.device_id, _READY.clock_offset_min,
+                         _READY.auth_images, session=_READY.session)
+    if not isinstance(image, VisaImage):
+        image = _IMAGES[image]
+    device.visas = {visa_id: image}
+    passport = new_passport(passport_no, holder, "IN", "IN", issued, 10**9)
+    device.passport = place_visa(passport, visa_id, 1, device.visas)
+    return device
+
+
+def _fresh_body(device) -> bytes:
+    (visa_id, image), = device.visas.items()
+    return canonical_serialize(
+        VisaPresentation(summarize(device.passport), visa_id, image))
+
+
+def _tap_both_halves(device) -> bytes:
+    """Tap ``device`` through its half and through the reader's; check
+    each against a fresh codec call and return the reply body."""
+    body = _fresh_body(device)
+    assert answer(device, encode_frame(FrameType.CHECK_REQ)) == encode_frame(
+        FrameType.CHECK_RESP, body)
+    assert VisaPresentation(*tap_check(establish(device, 5.0))) == \
+        canonical_deserialize(body, VisaPresentation)
+    assert len(nfc._BODIES) <= nfc._MEMO_SIZE
+    assert len(nfc._PRESENTATIONS) <= nfc._MEMO_SIZE
+    return body
+
+
+# Few values a field, so devices that differ in one field only are common.
+_SPECS = st.tuples(st.sampled_from(("P1", "P2")),
+                   st.sampled_from(("alice", "bob", "carol")),
+                   st.sampled_from(("V1", "V2")),
+                   st.integers(0, len(_IMAGES) - 1), st.integers(0, 3))
+
+
+@given(st.lists(_SPECS, min_size=nfc._MEMO_SIZE + 1,
+                max_size=2 * nfc._MEMO_SIZE, unique=True), st.randoms())
+def test_memoised_taps_equal_fresh_codec_calls(specs, rnd):
+    # More distinct devices than a memo holds, each tapped twice in a
+    # random interleaving, so kept entries are both hit and evicted.
+    devices = [_device(*spec) for spec in specs]
+    order = devices * 2
+    rnd.shuffle(order)
+    for device in order:
+        _tap_both_halves(device)
+
+
+def test_same_passport_number_different_holders_get_their_own_bytes():
+    alice, bob = _device(holder="alice"), _device(holder="bob")
+    for device, holder in [(alice, "alice"), (bob, "bob")] * 2:
+        body = _tap_both_halves(device)
+        assert canonical_deserialize(body).passport.holder_name == holder
+
+
+def test_a_new_image_on_the_same_page_is_presented():
+    # As a tampered visa is: same passport, page and visa id.
+    device = _device(image=0)
+    _tap_both_halves(device)
+    device.visas = {"V1": _IMAGES[1]}
+    assert tap_check(establish(device, 5.0))[2] == _IMAGES[1]
+
+
+def test_the_memos_never_grow_past_their_bound():
+    for n in range(3 * nfc._MEMO_SIZE):
+        image = VisaImage.of(n.to_bytes(4, "big") * 1024)
+        _tap_both_halves(_device(passport_no=f"P{n}", image=image))
+    assert len(nfc._BODIES) == len(nfc._PRESENTATIONS) == nfc._MEMO_SIZE
+
+
+def test_a_refused_body_is_refused_again_after_its_valid_twin(monkeypatch):
+    # The twin differs in one image byte, not in the hash that ends the
+    # body, so both share the reader's lookup key.
+    device = _device()
+    body = _tap_both_halves(device)
+    i = body.index(_IMAGES[0].data) + 7
+    twin = body[:i] + bytes([body[i] ^ 0xFF]) + body[i + 1:]
+    for sent, code in [(body, None), (twin, "HASH_MISMATCH"),
+                       (twin, "HASH_MISMATCH"), (body, None)]:
+        reply = encode_frame(FrameType.CHECK_RESP, sent)
+        monkeypatch.setattr(nfc, "answer",
+                            lambda device, request, reply=reply: reply)
+        if code is None:
+            assert tap_check(establish(device, 5.0))[2] == _IMAGES[0]
+            continue
+        with pytest.raises(CloudPassError) as err:
+            tap_check(establish(device, 5.0))
+        assert err.value.code == code
+
+
+def test_a_refused_encoding_is_tried_again():
+    device = _device()
+    passport = device.passport
+    device.passport = replace(passport, holder_name="b\ud800b")
+    for _ in range(2):
+        reply_type, body = decode_frame(answer(device, encode_frame(FrameType.CHECK_REQ)))
+        assert (reply_type, body.split(b":")[0]) == (FrameType.ERROR, b"BAD_UTF8")
+    device.passport = passport
+    _tap_both_halves(device)
+
+
+def _float_date(device):
+    device.passport = replace(device.passport, issue_date=0.0)
+
+
+def _bytearray_image(device):
+    image = _IMAGES[0]
+    device.visas = {"V1": VisaImage(bytearray(image.data), image.media_type,
+                                    image.content_hash)}
+
+
+@pytest.mark.parametrize("change,reply_type", [
+    (_float_date, FrameType.ERROR), (_bytearray_image, FrameType.CHECK_RESP),
+], ids=["float-date", "bytearray-image"])
+def test_a_value_equal_to_a_kept_one_but_of_another_type_is_encoded_afresh(
+        change, reply_type):
+    # 0.0 == 0, and the codec writes only an int; bytearray bytes equal
+    # bytes but cannot be hashed. Either gives the reply a fresh encode
+    # gives, a refusal for the date and the body for the image.
+    device = _device()
+    _tap_both_halves(device)
+    change(device)
+    try:
+        expected = encode_frame(FrameType.CHECK_RESP, _fresh_body(device))
+    except CloudPassError as exc:
+        expected = encode_frame(FrameType.ERROR, str(exc).encode())
+    assert answer(device, encode_frame(FrameType.CHECK_REQ)) == expected
+    assert decode_frame(expected)[0] is reply_type
