@@ -25,8 +25,8 @@ from operator import itemgetter
 from .errors import CloudError
 from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
                     Passport, TrackingId, VisaImage, VisaRecord, VisaStatus,
-                    _text_field, check_format, content_hash, new_passport,
-                    new_tracking_id, place_visa, record, replace)
+                    check_format, content_hash, new_passport, new_tracking_id,
+                    place_visa, record, replace)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
 __all__ = [
@@ -252,9 +252,6 @@ def approve_passport(cloud: EmbassyCloud, tracking_value: str, *,
         raise CloudError("DUPLICATE_PASSPORT_NO", passport_no)
     passport = new_passport(passport_no, holder_name, nationality,
                             cloud.authority_id, issue_date, expiry_date)
-    # A name the codec cannot write, or a number the link cannot carry,
-    # is refused before anything is stored.
-    _text_field(holder_name)
     token = mint_link_token(cloud, ResourceKind.PASSPORT_APP, passport_no)
     cloud.passports[passport_no] = passport
     return _approve(cloud, record, token, NotificationKind.PASSPORT_READY)
@@ -275,9 +272,6 @@ def approve_visa(cloud: EmbassyCloud, tracking_value: str, *, visa_id: str,
     visa = VisaRecord(visa_id, passport_no, cloud.authority_id,
                       destination_country, valid_from, valid_to, image_hash,
                       VisaStatus.ISSUED)
-    # As for a passport: the link carries the visa id, and the codec's
-    # rule refuses a passport number UTF-8 cannot hold.
-    _text_field(passport_no)
     token = mint_link_token(cloud, ResourceKind.VISA_IMAGE, visa_id)
     cloud.visas[visa_id] = visa
     cloud.blobs[image_hash] = bytes(image_bytes)

@@ -232,9 +232,7 @@ def run_check(desk: DeskCheck, device: DeviceState,
         if outcome is Outcome.LOCK_AND_ALERT:
             log(PHASE_NFC, f"police-alerted reason={cause[1]}")
         log(PHASE_OUTCOME, _OUTCOME_LINES[outcome].format(*cause or ()))
-        transcript = CheckTranscript(tuple(events), outcome, cause)
-        transcript.validate()
-        return transcript
+        return CheckTranscript(tuple(events), outcome, cause)
 
     def lock_and_alert(channel: NfcChannel | None, cause: Cause) -> CheckTranscript:
         try:

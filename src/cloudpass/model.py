@@ -8,9 +8,15 @@ layout is documented in docs/encoding.md and is covered by round-trip
 tests; any change to field order or framing is a wire-format break.
 
 Immutable values are declared with ``record``: a class body of annotated
-fields, rebuilt with a slot per field and one generated ``__init__``. The
-one mutable record, ``DeviceState``, stays a dataclass and checks itself
-again each time it is encoded.
+fields, rebuilt with a slot per field and one generated ``__init__``,
+which runs the class's ``validate``: each record owns its checks, and
+they run once, when it is built. The records a check tap encodes (a
+passport's summary, a visa image and a presentation) and a passport's
+own fields refuse any value the writer would refuse, so a presentation
+that builds can always be encoded; docs/encoding.md names the fields
+that can still reach the writer's refusals. The one mutable record,
+``DeviceState``, stays a dataclass and checks itself again each time it
+is encoded.
 
 Times and dates are plain integers: seconds since the scenario epoch.
 They are rendered as ISO-8601 only when a report is written.
@@ -230,13 +236,14 @@ def record(cls: type) -> type:
     """Rebuild ``cls``, a class with no base whose annotations are its
     fields, as an immutable record with a slot per field. Its one
     generated method is ``__init__``, which takes the fields in order
-    with their defaults, stores them and calls ``__post_init__`` if the
-    class has one; it stores through each slot's ``__set__``, so
-    ``__post_init__`` normalises with ``object.__setattr__``. Records
-    compare equal only to records of their own class, hash and print as
-    a frozen dataclass does, refuse assignment with
-    ``FrozenInstanceError`` and copy and pickle through the constructor,
-    so a copy meets every check again."""
+    with their defaults, stores them, calls ``__post_init__`` if the
+    class has one and then ``self.validate()`` if the class defines
+    ``validate``. It stores through each slot's ``__set__``, so
+    ``__post_init__`` only normalises, with ``object.__setattr__``, and
+    ``validate`` holds every check. Records compare equal only to
+    records of their own class, hash and print as a frozen dataclass
+    does, refuse assignment with ``FrozenInstanceError`` and copy and
+    pickle through the constructor, so a copy meets every check again."""
     names = tuple(vars(cls).get("__annotations__", {}))
     namespace = {key: value for key, value in vars(cls).items()
                  if key not in ("__dict__", "__weakref__", *names)}
@@ -253,6 +260,9 @@ def record(cls: type) -> type:
     if hasattr(new, "__post_init__"):
         env["_post_init"] = new.__post_init__
         body.append("_post_init(self)")
+    if hasattr(new, "validate"):
+        # Looked up on each call, so a method patched onto the class runs.
+        body.append("self.validate()")
     code = f"def __init__(self, {', '.join(params)}): {'; '.join(body)}"
     exec(compile(code, f"<{cls.__name__} record>", "exec"), env)
     env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
@@ -276,9 +286,6 @@ class TrackingId:
     value: str
     kind: IdKind
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self) -> None:
         check_format("tracking", self.value)
         if not isinstance(self.kind, IdKind):
@@ -292,9 +299,6 @@ class StampEntry:
     kind: StampKind
     airport: str
     stamped_at: int
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         if not isinstance(self.kind, StampKind):
@@ -314,7 +318,6 @@ class PassportPage:
 
     def __post_init__(self):
         object.__setattr__(self, "stamps", tuple(self.stamps))
-        self.validate()
 
     @property
     def content(self) -> PageContent:
@@ -337,7 +340,9 @@ class PassportPage:
 
 def _check_passport_fields(record: "Passport | PassportSummary") -> None:
     """The rules on the fields a passport shares with its summary, one rule
-    per field, so a summary from a device meets its passport's rules."""
+    per field, so a summary from a device meets its passport's rules. The
+    dates are ints that fit i64 and the two texts hold UTF-8, so the
+    codec can write every record that passes."""
     if not record.passport_no:
         raise ValidationError("EMPTY_PASSPORT_NO")
     if not record.holder_name:
@@ -347,11 +352,14 @@ def _check_passport_fields(record: "Passport | PassportSummary") -> None:
     issue, expiry = record.issue_date, record.expiry_date
     if not expiry > issue:
         raise ValidationError("EXPIRY_NOT_AFTER_ISSUE", f"issue {issue} expiry {expiry}")
-    if not (issue >= I64_MIN and expiry <= I64_MAX):
+    if not (type(issue) is int and type(expiry) is int
+            and issue >= I64_MIN and expiry <= I64_MAX):
         raise ValidationError("DATE_OUT_OF_RANGE",
                               f"issue {issue} expiry {expiry} must fit i64")
     if not isinstance(record.status, PassportStatus):
         raise ValidationError("BAD_STATUS", repr(record.status))
+    _check_text(record.passport_no)
+    _check_text(record.holder_name)
 
 
 # The pages of every new passport, each checked once, here.
@@ -374,7 +382,6 @@ class Passport:
 
     def __post_init__(self):
         object.__setattr__(self, "pages", tuple(self.pages))
-        self.validate()
 
     def validate(self) -> None:
         _check_passport_fields(self)
@@ -405,11 +412,14 @@ class VisaImage:
     content_hash: str
 
     def __post_init__(self):
-        self.validate()
+        # Another buffer is copied into bytes; through memoryview, so an
+        # int is refused, not taken as a count of zero bytes.
+        if type(self.data) is not bytes:
+            object.__setattr__(self, "data", bytes(memoryview(self.data)))
 
     @classmethod
     def of(cls, data: bytes, media_type: str = VISA_MEDIA_TYPE) -> "VisaImage":
-        return cls(bytes(data), media_type, content_hash(bytes(data)))
+        return cls(data, media_type, content_hash(data))
 
     def validate(self) -> None:
         if not self.media_type:
@@ -417,6 +427,7 @@ class VisaImage:
         check_format("hex64", self.content_hash)
         if self.content_hash != content_hash(self.data):
             raise ValidationError("HASH_MISMATCH", "stored hash does not match image bytes")
+        _check_text(self.media_type)
 
 
 @record
@@ -431,9 +442,6 @@ class VisaRecord:
     valid_to: int
     image_hash: str
     status: VisaStatus
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         if not self.visa_id:
@@ -452,6 +460,7 @@ class VisaRecord:
         check_format("hex64", self.image_hash)
         if not isinstance(self.status, VisaStatus):
             raise ValidationError("BAD_STATUS", repr(self.status))
+        _check_text(self.passport_no)
 
 
 @record
@@ -461,9 +470,6 @@ class AuthImage:
     index: int
     image_hash: str
     answer_hash: str
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         if not 0 <= self.index < AUTH_IMAGE_COUNT:
@@ -502,9 +508,6 @@ class CaptchaChallenge:
     text: str
     issued_at: int
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self) -> None:
         if not self.challenge_id:
             raise ValidationError("EMPTY_CHALLENGE_ID")
@@ -525,9 +528,6 @@ class Session:
     activated_at: int
     pending_captcha: CaptchaChallenge | None = None
     pending_image_index: int | None = None
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> None:
         state, index = self.state, self.pending_image_index
@@ -613,9 +613,6 @@ class PassportSummary:
     expiry_date: int
     status: PassportStatus
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self) -> None:
         _check_passport_fields(self)
 
@@ -629,12 +626,10 @@ class VisaPresentation:
     visa_id: str
     image: VisaImage
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self) -> None:
         if not self.visa_id:
             raise ValidationError("EMPTY_VISA_ID")
+        _check_text(self.visa_id)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +715,10 @@ def summarize(passport: Passport) -> PassportSummary:
 # one writer and one reader per record when the record is registered. A
 # ``record`` checked itself when it was built, so the writer checks it no
 # more; the mutable DeviceState checks itself each time it is encoded. The
-# reader builds records through the same constructors.
+# reader builds records through the same constructors. A str field is
+# written by ``_text_field``; the records run that same rule on the text
+# they carry to a check tap or a link, through ``_check_text``, so they
+# refuse it when built rather than when written.
 
 
 _I64 = struct.Struct(">q")
@@ -734,6 +732,13 @@ def _text_field(v: str) -> bytes:
     except UnicodeEncodeError as exc:
         raise ValidationError("BAD_UTF8", exc.reason) from None
     return len(data).to_bytes(4, "big") + data
+
+
+def _check_text(v: str) -> None:
+    """Refuse ``v`` as ``_text_field`` would. UTF-8 holds every ASCII
+    str, so only other text is encoded, and the field is never kept."""
+    if not v.isascii():
+        _text_field(v)
 
 
 class _Writer:

@@ -38,10 +38,11 @@ on every reply. The reader keeps the presentation decoded from a body
 and hands it out again only for a byte-identical body; it finds the
 entry by the body's last 64 bytes (the image hash), so a lookup hashes
 64 bytes, not the whole body. Each memo holds at most ``_MEMO_SIZE``
-entries and drops its oldest when full. A serialise or decode that
-refuses raises before anything is kept, so the next tap tries it again.
-A hit returns the very value a fresh call would: records are immutable,
-and the codec is a pure function of them.
+entries and drops its oldest when full. A presentation checked itself
+when it was built, so its encoding cannot fail; a build or a decode
+that refuses raises before anything is kept, so the next tap tries it
+again. A hit returns the very value a fresh call would: records are
+immutable, and the codec is a pure function of them.
 """
 
 from __future__ import annotations
@@ -135,21 +136,15 @@ _BODIES: dict[tuple, bytes] = {}
 
 def _presentation_body(passport, page, image) -> bytes:
     """The canonical body of what the device shows, kept by every value
-    it is built from. A float date equals an int one but does not
-    encode, and bytearray image bytes cannot be hashed: such a body is
-    built afresh every time."""
-    issued, expires = passport.issue_date, passport.expiry_date
-    exact = (type(issued) is int and type(expires) is int
-             and type(image.data) is bytes)
+    it is built from."""
     key = (passport.passport_no, passport.holder_name, passport.nationality,
-           passport.issuing_authority, issued, expires, passport.status,
-           page.visa_id, image)
-    body = _BODIES.get(key) if exact else None
+           passport.issuing_authority, passport.issue_date,
+           passport.expiry_date, passport.status, page.visa_id, image)
+    body = _BODIES.get(key)
     if body is None:
         body = canonical_serialize(
             VisaPresentation(summarize(passport), page.visa_id, image))
-        if exact:
-            _keep(_BODIES, key, body)
+        _keep(_BODIES, key, body)
     return body
 
 

@@ -292,8 +292,7 @@ def _cmd_tamper_visa(world: World, cmd) -> None:
     data = bytearray(image.data)
     index = cmd.args["byte"] % len(data)
     data[index] ^= 0xFF
-    traveler.device.visas[traveler.visa_id] = VisaImage.of(bytes(data),
-                                                           image.media_type)
+    traveler.device.visas[traveler.visa_id] = VisaImage.of(data, image.media_type)
     world.emit(traveler.name, "visa-tampered", offset=index)
 
 

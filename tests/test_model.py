@@ -711,6 +711,64 @@ def test_replace_builds_through_the_constructor():
         replace(_STAMP, gate="B7")
 
 
+@model.record
+class _Counted:
+    """A record with ``validate`` and no ``__post_init__``; module level,
+    so pickle finds it."""
+
+    n: int
+
+    def validate(self) -> None:
+        if not self.n >= 0:
+            raise ValidationError("NEGATIVE_COUNT", str(self.n))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _Counted(-1),
+    lambda: replace(_Counted(1), n=-1),
+    lambda: copy.copy(_unchecked(_Counted, n=-1)),
+    lambda: copy.deepcopy(_unchecked(_Counted, n=-1)),
+    lambda: pickle.loads(pickle.dumps(_unchecked(_Counted, n=-1))),
+], ids=["built", "replace", "copy", "deepcopy", "pickle"])
+def test_record_runs_validate_without_post_init(make):
+    assert not hasattr(_Counted, "__post_init__")
+    assert _Counted(2).n == 2
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == "NEGATIVE_COUNT: -1"
+
+
+def test_record_normalises_before_it_validates():
+    calls = []
+
+    @model.record
+    class Both:
+        a: tuple
+
+        def __post_init__(self):
+            calls.append("post_init")
+            object.__setattr__(self, "a", tuple(self.a))
+
+        def validate(self) -> None:
+            calls.append(("validate", self.a))
+
+    assert Both([1]).a == (1,)
+    assert calls == ["post_init", ("validate", (1,))]
+
+
+def test_a_patched_page_validate_runs_once_for_each_page_built(monkeypatch):
+    # The benchmark counts model.page_validate by patching the class, so
+    # the generated __init__ must reach validate through the instance.
+    pages = []
+    check = PassportPage.validate
+    monkeypatch.setattr(PassportPage, "validate",
+                        lambda page: pages.append(page.page_no) or check(page))
+    passport = place_visa(_passport(), "V1", 3, {"V1"})
+    add_stamp(passport, 3, _STAMP)
+    canonical_deserialize(canonical_serialize(passport))
+    assert pages == [3, 3, *range(1, model.PASSPORT_PAGE_COUNT + 1)]
+
+
 @pytest.mark.parametrize("state,captcha,index,code", [
     (SessionState.IMAGE_AUTH_PENDING, None, -1, "BAD_IMAGE_INDEX"),
     (SessionState.IMAGE_AUTH_PENDING, None, 99, "BAD_IMAGE_INDEX"),
@@ -792,11 +850,56 @@ def test_passport_status_name_without_member_is_refused(name):
 
 
 def test_writer_refuses_text_utf8_cannot_encode():
-    # A lone surrogate is a valid str but has no UTF-8 form.
-    summary = PassportSummary(**{**_SUMMARY, "holder_name": "\udc80lice"})
+    # A lone surrogate is a valid str but has no UTF-8 form. Only the
+    # writer checks the text of a device id.
+    device = DeviceState("d\udc80", 0, _images())
     with pytest.raises(ValidationError) as err:
-        canonical_serialize(summary)
+        canonical_serialize(device)
     assert err.value.code == "BAD_UTF8"
+
+
+@pytest.mark.parametrize("build", [
+    lambda text: PassportSummary(**{**_SUMMARY, "passport_no": text}),
+    lambda text: PassportSummary(**{**_SUMMARY, "holder_name": text}),
+    lambda text: new_passport(text, "alice", "IN", "IN", 0, 10**9),
+    lambda text: new_passport("P1", text, "IN", "IN", 0, 10**9),
+    lambda text: replace(_VISA, passport_no=text),
+    lambda text: VisaImage.of(b"x", text),
+    lambda text: VisaPresentation(PassportSummary(**_SUMMARY), text,
+                                  VisaImage.of(b"x")),
+], ids=["summary-passport-no", "summary-holder", "passport-no", "passport-holder",
+        "visa-passport-no", "image-media-type", "presentation-visa-id"])
+def test_records_refuse_text_utf8_cannot_encode_when_built(build):
+    with pytest.raises(ValidationError) as err:
+        build("\udc80lice")
+    assert str(err.value) == "BAD_UTF8: surrogates not allowed"
+
+
+@pytest.mark.parametrize("issue,expiry", [
+    (0.0, 10**9), (0, 1e9), (False, 10**9),
+], ids=["float-issue", "float-expiry", "bool-issue"])
+def test_passport_dates_must_be_ints(issue, expiry):
+    # The writer packs an int alone: any other date is refused when built.
+    dates = dict(issue_date=issue, expiry_date=expiry)
+    for build in (lambda: replace(_passport(), **dates),
+                  lambda: PassportSummary(**{**_SUMMARY, **dates})):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.code == "DATE_OUT_OF_RANGE"
+
+
+@pytest.mark.parametrize("buffer", [bytearray, memoryview])
+def test_visa_image_holds_bytes_given_any_buffer(buffer):
+    data = bytearray(b"image")
+    for image in (VisaImage(buffer(data), "image/png", content_hash(data)),
+                  VisaImage.of(buffer(data))):
+        assert type(image.data) is bytes
+        assert image == VisaImage.of(b"image")
+        assert hash(image) == hash(VisaImage.of(b"image"))
+    data[0] = 0
+    assert image.data == b"image"
+    with pytest.raises(TypeError):
+        VisaImage(5, "image/png", content_hash(bytes(5)))
 
 
 def test_register_codec_duplicate_tag_rejected():
@@ -825,6 +928,53 @@ def test_stamp_round_trip_property(entry):
 def test_visa_image_round_trip_property(data, media):
     img = VisaImage.of(data, media)
     assert canonical_deserialize(canonical_serialize(img)) == img
+
+
+# Values of every type a field may be handed by mistake: text with lone
+# surrogates, floats, bools, ints outside i64 and mutable bytes.
+_TEXTS = st.one_of(st.text(max_size=6),
+                   st.lists(st.sampled_from("P1-é\ud800\udc80"), max_size=4).map("".join))
+_COUNTRIES = st.one_of(st.sampled_from(["IN", "US", "GBR"]), _TEXTS)
+_DATES = st.one_of(st.integers(-5, 5), st.integers(), st.sampled_from(
+    [model.I64_MIN - 1, model.I64_MAX, model.I64_MAX + 1]), st.floats(), st.booleans())
+_SUMMARY_FIELDS = st.tuples(_TEXTS, _TEXTS, _COUNTRIES, _COUNTRIES, _DATES, _DATES,
+                            st.sampled_from([PassportStatus.ACTIVE, "ACTIVE"]))
+
+
+@st.composite
+def _image_fields(draw):
+    data = draw(st.binary(max_size=16))
+    digest = draw(st.sampled_from([content_hash(data), EMPTY_SHA256, "00"]))
+    if draw(st.booleans()):
+        data = bytearray(data)
+    return data, draw(st.one_of(st.just("image/png"), _TEXTS)), digest
+
+
+def _built(build, *fields):
+    """The record ``build(*fields)`` makes, or None when it is refused."""
+    try:
+        return build(*fields)
+    except ValidationError:
+        return None
+
+
+@given(_SUMMARY_FIELDS, _image_fields(), _TEXTS)
+@example(("P1", "alice", "IN", "IN", 0.0, 10**9, PassportStatus.ACTIVE),
+         (b"x", "image/png", content_hash(b"x")), "V1")
+@example(("P1", "b\ud800b", "IN", "IN", 0, 10**9, PassportStatus.ACTIVE),
+         (bytearray(b"x"), "image/png", content_hash(b"x")), "V\ud800")
+def test_built_records_round_trip_property(summary_fields, image_fields, visa_id):
+    # A record either refuses its fields when built or encodes and
+    # decodes back to itself: the writer never refuses a built record.
+    summary = _built(PassportSummary, *summary_fields)
+    passport = _built(new_passport, *summary_fields[:6])
+    image = _built(VisaImage, *image_fields)
+    presentation = None
+    if summary is not None and image is not None:
+        presentation = _built(VisaPresentation, summary, visa_id, image)
+    for record in (summary, passport, image, presentation):
+        if record is not None:
+            assert canonical_deserialize(canonical_serialize(record)) == record
 
 
 @given(_stamps, _stamps)

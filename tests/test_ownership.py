@@ -191,6 +191,46 @@ def test_immutable_values_are_records():
             if not issubclass(cls, model._Record)} == {model.DeviceState}
 
 
+def _record_class(node) -> bool:
+    """A class decorated ``record`` or ``<module>.record``."""
+    return isinstance(node, ast.ClassDef) and any(
+        _is_attr(d, "record") or (isinstance(d, ast.Name) and d.id == "record")
+        for d in node.decorator_list)
+
+
+def test_no_record_calls_its_own_validate():
+    # model.record's __init__ runs validate after __post_init__, so a
+    # record's __post_init__ only normalises and no caller checks a record
+    # again. Only the mutable DeviceState, a dataclass, calls its own.
+    records = {name for _, name in _sites(_record_class, SRC)}
+    assert {"PassportPage", "CheckTranscript"} <= records
+    assert "DeviceState" not in records
+    assert _calls("validate") == {("model.py", "DeviceState.__post_init__")}
+
+
+def test_record_finder_sees_each_form(tmp_path):
+    (tmp_path / "r.py").write_text(
+        "from cloudpass import model\n"
+        "from cloudpass.model import record\n"
+        "@record\n"
+        "class E:\n"
+        "    x: int\n"
+        "@model.record\n"
+        "class F:\n"
+        "    y: int\n"
+        "class G:\n"
+        "    z: int\n")
+    assert _sites(_record_class, tmp_path) == {("r.py", "E"), ("r.py", "F")}
+
+
+def test_only_model_and_the_link_signer_write_a_text_field():
+    # The codec's text rule refuses for the records that carry the text;
+    # outside model, only the link signer writes text, for a token that
+    # does not exist yet, and its kind names once, at import.
+    outside = {site for site in _calls("_text_field") if site[0] != "model.py"}
+    assert outside == {("qrlink.py", ""), ("qrlink.py", "_signing_bytes")}
+
+
 def test_record_guards_see_each_form(tmp_path):
     (tmp_path / "m.py").write_text(
         "import dataclasses\n"
