@@ -17,6 +17,17 @@ snapshot kept from an earlier session drives nothing. A snapshot holds
 only what its state awaits: the captcha, or the picture index. ``Session``,
 ``CaptchaChallenge`` and ``SessionState`` are records of ``model``, which
 encodes a session inside its device; they are re-exported here.
+
+A traveler who misses the picture challenge types the same answer until
+the wall, so the picture check keeps the hash of each answer in a memo
+(Michie, "'Memo' functions and machine learning", Nature 1968), under
+the NFC tap memos' rule: keyed by exact value, bounded, refusals never
+kept. The key is the answer as given, a ``str`` and no subclass; any
+other value is hashed afresh and not kept. The memo holds at most
+``_ANSWER_MEMO_SIZE`` answers and drops its oldest when full. An answer
+that UTF-8 cannot hold has no hash, so no enrolled answer equals it: it
+is refused ``BAD_ANSWER`` and not kept. Enrolling hashes afresh, outside
+the memo, and refuses such an answer with the codec's ``BAD_UTF8``.
 """
 
 from __future__ import annotations
@@ -26,12 +37,13 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import AuthError
+from .errors import AuthError, ValidationError
 from .model import (_CREDENTIALS_PENDING, _EXPIRED, _IMAGE_AUTH_PENDING,
                     _PASSPORT_VISIBLE, _TERMINATED, _TIME_AUTH_PENDING,
                     _VISA_VISIBLE, AUTH_IMAGE_COUNT, AuthImage,
                     CaptchaChallenge, DeviceState, Session, SessionState,
-                    content_hash, draw_below, draw_text, record)
+                    _check_text, clock_text, content_hash, draw_below,
+                    draw_text, record)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -69,6 +81,10 @@ _TIME_RE = re.compile(r"([01][0-9]|2[0-3]):([0-5][0-9])")
 _MINUTES_PER_DAY = 1440
 _TIME_TOLERANCE_MIN = 1
 
+# Answers the memo holds: a device has ten pictures, and a desk line a
+# few devices.
+_ANSWER_MEMO_SIZE = 64
+
 
 @record
 class Credential:
@@ -103,7 +119,32 @@ def normalize_answer(answer: str) -> str:
 
 
 def _hash_answer(answer: str) -> str:
-    return content_hash(normalize_answer(answer).encode("utf-8"))
+    """SHA-256 of the normalized answer in UTF-8. Text that UTF-8 cannot
+    hold is ``BAD_UTF8``; the codec's rule runs only on text that is not
+    ASCII, as enrolling hashes ten answers a traveler."""
+    text = normalize_answer(answer)
+    if not text.isascii():
+        _check_text(text)
+    return content_hash(text.encode("utf-8"))
+
+
+_ANSWER_HASHES: dict[str, str] = {}
+
+
+def _kept_answer_hash(answer: str) -> str | None:
+    """``_hash_answer(answer)`` through the memo, or None when UTF-8
+    cannot hold the answer."""
+    kept = _ANSWER_HASHES.get(answer) if answer.__class__ is str else None
+    if kept is None:
+        try:
+            kept = _hash_answer(answer)
+        except ValidationError:
+            return None
+        if answer.__class__ is str:
+            if len(_ANSWER_HASHES) >= _ANSWER_MEMO_SIZE:
+                del _ANSWER_HASHES[next(iter(_ANSWER_HASHES))]
+            _ANSWER_HASHES[answer] = kept
+    return kept
 
 
 def make_auth_image(index: int, image_bytes: bytes, answer: str) -> AuthImage:
@@ -149,32 +190,38 @@ def open_session(device: DeviceState, now: int, rng) -> Session:
     return session
 
 
+def _past_wall(session: Session, now: int) -> bool:
+    """The session wall, closed: at ``activated_at + SESSION_TTL_S`` the
+    session is already over."""
+    return now >= session.activated_at + SESSION_TTL_S
+
+
 def check_timeout(session: Session, now: int) -> Session:
     """Expire a live session past its wall. EXPIRED and TERMINATED absorb."""
     state = session.state
     if state is _EXPIRED or state is _TERMINATED:
         return session
-    if now >= session.activated_at + SESSION_TTL_S:
+    if _past_wall(session, now):
         return Session(session.session_id, _EXPIRED,
                        session.activated_at)
     return session
 
 
 def _gate(device: DeviceState, expected: SessionState, now: int) -> Session:
-    """Expiry first, then the state precondition. Failure raises; the
-    refreshed snapshot is stored on the device either way."""
+    """Expiry first, then the state precondition. A live session in the
+    expected state is returned as it is; otherwise the refreshed snapshot
+    is stored on the device and the step refused."""
     session = device.session
     if session is None:
         raise AuthError("WRONG_STATE", f"expected {expected.value}, got no session")
+    if session.state is expected and not _past_wall(session, now):
+        return session
     session = check_timeout(session, now)
     device.session = session
     state = session.state
     if state is _EXPIRED:
         raise AuthError("SESSION_EXPIRED")
-    if state is not expected:
-        raise AuthError("WRONG_STATE",
-                        f"expected {expected.value}, got {state.value}")
-    return session
+    raise AuthError("WRONG_STATE", f"expected {expected.value}, got {state.value}")
 
 
 def verify_time_auth(device: DeviceState, submitted_time: str,
@@ -191,7 +238,7 @@ def verify_time_auth(device: DeviceState, submitted_time: str,
     shown = device.displayed_minutes(now)
     drift = abs(submitted - shown)
     if min(drift, _MINUTES_PER_DAY - drift) > _TIME_TOLERANCE_MIN:
-        raise AuthError("BAD_TIME", f"device shows {device.displayed_time(now)}")
+        raise AuthError("BAD_TIME", f"device shows {clock_text(shown)}")
     session = Session(session.session_id, _CREDENTIALS_PENDING,
                       session.activated_at)
     device.session = session
@@ -225,7 +272,7 @@ def verify_image_answer(device: DeviceState, answer: str, now: int) -> Session:
     """Compare the normalized answer hash for the prompted picture."""
     session = _gate(device, _IMAGE_AUTH_PENDING, now)
     expected = device.auth_images[session.pending_image_index]
-    if _hash_answer(answer) != expected.answer_hash:
+    if _kept_answer_hash(answer) != expected.answer_hash:
         raise AuthError("BAD_ANSWER")
     session = Session(session.session_id, _VISA_VISIBLE,
                       session.activated_at)

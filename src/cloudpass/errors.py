@@ -2,8 +2,13 @@
 
 Each failure carries a stable machine-readable ``code`` (an UPPER_SNAKE
 tag such as ``BAD_TIME`` or ``PAGE_OCCUPIED``) so callers can branch on
-the code without parsing message text. The text names the code once:
-``CODE`` or ``CODE: detail``.
+the code without parsing message text. An error keeps the arguments it
+was built with as its ``args``, ``(code, detail)`` or ``(code,)``, and
+renders its text only when the text is read: ``CODE``, or
+``CODE: detail`` when the detail is not empty. Most refusals are
+counted and logged by code and their text is never read. Because
+``args`` are the constructor's arguments, every error copies and
+pickles through its constructor.
 """
 
 from __future__ import annotations
@@ -12,9 +17,19 @@ from __future__ import annotations
 class CloudPassError(Exception):
     """Base class for all domain failures."""
 
-    def __init__(self, code: str, detail: str | None = None):
-        super().__init__(f"{code}: {detail}" if detail else code)
-        self.code = code
+    def __init__(self, code: str, detail: str | None = None, /):
+        # BaseException.__new__ already keeps the arguments as ``args``.
+        pass
+
+    @property
+    def code(self) -> str:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        args = self.args
+        if len(args) > 1 and args[1]:
+            return f"{args[0]}: {args[1]}"
+        return f"{args[0]}"
 
 
 class ValidationError(CloudPassError):
@@ -46,10 +61,13 @@ class ScenarioParseError(CloudPassError):
     ``line L, column C: message``."""
     code = "PARSE_ERROR"
 
-    def __init__(self, message: str, line: int, column: int):
-        Exception.__init__(self, f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int, column: int, /):
         self.line = line
         self.column = column
+
+    def __str__(self) -> str:
+        message, line, column = self.args
+        return f"line {line}, column {column}: {message}"
 
 
 class ScenarioRuntimeError(CloudPassError):
@@ -59,6 +77,9 @@ class ScenarioRuntimeError(CloudPassError):
     raised from the cause, so ``__cause__`` holds the command's error."""
     code = "RUNTIME_FAULT"
 
-    def __init__(self, index: int, cause: CloudPassError, where: str):
-        Exception.__init__(self, f"{where}: {cause}")
+    def __init__(self, index: int, cause: CloudPassError, where: str, /):
         self.index = index
+
+    def __str__(self) -> str:
+        _, cause, where = self.args
+        return f"{where}: {cause}"

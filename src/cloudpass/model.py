@@ -34,6 +34,7 @@ import types
 import typing
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Collection
 
 from .errors import ValidationError
@@ -59,6 +60,7 @@ __all__ = [
     "VisaPresentation",
     "FORMATS",
     "check_format",
+    "clock_text",
     "content_hash",
     "draw_below",
     "draw_text",
@@ -476,6 +478,9 @@ class AuthImage:
             raise ValidationError("BAD_IMAGE_INDEX", str(self.index))
         check_format("hex64", self.image_hash)
         check_format("hex64", self.answer_hash)
+        # Inside its range, so only a float or a bool is left to refuse.
+        if self.index.__class__ is not int:
+            _check_i64(self.index)
 
 
 class SessionState(Enum):
@@ -515,6 +520,15 @@ class CaptchaChallenge:
             raise ValidationError("EMPTY_CAPTCHA_TEXT")
         if not self.issued_at >= 0:
             raise ValidationError("NEGATIVE_TIMESTAMP", str(self.issued_at))
+        # Built with every session, so, as in Session, each codec rule is
+        # called only when its inlined fast test fails; the lower i64 bound
+        # is met once issued_at >= 0.
+        challenge_id, text, at = self.challenge_id, self.text, self.issued_at
+        if not (challenge_id.isascii() and text.isascii()):
+            _check_text(challenge_id)
+            _check_text(text)
+        if at.__class__ is not int or at > I64_MAX:
+            _check_i64(at)
 
 
 @record
@@ -531,7 +545,7 @@ class Session:
 
     def validate(self) -> None:
         state, index = self.state, self.pending_image_index
-        if not isinstance(state, SessionState):
+        if state.__class__ is not SessionState:
             raise ValidationError("BAD_SESSION_STATE", repr(state))
         if (self.pending_captcha is None) is (state is _TIME_AUTH_PENDING):
             raise ValidationError(
@@ -541,8 +555,18 @@ class Session:
             raise ValidationError(
                 "PENDING_IMAGE_MISMATCH", f"{state.value} "
                 f"{'without' if index is None else 'with'} a picture index")
-        if index is not None and not 0 <= index < AUTH_IMAGE_COUNT:
-            raise ValidationError("BAD_IMAGE_INDEX", str(index))
+        if index is not None:
+            if not 0 <= index < AUTH_IMAGE_COUNT:
+                raise ValidationError("BAD_IMAGE_INDEX", str(index))
+            if index.__class__ is not int:
+                _check_i64(index)
+        # Every auth step builds a Session, so each codec rule is called
+        # only when its inlined fast test fails.
+        if not self.session_id.isascii():
+            _check_text(self.session_id)
+        at = self.activated_at
+        if at.__class__ is not int or not I64_MIN <= at <= I64_MAX:
+            _check_i64(at)
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -597,8 +621,14 @@ class DeviceState:
         return (now // 60 + self.clock_offset_min) % 1440
 
     def displayed_time(self, now: int) -> str:
-        minutes = self.displayed_minutes(now)
-        return f"{minutes // 60:02d}:{minutes % 60:02d}"
+        return clock_text(self.displayed_minutes(now))
+
+
+@lru_cache(maxsize=256)
+def clock_text(minutes: int) -> str:
+    """Minutes past midnight as a 24h clock shows them, ``HH:MM``. An auth
+    walk steps four times a minute, so each minute is formatted once."""
+    return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
 @record
@@ -717,8 +747,9 @@ def summarize(passport: Passport) -> PassportSummary:
 # more; the mutable DeviceState checks itself each time it is encoded. The
 # reader builds records through the same constructors. A str field is
 # written by ``_text_field``; the records run that same rule on the text
-# they carry to a check tap or a link, through ``_check_text``, so they
-# refuse it when built rather than when written.
+# they carry to a check tap, a link or a device, through ``_check_text``,
+# and the i64 rule on their timestamps and indices through ``_check_i64``,
+# so they refuse a value when built rather than when written.
 
 
 _I64 = struct.Struct(">q")
@@ -739,6 +770,14 @@ def _check_text(v: str) -> None:
     str, so only other text is encoded, and the field is never kept."""
     if not v.isascii():
         _text_field(v)
+
+
+def _check_i64(v: int) -> None:
+    """Refuse ``v`` unless it is an exact ``int`` inside i64, with the
+    writer's ``I64_OUT_OF_RANGE``; a float or a bool is refused too, as
+    for passport dates."""
+    if v.__class__ is not int or not I64_MIN <= v <= I64_MAX:
+        raise ValidationError("I64_OUT_OF_RANGE", repr(v))
 
 
 class _Writer:

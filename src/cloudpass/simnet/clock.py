@@ -48,10 +48,16 @@ def _iso_date(days: int) -> str:
     return date.fromordinal(EPOCH_ORDINAL + days).isoformat()
 
 
+@lru_cache(maxsize=1024)
+def _iso_minute(minutes: int) -> str:
+    """``YYYY-MM-DDTHH:MM:``, the minute ``minutes`` after the epoch; a
+    run logs several lines a minute, so each minute is formatted once."""
+    days, minutes = divmod(minutes, 1440)
+    two = _TWO_DIGITS
+    return f"{_iso_date(days)}T{two[minutes // 60]}:{two[minutes % 60]}:"
+
+
 def render_iso(ts: int) -> str:
     """ISO-8601 rendering, used only at the report boundary."""
-    days, seconds = divmod(ts, 86400)
-    hours, seconds = divmod(seconds, 3600)
-    minutes, seconds = divmod(seconds, 60)
-    two = _TWO_DIGITS
-    return f"{_iso_date(days)}T{two[hours]}:{two[minutes]}:{two[seconds]}Z"
+    minutes, seconds = divmod(ts, 60)
+    return f"{_iso_minute(minutes)}{_TWO_DIGITS[seconds]}Z"

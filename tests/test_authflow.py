@@ -2,8 +2,12 @@
 
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudpass import authflow
 from cloudpass.authflow import (OtpStore, SessionState, issue_otp,
@@ -11,9 +15,13 @@ from cloudpass.authflow import (OtpStore, SessionState, issue_otp,
                                 open_session, redeem_otp, check_timeout,
                                 begin_image_auth, verify_credentials,
                                 verify_image_answer, verify_time_auth)
-from cloudpass.errors import AuthError
+from cloudpass.errors import AuthError, ValidationError
+from cloudpass.model import DeviceState, Session, content_hash
+from cloudpass.simnet.cli import main as cli_main
 
 from conftest import build_kit
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 UTC_0630 = 6 * 3600 + 30 * 60
 
@@ -418,3 +426,153 @@ def test_full_session_walk_to_visa_visible():
     s = verify_image_answer(k.device, k.answers[index], now)
     assert s.state is SessionState.VISA_VISIBLE
     assert k.device.session.state is SessionState.VISA_VISIBLE
+
+
+# ---------------------------------------------------------------------------
+# refused steps: their text, the gate and the answer memo
+
+
+def test_bad_time_text_names_the_time_the_device_shows():
+    k = fresh(offset_min=330)
+    s = open_at(k, UTC_0630)
+    with pytest.raises(AuthError) as err:
+        verify_time_auth(k.device, "06:30", s.pending_captcha.text, UTC_0630)
+    assert str(err.value) == "BAD_TIME: device shows 12:00"
+    with pytest.raises(AuthError) as err:
+        verify_time_auth(k.device, "noon", s.pending_captcha.text, UTC_0630)
+    assert str(err.value) == "BAD_TIME: not a 24h HH:MM time: 'noon'"
+
+
+def test_gate_passes_a_live_session_untouched(monkeypatch):
+    k = fresh()
+    s = to_credentials_pending(k, 0)
+
+    def never(session, now):
+        raise AssertionError("a live session needs no timeout check")
+
+    monkeypatch.setattr(authflow, "check_timeout", never)
+    assert authflow._gate(k.device, SessionState.CREDENTIALS_PENDING, 599) is s
+
+
+@pytest.mark.parametrize("now,code", [
+    (599, None), (600, "SESSION_EXPIRED"), (601, "SESSION_EXPIRED")])
+def test_gate_wall_is_closed(now, code):
+    k = fresh()
+    s = to_credentials_pending(k, 0)
+    if code is None:
+        s = verify_credentials(k.device, k.username, k.password,
+                               k.credentials, now)
+        assert s.state is SessionState.PASSPORT_VISIBLE
+        return
+    with pytest.raises(AuthError) as err:
+        verify_credentials(k.device, k.username, k.password, k.credentials, now)
+    assert err.value.code == code
+    assert k.device.session.state is SessionState.EXPIRED
+    assert k.device.session.session_id == s.session_id
+
+
+def test_gate_stores_the_refreshed_session_on_a_wrong_state():
+    k = fresh()
+    to_credentials_pending(k, 0)
+    with pytest.raises(AuthError) as err:
+        begin_image_auth(k.device, k.rng, 10)
+    assert str(err.value) == ("WRONG_STATE: expected PASSPORT_VISIBLE, "
+                              "got CREDENTIALS_PENDING")
+    assert k.device.session.state is SessionState.CREDENTIALS_PENDING
+
+
+def test_an_answer_utf8_cannot_hold_is_a_coded_refusal(monkeypatch):
+    monkeypatch.setattr(authflow, "_ANSWER_HASHES", {})
+    with pytest.raises(ValidationError) as err:
+        authflow.make_auth_image(0, bytes(48), "a\ud800")
+    assert str(err.value) == "BAD_UTF8: surrogates not allowed"
+    k = fresh()
+    to_passport_visible(k, 0)
+    begin_image_auth(k.device, k.rng, 0)
+    with pytest.raises(AuthError) as err:
+        verify_image_answer(k.device, "a\ud800", 0)
+    assert str(err.value) == "BAD_ANSWER"
+    assert k.device.session.state is SessionState.IMAGE_AUTH_PENDING
+    assert authflow._ANSWER_HASHES == {}
+
+
+def test_an_answer_of_a_str_subclass_is_hashed_afresh_and_not_kept(monkeypatch):
+    class Answer(str):
+        pass
+
+    monkeypatch.setattr(authflow, "_ANSWER_HASHES", {})
+    answer = Answer("  Memory   1 ")
+    assert authflow._kept_answer_hash(answer) == _fresh_answer_hash(answer)
+    assert authflow._ANSWER_HASHES == {}
+    assert authflow._kept_answer_hash("memory 1") == _fresh_answer_hash("memory 1")
+    assert list(authflow._ANSWER_HASHES) == ["memory 1"]
+
+
+def _fresh_answer_hash(answer):
+    """The hash an enrolled picture keeps for ``answer``, computed afresh;
+    None when UTF-8 cannot hold it."""
+    try:
+        return content_hash(normalize_answer(answer).encode("utf-8"))
+    except UnicodeEncodeError:
+        return None
+
+
+# More distinct answers than the memo holds, variants that normalise to
+# one text, and text UTF-8 cannot hold.
+_WORDS = [f"memory {n}" for n in range(authflow._ANSWER_MEMO_SIZE + 16)]
+_ANSWERS = st.one_of(
+    st.sampled_from(_WORDS),
+    st.sampled_from(_WORDS).map(lambda w: f"  {w.upper()} "),
+    st.sampled_from(_WORDS).map(lambda w: w.replace(" ", "\t\n ")),
+    st.sampled_from(["a\ud800", "\udfff", "caf\u00e9 \ud83d", "caf\u00e9"]),
+    st.text(max_size=4))
+
+# Enrolled with the first ten words; each answer is given a session anew.
+_MEMO_DEVICE = DeviceState("d", 0, tuple(
+    authflow.make_auth_image(i, bytes([i]), _WORDS[i]) for i in range(10)))
+
+
+@given(st.lists(_ANSWERS, min_size=authflow._ANSWER_MEMO_SIZE + 1, max_size=160))
+def test_answer_memo_equals_fresh_hashes_property(answers):
+    # Every refusal and every hash equals a fresh computation, and the memo
+    # never holds more than its bound, nor an answer UTF-8 cannot hold.
+    memo = authflow._ANSWER_HASHES
+    memo.clear()
+    images = _MEMO_DEVICE.auth_images
+    device = _MEMO_DEVICE
+    for n, answer in enumerate(answers):
+        expected = _fresh_answer_hash(answer)
+        assert authflow._kept_answer_hash(answer) == expected
+        index = n % 10
+        device.session = Session("s", SessionState.IMAGE_AUTH_PENDING, 0,
+                                 pending_image_index=index)
+        if expected == images[index].answer_hash:
+            verify_image_answer(device, answer, 0)
+            assert device.session.state is SessionState.VISA_VISIBLE
+        else:
+            with pytest.raises(AuthError) as err:
+                verify_image_answer(device, answer, 0)
+            assert str(err.value) == "BAD_ANSWER"
+        assert len(memo) <= authflow._ANSWER_MEMO_SIZE
+    assert all(_fresh_answer_hash(a) == h for a, h in memo.items())
+
+
+def test_a_lockout_run_hashes_its_wrong_answer_once(monkeypatch, tmp_path):
+    # The stubborn traveler of lockout.cps repeats one wrong answer until
+    # both sessions hit the wall; with the memo emptied first, the answer
+    # is hashed once and every later refusal is a lookup.
+    monkeypatch.setattr(authflow, "_ANSWER_HASHES", {})
+    hashed = Counter()
+    fresh_hash = authflow._hash_answer
+
+    def counted(answer):
+        hashed[answer] += 1
+        return fresh_hash(answer)
+
+    monkeypatch.setattr(authflow, "_hash_answer", counted)
+    report = tmp_path / "report.jsonl"
+    assert cli_main(["run", "--scenario", str(SCENARIOS / "lockout.cps"),
+                     "--report", str(report)]) == 0
+    refusals = report.read_text(encoding="utf-8").count("auth-rejected BAD_ANSWER")
+    assert refusals > 10
+    assert hashed["not the right caption"] == 1

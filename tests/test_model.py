@@ -875,6 +875,52 @@ def test_records_refuse_text_utf8_cannot_encode_when_built(build):
     assert str(err.value) == "BAD_UTF8: surrogates not allowed"
 
 
+_PENDING = SessionState.CREDENTIALS_PENDING
+_AWAITING_IMAGE = SessionState.IMAGE_AUTH_PENDING
+_UTF8 = "BAD_UTF8: surrogates not allowed"
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: Session("s", _PENDING, 2**63), "I64_OUT_OF_RANGE: 9223372036854775808"),
+    (lambda: Session("s", _PENDING, model.I64_MIN - 1),
+     "I64_OUT_OF_RANGE: -9223372036854775809"),
+    (lambda: Session("s", _PENDING, 1.0), "I64_OUT_OF_RANGE: 1.0"),
+    (lambda: Session("s", _PENDING, True), "I64_OUT_OF_RANGE: True"),
+    (lambda: Session("s\ud800", _PENDING, 0), _UTF8),
+    (lambda: Session("s", _AWAITING_IMAGE, 0, pending_image_index=1.0),
+     "I64_OUT_OF_RANGE: 1.0"),
+    (lambda: CaptchaChallenge("c", "x", 2**63), "I64_OUT_OF_RANGE: 9223372036854775808"),
+    (lambda: CaptchaChallenge("c", "x", 0.0), "I64_OUT_OF_RANGE: 0.0"),
+    (lambda: CaptchaChallenge("c\ud800", "x", 0), _UTF8),
+    (lambda: CaptchaChallenge("c", "x\ud800", 0), _UTF8),
+    (lambda: model.AuthImage(1.5, EMPTY_SHA256, EMPTY_SHA256), "I64_OUT_OF_RANGE: 1.5"),
+    (lambda: model.AuthImage(True, EMPTY_SHA256, EMPTY_SHA256), "I64_OUT_OF_RANGE: True"),
+], ids=["session-above-i64", "session-below-i64", "session-float", "session-bool",
+        "session-id-surrogate", "session-float-index", "captcha-above-i64",
+        "captcha-float", "captcha-id-surrogate", "captcha-text-surrogate",
+        "image-float-index", "image-bool-index"])
+def test_auth_records_refuse_what_the_writer_refuses_when_built(build, text):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: Session("s\ud800", "X", 2**63), "BAD_SESSION_STATE: 'X'"),
+    (lambda: Session("s", _AWAITING_IMAGE, 0, pending_image_index=11.5),
+     "BAD_IMAGE_INDEX: 11.5"),
+    (lambda: CaptchaChallenge("", "x\ud800", 2**63), "EMPTY_CHALLENGE_ID"),
+    (lambda: CaptchaChallenge("c\ud800", "x", -1.5), "NEGATIVE_TIMESTAMP: -1.5"),
+    (lambda: model.AuthImage(10.5, EMPTY_SHA256, EMPTY_SHA256), "BAD_IMAGE_INDEX: 10.5"),
+], ids=["session-state", "session-index", "captcha-id", "captcha-time", "image-index"])
+def test_auth_record_rules_added_after_the_existing_ones(build, text):
+    # A value that breaks an existing rule and a new one gets the
+    # existing refusal, as before the new rules.
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == text
+
+
 @pytest.mark.parametrize("issue,expiry", [
     (0.0, 10**9), (0, 1e9), (False, 10**9),
 ], ids=["float-issue", "float-expiry", "bool-issue"])
@@ -973,6 +1019,31 @@ def test_built_records_round_trip_property(summary_fields, image_fields, visa_id
     if summary is not None and image is not None:
         presentation = _built(VisaPresentation, summary, visa_id, image)
     for record in (summary, passport, image, presentation):
+        if record is not None:
+            assert canonical_deserialize(canonical_serialize(record)) == record
+
+
+_INDICES = st.one_of(st.integers(-1, 11), st.floats(), st.booleans())
+_HASHES = st.sampled_from([EMPTY_SHA256, "00"])
+
+
+@given(_TEXTS, _TEXTS, _DATES, _TEXTS, st.sampled_from(SessionState), _DATES,
+       st.booleans(), st.one_of(st.none(), _INDICES), _INDICES, _HASHES)
+@example("c", "x", 2**63, "s", SessionState.TIME_AUTH_PENDING, 0, True, None,
+         1.5, EMPTY_SHA256)
+@example("c", "x", 0, "s\ud800", SessionState.CREDENTIALS_PENDING, 2**63, False,
+         None, 0, EMPTY_SHA256)
+def test_built_auth_records_round_trip_property(challenge_id, text, issued_at,
+                                                 session_id, state, activated_at,
+                                                 with_captcha, index,
+                                                 image_index, image_hash):
+    # The records a device holds for sign-in either refuse their fields
+    # when built or encode and decode back to themselves.
+    captcha = _built(CaptchaChallenge, challenge_id, text, issued_at)
+    session = _built(Session, session_id, state, activated_at,
+                     captcha if with_captcha else None, index)
+    image = _built(model.AuthImage, image_index, image_hash, image_hash)
+    for record in (captcha, session, image):
         if record is not None:
             assert canonical_deserialize(canonical_serialize(record)) == record
 
