@@ -120,11 +120,9 @@ def normalize_answer(answer: str) -> str:
 
 def _hash_answer(answer: str) -> str:
     """SHA-256 of the normalized answer in UTF-8. Text that UTF-8 cannot
-    hold is ``BAD_UTF8``; the codec's rule runs only on text that is not
-    ASCII, as enrolling hashes ten answers a traveler."""
+    hold is ``BAD_UTF8``."""
     text = normalize_answer(answer)
-    if not text.isascii():
-        _check_text(text)
+    _check_text(text)
     return content_hash(text.encode("utf-8"))
 
 

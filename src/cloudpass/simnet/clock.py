@@ -6,6 +6,7 @@ from datetime import date, datetime, timezone
 from functools import lru_cache
 
 from ..errors import ValidationError
+from ..model import _TWO_DIGITS, clock_text
 
 # Scenario second 0 renders as this instant in reports.
 SCENARIO_EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -37,10 +38,6 @@ class VirtualClock:
         return self.now
 
 
-# "00" to "59": the two digits of an hour, a minute or a second.
-_TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
-
-
 @lru_cache(maxsize=1024)
 def _iso_date(days: int) -> str:
     """The calendar date ``days`` after the epoch; a run's reports name
@@ -48,13 +45,13 @@ def _iso_date(days: int) -> str:
     return date.fromordinal(EPOCH_ORDINAL + days).isoformat()
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=4)
 def _iso_minute(minutes: int) -> str:
-    """``YYYY-MM-DDTHH:MM:``, the minute ``minutes`` after the epoch; a
-    run logs several lines a minute, so each minute is formatted once."""
+    """``YYYY-MM-DDTHH:MM:``, the minute ``minutes`` after the epoch. A
+    run logs several lines a minute in time order, so the last few minutes
+    are all it reuses."""
     days, minutes = divmod(minutes, 1440)
-    two = _TWO_DIGITS
-    return f"{_iso_date(days)}T{two[minutes // 60]}:{two[minutes % 60]}:"
+    return f"{_iso_date(days)}T{clock_text(minutes)}:"
 
 
 def render_iso(ts: int) -> str:
