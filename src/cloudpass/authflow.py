@@ -21,13 +21,14 @@ encodes a session inside its device; they are re-exported here.
 A traveler who misses the picture challenge types the same answer until
 the wall, so the picture check keeps the hash of each answer in a memo
 (Michie, "'Memo' functions and machine learning", Nature 1968), under
-the NFC tap memos' rule: keyed by exact value, bounded, refusals never
-kept. The key is the answer as given, a ``str`` and no subclass; any
-other value is hashed afresh and not kept. The memo holds at most
-``_ANSWER_MEMO_SIZE`` answers and drops its oldest when full. An answer
-that UTF-8 cannot hold has no hash, so no enrolled answer equals it: it
-is refused ``BAD_ANSWER`` and not kept. Enrolling hashes afresh, outside
-the memo, and refuses such an answer with the codec's ``BAD_UTF8``.
+the rule ``model._keep`` writes down: keyed by exact value, bounded,
+oldest dropped first, refusals never kept. The key is the answer as
+given, a ``str`` and no subclass; any other value is hashed afresh and
+not kept. The memo holds at most ``_ANSWER_MEMO_SIZE`` answers. An
+answer that UTF-8 cannot hold has no hash, so no enrolled answer equals
+it: it is refused ``BAD_ANSWER`` and not kept. Enrolling hashes afresh,
+outside the memo, and refuses such an answer with the codec's
+``BAD_UTF8``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .model import (_CREDENTIALS_PENDING, _EXPIRED, _IMAGE_AUTH_PENDING,
                     _PASSPORT_VISIBLE, _TERMINATED, _TIME_AUTH_PENDING,
                     _VISA_VISIBLE, AUTH_IMAGE_COUNT, AuthImage,
                     CaptchaChallenge, DeviceState, Session, SessionState,
-                    _check_text, clock_text, content_hash, draw_below,
-                    draw_text, record)
+                    _check_text, _keep, clock_text, content_hash,
+                    draw_below, draw_text, record)
 
 __all__ = [
     "SESSION_TTL_S",
@@ -139,9 +140,7 @@ def _kept_answer_hash(answer: str) -> str | None:
         except ValidationError:
             return None
         if answer.__class__ is str:
-            if len(_ANSWER_HASHES) >= _ANSWER_MEMO_SIZE:
-                del _ANSWER_HASHES[next(iter(_ANSWER_HASHES))]
-            _ANSWER_HASHES[answer] = kept
+            _keep(_ANSWER_HASHES, answer, kept, _ANSWER_MEMO_SIZE)
     return kept
 
 
@@ -173,17 +172,22 @@ def open_session(device: DeviceState, now: int, rng) -> Session:
         raise AuthError("DEVICE_LOCKED")
     if device.passport is None:
         raise AuthError("NO_PASSPORT_INSTALLED")
-    previous = device.session
-    if previous is not None:
-        device.session = Session(previous.session_id, _TERMINATED,
-                                 previous.activated_at)
-    session_id = f"s-{rng.getrandbits(32):08x}"
-    captcha = CaptchaChallenge(
-        f"c-{rng.getrandbits(32):08x}",
-        draw_text(rng, CAPTCHA_ALPHABET, CAPTCHA_LENGTH),
-        now)
-    session = Session(session_id, _TIME_AUTH_PENDING,
-                      activated_at=now, pending_captcha=captcha)
+    try:
+        session_id = f"s-{rng.getrandbits(32):08x}"
+        captcha = CaptchaChallenge(
+            f"c-{rng.getrandbits(32):08x}",
+            draw_text(rng, CAPTCHA_ALPHABET, CAPTCHA_LENGTH),
+            now)
+        session = Session(session_id, _TIME_AUTH_PENDING,
+                          activated_at=now, pending_captcha=captcha)
+    except BaseException:
+        # The new session replaces the old one; if it cannot be built,
+        # the old one still ends.
+        previous = device.session
+        if previous is not None:
+            device.session = Session(previous.session_id, _TERMINATED,
+                                     previous.activated_at)
+        raise
     device.session = session
     return session
 

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from enum import Enum
 import json
 from operator import itemgetter
 
 from .errors import CloudError
 from .model import (MAX_IMAGE_BYTES, VISA_MEDIA_TYPE, DeviceState, IdKind,
                     Passport, TrackingId, VisaImage, VisaRecord, VisaStatus,
-                    check_format, content_hash, new_passport, new_tracking_id,
-                    place_visa, record, replace)
+                    _Enum, check_format, content_hash, new_passport,
+                    new_tracking_id, place_visa, record, replace)
 from .qrlink import LinkToken, ResourceKind, mint_link_token, resolve_link_token
 
 __all__ = [
@@ -57,22 +56,22 @@ __all__ = [
 SYNC_HORIZON_S = 2 * 86400
 
 
-class Checkpoint(Enum):
+class Checkpoint(_Enum):
     DEPARTURE = "DEPARTURE"
     ARRIVAL = "ARRIVAL"
 
 
-class AppStatus(Enum):
+class AppStatus(_Enum):
     SUBMITTED = "SUBMITTED"
     APPROVED = "APPROVED"
 
 
-class NotificationKind(Enum):
+class NotificationKind(_Enum):
     PASSPORT_READY = "PASSPORT_READY"
     VISA_READY = "VISA_READY"
 
 
-class CompareResult(Enum):
+class CompareResult(_Enum):
     MATCH = "MATCH"
     MISMATCH = "MISMATCH"
     NOT_FOUND = "NOT_FOUND"

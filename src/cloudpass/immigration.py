@@ -26,7 +26,6 @@ place; the engine reports the alert from the same cause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from . import authflow
@@ -36,7 +35,7 @@ from .clouds import (AirportCloud, Checkpoint, CompareResult, compare_visa,
 from .errors import AuthError, DeskError, NfcError, ValidationError
 from .model import (_CREDENTIALS_PENDING, _EXPIRED, _PASSPORT_VISIBLE,
                     _TERMINATED, _TIME_AUTH_PENDING, _VISA_VISIBLE,
-                    DeviceState, StampEntry, StampKind, record)
+                    DeviceState, StampEntry, StampKind, _Enum, record)
 from .nfc import NfcChannel, establish, send_lock, tap_check, tap_stamp
 
 __all__ = [
@@ -73,7 +72,7 @@ _STEP_S = 15
 _TAP_DISTANCE_CM = 5.0
 
 
-class Outcome(Enum):
+class Outcome(_Enum):
     PERMIT = "PERMIT"
     ISOLATE = "ISOLATE"
     LOCK_AND_ALERT = "LOCK_AND_ALERT"

@@ -175,27 +175,51 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-class IdKind(Enum):
+# The memo rule of ``nfc``, ``authflow`` and ``qrlink`` (Michie, "'Memo'
+# functions and machine learning", Nature 1968): a memo is a dict keyed by
+# exact value, it holds at most a fixed number of entries and drops its
+# oldest first, and it keeps only what a fresh call returned, never a
+# refusal, so a hit returns what a fresh call would.
+
+
+def _keep(memo: dict, key, value, size: int) -> None:
+    """Store ``value`` under ``key``, first dropping the oldest entry
+    when ``memo`` holds ``size``."""
+    if len(memo) >= size:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
+class _Enum(Enum):
+    """The base of every enum of cloudpass but an ``IntEnum``. Members are
+    singletons compared by identity, so object's hash, which runs in C,
+    serves; Enum's runs in Python, and members key the memos and the
+    tables read on every step."""
+
+    __hash__ = object.__hash__
+
+
+class IdKind(_Enum):
     PASSPORT_APPLICATION = "PASSPORT_APPLICATION"
     VISA_APPLICATION = "VISA_APPLICATION"
 
 
-class PassportStatus(Enum):
+class PassportStatus(_Enum):
     ACTIVE = "ACTIVE"
 
 
-class PageContent(Enum):
+class PageContent(_Enum):
     EMPTY = "EMPTY"
     VISA_SLOT = "VISA_SLOT"
     STAMPS = "STAMPS"
 
 
-class StampKind(Enum):
+class StampKind(_Enum):
     ARRIVAL = "ARRIVAL"
     DEPARTURE = "DEPARTURE"
 
 
-class VisaStatus(Enum):
+class VisaStatus(_Enum):
     ISSUED = "ISSUED"
     REVOKED = "REVOKED"
 
@@ -363,8 +387,19 @@ def _check_passport_fields(record: "Passport | PassportSummary") -> None:
     _check_text(record.holder_name)
 
 
-# The pages of every new passport, each checked once, here.
+def _check_pages(pages: tuple) -> None:
+    """A passport's pages: numbered from 1 in order, no visa on two."""
+    numbers = [p.page_no for p in pages]
+    if numbers != list(range(1, len(numbers) + 1)):
+        raise ValidationError("PAGES_NOT_CONTIGUOUS", f"page numbers {numbers[:5]}...")
+    slots = [p.visa_id for p in pages if p.visa_id is not None]
+    if len(slots) != len(set(slots)):
+        raise ValidationError("DUPLICATE_VISA_SLOT", repr(slots))
+
+
+# The pages of every new passport, each and all checked once, here.
 _BLANK_PAGES = tuple(PassportPage(n) for n in range(1, PASSPORT_PAGE_COUNT + 1))
+_check_pages(_BLANK_PAGES)
 
 
 @record
@@ -386,12 +421,8 @@ class Passport:
 
     def validate(self) -> None:
         _check_passport_fields(self)
-        numbers = [p.page_no for p in self.pages]
-        if numbers != list(range(1, len(numbers) + 1)):
-            raise ValidationError("PAGES_NOT_CONTIGUOUS", f"page numbers {numbers[:5]}...")
-        slots = [p.visa_id for p in self.pages if p.visa_id is not None]
-        if len(slots) != len(set(slots)):
-            raise ValidationError("DUPLICATE_VISA_SLOT", repr(slots))
+        if self.pages is not _BLANK_PAGES:     # those were checked at import
+            _check_pages(self.pages)
         if self.bound_device == "":
             raise ValidationError("EMPTY_DEVICE_ID")
 
@@ -482,7 +513,7 @@ class AuthImage:
             _check_i64(self.index)
 
 
-class SessionState(Enum):
+class SessionState(_Enum):
     TIME_AUTH_PENDING = "TIME_AUTH_PENDING"
     CREDENTIALS_PENDING = "CREDENTIALS_PENDING"
     PASSPORT_VISIBLE = "PASSPORT_VISIBLE"

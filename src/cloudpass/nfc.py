@@ -29,20 +29,21 @@ The channel holds its device: a tap or a lock reaches no other.
 
 A check tap repeats the same work at every desk until the traveler's
 documents change, so each half keeps what it built, in a memo
-(Michie, "'Memo' functions and machine learning", Nature 1968). The
-rule for both: keyed by exact value, bounded, refusals never kept. The
-device keeps the canonical body of its presentation under every value
-the body is built from (the passport's seven summary fields, the shown
-page's visa id and the visa image record) and wraps it in a new frame
-on every reply. The reader keeps the presentation decoded from a body
-and hands it out again only for a byte-identical body; it finds the
-entry by the body's last 64 bytes (the image hash), so a lookup hashes
-64 bytes, not the whole body. Each memo holds at most ``_MEMO_SIZE``
-entries and drops its oldest when full. A presentation checked itself
-when it was built, so its encoding cannot fail; a build or a decode
-that refuses raises before anything is kept, so the next tap tries it
-again. A hit returns the very value a fresh call would: records are
-immutable, and the codec is a pure function of them.
+(Michie, "'Memo' functions and machine learning", Nature 1968), under
+the rule ``model._keep`` writes down: keyed by exact value, bounded,
+oldest dropped first, refusals never kept. The device keeps the
+canonical body of its presentation under every value the body is built
+from (the passport's seven summary fields, the shown page's visa id and
+the visa image record) and wraps it in a new frame on every reply. The
+reader keeps the presentation decoded from a body and hands it out
+again only for a byte-identical body; it finds the entry by the body's
+last 64 bytes (the image hash), so a lookup hashes 64 bytes, not the
+whole body. Each memo holds at most ``_MEMO_SIZE`` entries. A
+presentation checked itself when it was built, so its encoding cannot
+fail; a build or a decode that refuses raises before anything is kept,
+so the next tap tries it again. A hit returns the very value a fresh
+call would: records are immutable, and the codec is a pure function of
+them.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from enum import IntEnum
 
 from .errors import CloudPassError, NfcError
 from .model import (_VISA_VISIBLE, DeviceState, StampEntry, VisaPresentation,
-                    add_stamp, canonical_deserialize, canonical_serialize,
-                    summarize)
+                    _keep, add_stamp, canonical_deserialize,
+                    canonical_serialize, summarize)
 
 __all__ = [
     "MAX_RANGE_CM",
@@ -144,16 +145,8 @@ def _presentation_body(passport, page, image) -> bytes:
     if body is None:
         body = canonical_serialize(
             VisaPresentation(summarize(passport), page.visa_id, image))
-        _keep(_BODIES, key, body)
+        _keep(_BODIES, key, body, _MEMO_SIZE)
     return body
-
-
-def _keep(memo: dict, key, value) -> None:
-    """Store ``value`` under ``key``, first dropping the oldest entry
-    when ``memo`` is full."""
-    if len(memo) >= _MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
 
 
 def _shown_visa(device: DeviceState):
@@ -246,7 +239,7 @@ def _presentation(body: bytes) -> VisaPresentation:
     if kept is not None and kept[0] == body:
         return kept[1]
     presented = canonical_deserialize(body, VisaPresentation)
-    _keep(_PRESENTATIONS, fingerprint, (body, presented))
+    _keep(_PRESENTATIONS, fingerprint, (body, presented), _MEMO_SIZE)
     return presented
 
 

@@ -28,18 +28,34 @@ Download links are MAC-style tokens: the authority signs the token's
 canonical bytes with its secret, and resolution checks the signature
 before looking the resource up. Payloads are signed but readable; there
 is no encryption at this layer.
+
+Issuing a document signs its link, the approval checks that signature
+at once, and a RESOLVE or a download checks it again; the text a phone
+sends back is the text the server wrote. So two memos keep that work,
+under the rule ``model._keep`` writes down: keyed by exact value,
+bounded, oldest dropped first, refusals never kept. ``_sign`` keeps
+each signature under its four inputs, when the authority id and the
+resource id are a ``str`` and the secret ``bytes``. ``token_wire`` keeps
+each token under the text it returns, when the token's text fields are
+a ``str`` and its kind a ``ResourceKind``, so that decoding the text
+gives back that token; ``token_from_wire`` hands it out only for the
+very text, a ``str`` and no subclass, and decodes any other afresh.
+Each memo holds at most ``_MEMO_SIZE`` entries. Anything else is
+computed afresh and not kept, and nothing is kept when a call refuses.
+A hit returns what a fresh call would: the signature is a pure function
+of its inputs and a token is immutable. ``resolve_link_token`` still
+compares the signature and asks the authority for the resource on every
+call.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import hashlib
 import re
 
 from .errors import QrError, ValidationError
-from .model import (_text_field, canonical_deserialize, canonical_serialize,
-                    record, register_codec)
+from .model import (_Enum, _keep, _text_field, canonical_deserialize,
+                    canonical_serialize, record, register_codec)
 
 __all__ = [
     "QrMode",
@@ -80,16 +96,11 @@ _CLASS_RUN = re.compile(rb"[0-9]+|[A-Z $%*+./:-]+|[^0-9A-Z $%*+./:\x81-\xff-]+"
                         rb"|(?:(?!" + _PAIR + rb")[\x81-\xff])+")
 
 
-class QrMode(Enum):
+class QrMode(_Enum):
     NUMERIC = "NUM"
     ALPHANUMERIC = "ALNUM"
     BYTE = "BYTE"
     KANJI = "KANJI"
-
-    # Members are singletons compared by identity, so object's hash, which
-    # runs in C, serves; Enum's runs in Python, and ``_MODES`` is read for
-    # every segment built.
-    __hash__ = object.__hash__
 
 
 # Count-indicator widths for symbol versions 1 through 9.
@@ -437,7 +448,7 @@ def decode_payload(payload: QrPayload) -> bytes:
 # Signed download tokens
 
 
-class ResourceKind(Enum):
+class ResourceKind(_Enum):
     PASSPORT_APP = "PASSPORT_APP"
     VISA_IMAGE = "VISA_IMAGE"
 
@@ -452,6 +463,10 @@ class LinkToken:
     signature: str
 
 
+# Entries each link memo holds: the links of the last few approvals,
+# which their own check and a RESOLVE or a download read soon after.
+_MEMO_SIZE = 16
+
 # A kind's field as the token body writes it (its name as text), built
 # once per member.
 _KIND_FIELDS = {kind: _text_field(kind.name) for kind in ResourceKind}
@@ -462,10 +477,25 @@ def _signing_bytes(authority_id: str, kind: ResourceKind, resource_id: str) -> b
     return _text_field(authority_id) + _KIND_FIELDS[kind] + _text_field(resource_id)
 
 
+_SIGNATURES: dict[tuple, str] = {}
+
+
 def _sign(authority_id: str, kind: ResourceKind, resource_id: str,
           secret: bytes) -> str:
+    """The hex SHA-256 of the signing bytes and ``secret``, kept under
+    all four when they have their exact types."""
+    exact = (authority_id.__class__ is resource_id.__class__ is str
+             and secret.__class__ is bytes)
+    if exact:
+        key = (authority_id, kind, resource_id, secret)
+        signature = _SIGNATURES.get(key)
+        if signature is not None:
+            return signature
     payload = _signing_bytes(authority_id, kind, resource_id) + secret
-    return hashlib.sha256(payload).hexdigest()
+    signature = hashlib.sha256(payload).hexdigest()
+    if exact:
+        _keep(_SIGNATURES, key, signature, _MEMO_SIZE)
+    return signature
 
 
 def mint_link_token(authority, resource_kind: ResourceKind,
@@ -488,12 +518,28 @@ def resolve_link_token(token: LinkToken, authority) -> str:
     return token.resource_id
 
 
+_TOKENS: dict[str, LinkToken] = {}
+
+
 def token_wire(token: LinkToken) -> str:
-    """Canonical bytes, hex-encoded: what actually rides inside a QR code."""
-    return canonical_serialize(token).hex()
+    """Canonical bytes, hex-encoded: what actually rides inside a QR code.
+    A token that decoding the text gives back is kept under it."""
+    wire = canonical_serialize(token).hex()
+    if (token.__class__ is LinkToken
+            and token.resource_kind.__class__ is ResourceKind
+            and token.authority_id.__class__ is token.resource_id.__class__
+            is token.signature.__class__ is str):
+        _keep(_TOKENS, wire, token, _MEMO_SIZE)
+    return wire
 
 
 def token_from_wire(wire: str) -> LinkToken:
+    """The token ``wire`` encodes: the kept one for text ``token_wire``
+    returned, else decoded afresh."""
+    if wire.__class__ is str:
+        token = _TOKENS.get(wire)
+        if token is not None:
+            return token
     try:
         raw = bytes.fromhex(wire)
         return canonical_deserialize(raw, LinkToken)

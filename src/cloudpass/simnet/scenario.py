@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import re
 import types
-from enum import Enum
 from typing import Mapping
 
 from ..errors import ScenarioParseError
 from ..model import (_INT_RE, _SIGNED_RE, FORMATS, I64_MAX, MAX_IMAGE_BYTES,
-                     _in_i64, record)
+                     _Enum, _in_i64, record)
 
 __all__ = ["Scenario", "ScenarioCommand", "FaultKind", "load_scenario",
            "parse_duration", "parse_fault"]
@@ -80,7 +79,7 @@ class _VerbSpec:
     defaults: Mapping[str, object] = types.MappingProxyType({})
 
 
-class FaultKind(Enum):
+class FaultKind(_Enum):
     TAMPER_VISA_BYTE = "TAMPER_VISA_BYTE"
     WRONG_IMAGE_ANSWER = "WRONG_IMAGE_ANSWER"
     WRONG_TIME = "WRONG_TIME"

@@ -15,11 +15,12 @@ from cloudpass.authflow import (OtpStore, SessionState, issue_otp,
                                 open_session, redeem_otp, check_timeout,
                                 begin_image_auth, verify_credentials,
                                 verify_image_answer, verify_time_auth)
-from cloudpass.errors import AuthError, ValidationError
+from cloudpass.errors import AuthError, NfcError, ValidationError
 from cloudpass.model import DeviceState, Session, content_hash
+from cloudpass.nfc import establish, tap_check
 from cloudpass.simnet.cli import main as cli_main
 
-from conftest import build_kit
+from conftest import build_kit, open_visa_session
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -81,6 +82,41 @@ def test_open_session_terminates_previous():
     assert check_timeout(first, 10).state is SessionState.TIME_AUTH_PENDING
     # the device-side record of the first session was replaced, not kept
     assert k.device.session.session_id != first.session_id
+
+
+class _FailingRng(random.Random):
+    def getrandbits(self, k):
+        raise RuntimeError("no entropy")
+
+
+def test_a_reopen_that_cannot_draw_still_ends_the_previous_session():
+    k = fresh()
+    previous = open_visa_session(k, 0)
+    with pytest.raises(RuntimeError):
+        open_session(k.device, 10, _FailingRng())
+    assert k.device.session == Session(previous.session_id,
+                                       SessionState.TERMINATED, 0)
+    with pytest.raises(NfcError) as err:
+        tap_check(establish(k.device, 5.0))
+    assert err.value.code == "AUTH_NOT_COMPLETE"
+
+
+def test_a_reopen_builds_only_the_new_session(monkeypatch):
+    # The previous session ends by being replaced; no TERMINATED copy of
+    # it is built only to be overwritten.
+    built = []
+    validate = Session.validate
+
+    def counted(session):
+        built.append(session.state)
+        validate(session)
+
+    monkeypatch.setattr(Session, "validate", counted)
+    k = fresh()
+    open_at(k, 0)
+    assert built == [SessionState.TIME_AUTH_PENDING]
+    open_at(k, 10)
+    assert built == [SessionState.TIME_AUTH_PENDING] * 2
 
 
 def test_captcha_golden_seed_7():

@@ -174,6 +174,51 @@ def test_passport_refuses_tampered_shared_pages():
         assert err.value.code == "PAGES_NOT_CONTIGUOUS"
 
 
+def test_only_the_shared_blank_pages_skip_the_page_walk(monkeypatch):
+    # The blank pages were walked once, at import; every other tuple of
+    # pages is walked when its passport is built.
+    walked = []
+    walk = model._check_pages
+    monkeypatch.setattr(model, "_check_pages",
+                        lambda pages: walked.append(pages) or walk(pages))
+    p = _passport()
+    bound = replace(p, bound_device="phone")
+    assert p.pages is bound.pages is model._BLANK_PAGES and walked == []
+    decoded = canonical_deserialize(canonical_serialize(bound))
+    assert decoded == bound and walked == [decoded.pages]
+    assert decoded.pages is not model._BLANK_PAGES
+
+
+def _decode_with(passport: Passport, old: bytes, new: bytes) -> Passport:
+    """Decode ``passport``'s bytes with the one occurrence of ``old``
+    replaced by ``new``, of the same length."""
+    data = canonical_serialize(passport)
+    assert data.count(old) == 1 and len(old) == len(new)
+    return canonical_deserialize(data.replace(old, new))
+
+
+def test_a_decoded_passport_gets_the_full_page_walk():
+    p = _passport()
+    with pytest.raises(ValidationError) as err:
+        _decode_with(p, canonical_serialize(PassportPage(2)),
+                     canonical_serialize(PassportPage(3)))
+    assert str(err.value) == "PAGES_NOT_CONTIGUOUS: page numbers [1, 3, 3, 4, 5]..."
+    two = place_visa(place_visa(p, "VA", 3, {"VA"}), "VB", 4, {"VB"})
+    with pytest.raises(ValidationError) as err:
+        _decode_with(two, b"VB", b"VA")
+    assert str(err.value) == "DUPLICATE_VISA_SLOT: ['VA', 'VA']"
+
+
+def test_an_empty_device_id_is_refused_on_the_blank_pages():
+    p = _passport()
+    assert p.pages is model._BLANK_PAGES
+    with pytest.raises(ValidationError) as err:
+        Passport(p.passport_no, p.holder_name, p.nationality,
+                 p.issuing_authority, p.issue_date, p.expiry_date,
+                 model._BLANK_PAGES, "", PassportStatus.ACTIVE)
+    assert str(err.value) == "EMPTY_DEVICE_ID"
+
+
 def test_place_visa_on_page_3():
     p = place_visa(_passport(), "V1", 3, {"V1"})
     assert p.page(3).content is PageContent.VISA_SLOT

@@ -3,7 +3,12 @@ desk-path name, checked on the source rather than on a run: a second
 writer is found even where no scenario reaches it."""
 
 import ast
+import enum
+import importlib
+import pkgutil
 from pathlib import Path
+
+import cloudpass
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cloudpass"
 
@@ -135,6 +140,32 @@ def test_only_immigration_names_an_outcome():
     for outcome in ("PERMIT", "ISOLATE", "LOCK_AND_ALERT"):
         modules = {module for module, _ in _constants(outcome)}
         assert modules == {"immigration.py"}, outcome
+
+
+def _enum_base(node) -> bool:
+    """A class with ``Enum`` or ``<module>.Enum`` among its bases."""
+    return isinstance(node, ast.ClassDef) and any(
+        _is_attr(b, "Enum") or (isinstance(b, ast.Name) and b.id == "Enum")
+        for b in node.bases)
+
+
+def test_every_enum_hashes_by_identity():
+    # Members are singletons compared by identity, so object's hash, which
+    # runs in C, serves; Enum's runs in Python. One base, model._Enum,
+    # gives it to every enum but an IntEnum, whose members hash as ints.
+    enums = set()
+    for info in pkgutil.walk_packages(cloudpass.__path__, "cloudpass."):
+        module = importlib.import_module(info.name)
+        enums |= {cls for cls in vars(module).values()
+                  if isinstance(cls, type) and issubclass(cls, enum.Enum)
+                  and cls.__module__ == info.name}
+    plain = {cls for cls in enums if not issubclass(cls, int)}
+    assert {"Checkpoint", "FaultKind", "IdKind", "Outcome", "QrMode",
+            "ResourceKind", "SessionState"} <= {cls.__name__ for cls in plain}
+    for cls in plain:
+        assert cls.__hash__ is object.__hash__, cls
+        assert all(hash(member) == object.__hash__(member) for member in cls), cls
+    assert _sites(_enum_base, SRC) == {("model.py", "_Enum")}
 
 
 def test_each_format_is_defined_once_in_model():

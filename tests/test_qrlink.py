@@ -7,10 +7,12 @@ mode assignment by memoized recursion. It shares no code with the
 implementation under test.
 """
 
+import hashlib
 import itertools
 import math
 import random
 import re
+import types
 from functools import lru_cache
 
 import pytest
@@ -18,14 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudpass import qrlink as q
+from cloudpass.clouds import EmbassyCloud
 from cloudpass.errors import QrError, ValidationError
-from cloudpass.model import StampEntry, StampKind, canonical_serialize
+from cloudpass.model import (StampEntry, StampKind, canonical_deserialize,
+                             canonical_serialize)
 from cloudpass.qrlink import (LinkToken, QrMode, QrPayload, QrSegment,
                               ResourceKind, classify_mode, decode_payload,
                               encode_payload, mint_link_token,
                               resolve_link_token, segment_cost,
                               token_from_payload, token_from_wire,
                               token_to_payload, token_wire)
+from cloudpass.wire import handle_embassy_line
 
 # -- independent cost model --------------------------------------------------
 
@@ -565,3 +570,163 @@ def test_token_payload_round_trip():
     token = mint_link_token(auth, ResourceKind.VISA_IMAGE, "V1")
     payload = token_to_payload(token)
     assert token_from_payload(payload) == token
+
+
+# -- link memos ----------------------------------------------------------------
+#
+# The oracles below sign, encode and decode without qrlink's memos: the
+# signing bytes are a token body's first three fields, so they are the
+# body of a token with an empty signature, less that field's length.
+
+
+def _fresh_sign(authority_id, kind, resource_id, secret) -> str:
+    body = canonical_serialize(LinkToken(authority_id, kind, resource_id, ""))
+    return hashlib.sha256(body[5:-4] + secret).hexdigest()
+
+
+def _fresh_resolve(token, authority) -> str:
+    """The resource id ``resolve_link_token`` returns, or its refusal code."""
+    if (token.authority_id != authority.authority_id
+            or token.signature != _fresh_sign(token.authority_id,
+                                              token.resource_kind,
+                                              token.resource_id,
+                                              authority.secret)):
+        return "BAD_SIGNATURE"
+    if not authority.has_resource(token.resource_kind, token.resource_id):
+        return "UNKNOWN_RESOURCE"
+    return token.resource_id
+
+
+def _resolved(token, authority) -> str:
+    try:
+        return resolve_link_token(token, authority)
+    except QrError as err:
+        return err.code
+
+
+_RESOURCE_IDS = [f"R{n}" for n in range(12)]
+# (which authority mints, kind, resource id): 48 distinct tokens.
+_LINKS = st.tuples(st.integers(0, 1), st.sampled_from(list(ResourceKind)),
+                   st.sampled_from(_RESOURCE_IDS))
+
+
+def _twin_authorities():
+    """Two authorities with one authority id and two secrets, each
+    holding two thirds of the resources."""
+    twins = (_Authority(secret=b"one"), _Authority(secret=b"two"))
+    for i, authority in enumerate(twins):
+        authority.resources = {(kind.value, resource_id) for kind in ResourceKind
+                               for n, resource_id in enumerate(_RESOURCE_IDS)
+                               if (n + i) % 3}
+    return twins
+
+
+@given(st.lists(_LINKS, min_size=q._MEMO_SIZE + 1, max_size=3 * q._MEMO_SIZE,
+                unique=True), st.randoms())
+def test_link_memos_equal_fresh_calls_property(links, rnd):
+    # More distinct tokens than a memo holds, each issued at least twice
+    # in a random interleaving, so kept entries are both hit and evicted;
+    # every token is resolved by both authorities.
+    q._SIGNATURES.clear()
+    q._TOKENS.clear()
+    twins = _twin_authorities()
+    order = links * 2 + [rnd.choice(links) for _ in links]
+    rnd.shuffle(order)
+    for minter, kind, resource_id in order:
+        authority = twins[minter]
+        signature = _fresh_sign("IN", kind, resource_id, authority.secret)
+        assert q._sign("IN", kind, resource_id, authority.secret) == signature
+        token = mint_link_token(authority, kind, resource_id)
+        assert token == LinkToken("IN", kind, resource_id, signature)
+        text = token_wire(token)
+        assert text == canonical_serialize(token).hex()
+        sent = (text + " ")[:-1]     # equal text, another str object
+        assert token_from_wire(sent) == canonical_deserialize(
+            bytes.fromhex(sent), LinkToken) == token
+        for resolver in twins:
+            assert _resolved(token, resolver) == _fresh_resolve(token, resolver)
+        assert len(q._SIGNATURES) <= q._MEMO_SIZE
+        assert len(q._TOKENS) <= q._MEMO_SIZE
+
+
+def test_a_forged_twin_is_refused_right_after_its_valid_token():
+    auth = _Authority()
+    token = mint_link_token(auth, ResourceKind.VISA_IMAGE, "V1")
+    digit = "1" if token.signature[7] == "0" else "0"
+    forged = LinkToken(token.authority_id, token.resource_kind,
+                       token.resource_id,
+                       token.signature[:7] + digit + token.signature[8:])
+    assert resolve_link_token(token, auth) == "V1"
+    for _ in range(2):
+        for sent in (forged, token_from_wire(token_wire(forged))):
+            with pytest.raises(QrError) as err:
+                resolve_link_token(sent, auth)
+            assert err.value.code == "BAD_SIGNATURE"
+    assert resolve_link_token(token_from_wire(token_wire(token)), auth) == "V1"
+
+
+def test_bad_token_wire_text_is_refused_again():
+    token = mint_link_token(_Authority(), ResourceKind.VISA_IMAGE, "V1")
+    text = token_wire(token)
+    for bad in (text[:-2], text + "00", text[:10] + "zz" + text[12:]):
+        for _ in range(2):
+            with pytest.raises(QrError) as err:
+                token_from_wire(bad)
+            assert err.value.code == "BAD_TOKEN_WIRE"
+        assert bad not in q._TOKENS
+    assert token_from_wire(text) is token
+
+
+def test_other_text_of_a_kept_token_is_decoded_afresh():
+    token = mint_link_token(_Authority(), ResourceKind.PASSPORT_APP, "P1")
+    text = token_wire(token)
+
+    class Text(str):
+        pass
+
+    for variant in (text.upper(), Text(text)):
+        decoded = token_from_wire(variant)
+        assert decoded == token and decoded is not token
+
+    class Liar(str):
+        """Equal to, and hashed as, the kept text, whatever it holds."""
+
+        def __eq__(self, other):
+            return True
+
+        def __hash__(self):
+            return hash(text)
+
+    other = LinkToken("US", ResourceKind.VISA_IMAGE, "V9", "00")
+    assert token_from_wire(Liar(canonical_serialize(other).hex())) == other
+    assert token_from_wire(text) is token
+
+
+def test_one_wire_record_signs_twice_and_decodes_no_token(monkeypatch):
+    # SUBMIT, APPROVE_PASSPORT, SUBMIT, APPROVE_VISA, RESOLVE: each
+    # approval signs its link once, and its own check and the RESOLVE
+    # reuse that signature and the token the reply was written from.
+    monkeypatch.setattr(q, "_SIGNATURES", {})
+    monkeypatch.setattr(q, "_TOKENS", {})
+    signed, decoded = [], []
+    sha256, deserialize = hashlib.sha256, q.canonical_deserialize
+    monkeypatch.setattr(q, "hashlib", types.SimpleNamespace(
+        sha256=lambda data: signed.append(data) or sha256(data)))
+    monkeypatch.setattr(q, "canonical_deserialize",
+                        lambda *args: decoded.append(args) or deserialize(*args))
+    embassy = EmbassyCloud("IN", bytes(16))
+    rng = random.Random(1)
+
+    def ok(line: str) -> str:
+        status, _, payload = handle_embassy_line(embassy, line, rng).partition(" ")
+        assert status == "OK", payload
+        return payload
+
+    tracking = ok("SUBMIT alice PASSPORT_APPLICATION")
+    ok(f"APPROVE_PASSPORT {tracking} P0000001 alice IN 0 315360000")
+    tracking = ok("SUBMIT alice VISA_APPLICATION")
+    link = ok(f"APPROVE_VISA {tracking} V0000001 P0000001 US 0 15552000 "
+              f"{bytes(64).hex()}")
+    assert ok(f"RESOLVE {link}") == "VISA_IMAGE V0000001"
+    assert len(signed) == 2
+    assert decoded == []
