@@ -19,16 +19,9 @@ only what its state awaits: the captcha, or the picture index. ``Session``,
 encodes a session inside its device; they are re-exported here.
 
 A traveler who misses the picture challenge types the same answer until
-the wall, so the picture check keeps the hash of each answer in a memo
-(Michie, "'Memo' functions and machine learning", Nature 1968), under
-the rule ``model._keep`` writes down: keyed by exact value, bounded,
-oldest dropped first, refusals never kept. The key is the answer as
-given, a ``str`` and no subclass; any other value is hashed afresh and
-not kept. The memo holds at most ``_ANSWER_MEMO_SIZE`` answers. An
-answer that UTF-8 cannot hold has no hash, so no enrolled answer equals
-it: it is refused ``BAD_ANSWER`` and not kept. Enrolling hashes afresh,
-outside the memo, and refuses such an answer with the codec's
-``BAD_UTF8``.
+the wall, so the picture check keeps the hash of each answer, given as
+an exact ``str``, in an ``lru_cache`` under the memo rule of the
+README's design notes.
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import AuthError, ValidationError
@@ -43,7 +37,7 @@ from .model import (_CREDENTIALS_PENDING, _EXPIRED, _IMAGE_AUTH_PENDING,
                     _PASSPORT_VISIBLE, _TERMINATED, _TIME_AUTH_PENDING,
                     _VISA_VISIBLE, AUTH_IMAGE_COUNT, AuthImage,
                     CaptchaChallenge, DeviceState, Session, SessionState,
-                    _check_text, _keep, clock_text, content_hash,
+                    _check_text, clock_text, content_hash,
                     draw_below, draw_text, record)
 
 __all__ = [
@@ -127,21 +121,7 @@ def _hash_answer(answer: str) -> str:
     return content_hash(text.encode("utf-8"))
 
 
-_ANSWER_HASHES: dict[str, str] = {}
-
-
-def _kept_answer_hash(answer: str) -> str | None:
-    """``_hash_answer(answer)`` through the memo, or None when UTF-8
-    cannot hold the answer."""
-    kept = _ANSWER_HASHES.get(answer) if answer.__class__ is str else None
-    if kept is None:
-        try:
-            kept = _hash_answer(answer)
-        except ValidationError:
-            return None
-        if answer.__class__ is str:
-            _keep(_ANSWER_HASHES, answer, kept, _ANSWER_MEMO_SIZE)
-    return kept
+_kept_hash = lru_cache(maxsize=_ANSWER_MEMO_SIZE)(_hash_answer)
 
 
 def make_auth_image(index: int, image_bytes: bytes, answer: str) -> AuthImage:
@@ -274,7 +254,11 @@ def verify_image_answer(device: DeviceState, answer: str, now: int) -> Session:
     """Compare the normalized answer hash for the prompted picture."""
     session = _gate(device, _IMAGE_AUTH_PENDING, now)
     expected = device.auth_images[session.pending_image_index]
-    if _kept_answer_hash(answer) != expected.answer_hash:
+    try:
+        digest = (_kept_hash if answer.__class__ is str else _hash_answer)(answer)
+    except ValidationError:     # no enrolled answer is text UTF-8 cannot hold
+        digest = None
+    if digest != expected.answer_hash:
         raise AuthError("BAD_ANSWER")
     session = Session(session.session_id, _VISA_VISIBLE,
                       session.activated_at)

@@ -175,21 +175,6 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# The memo rule of ``nfc``, ``authflow`` and ``qrlink`` (Michie, "'Memo'
-# functions and machine learning", Nature 1968): a memo is a dict keyed by
-# exact value, it holds at most a fixed number of entries and drops its
-# oldest first, and it keeps only what a fresh call returned, never a
-# refusal, so a hit returns what a fresh call would.
-
-
-def _keep(memo: dict, key, value, size: int) -> None:
-    """Store ``value`` under ``key``, first dropping the oldest entry
-    when ``memo`` holds ``size``."""
-    if len(memo) >= size:
-        del memo[next(iter(memo))]
-    memo[key] = value
-
-
 class _Enum(Enum):
     """The base of every enum of cloudpass but an ``IntEnum``. Members are
     singletons compared by identity, so object's hash, which runs in C,

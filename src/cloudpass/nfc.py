@@ -28,33 +28,23 @@ went dark for any other reason mid-exchange, the channel is just stale.
 The channel holds its device: a tap or a lock reaches no other.
 
 A check tap repeats the same work at every desk until the traveler's
-documents change, so each half keeps what it built, in a memo
-(Michie, "'Memo' functions and machine learning", Nature 1968), under
-the rule ``model._keep`` writes down: keyed by exact value, bounded,
-oldest dropped first, refusals never kept. The device keeps the
-canonical body of its presentation under every value the body is built
-from (the passport's seven summary fields, the shown page's visa id and
-the visa image record) and wraps it in a new frame on every reply. The
-reader keeps the presentation decoded from a body and hands it out
-again only for a byte-identical body; it finds the entry by the body's
-last 64 bytes (the image hash), so a lookup hashes 64 bytes, not the
-whole body. Each memo holds at most ``_MEMO_SIZE`` entries. A
-presentation checked itself when it was built, so its encoding cannot
-fail; a build or a decode that refuses raises before anything is kept,
-so the next tap tries it again. A hit returns the very value a fresh
-call would: records are immutable, and the codec is a pure function of
-them.
+documents change, so each half keeps what it built in an ``lru_cache``
+under the memo rule of the README's design notes: the device its
+canonical body, by the nine values the body is built from (the passport's
+seven summary fields, the shown page's visa id and the visa image), and
+the reader its decoded presentation, by the whole body.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 
 from .errors import CloudPassError, NfcError
-from .model import (_VISA_VISIBLE, DeviceState, StampEntry, VisaPresentation,
-                    _keep, add_stamp, canonical_deserialize,
-                    canonical_serialize, summarize)
+from .model import (_VISA_VISIBLE, DeviceState, PassportSummary, StampEntry,
+                    VisaPresentation, add_stamp, canonical_deserialize,
+                    canonical_serialize)
 
 __all__ = [
     "MAX_RANGE_CM",
@@ -126,27 +116,21 @@ def answer(device: DeviceState, request: bytes) -> bytes:
         if frame_type is FrameType.LOCK_CMD:
             device.locked = True
             return encode_frame(FrameType.ACK)
-        return encode_frame(FrameType.CHECK_RESP,
-                            _presentation_body(*_shown_visa(device)))
+        passport, page, image = _shown_visa(device)
+        return encode_frame(FrameType.CHECK_RESP, _presentation_body(
+            page.visa_id, image, passport.passport_no, passport.holder_name,
+            passport.nationality, passport.issuing_authority,
+            passport.issue_date, passport.expiry_date, passport.status))
     except CloudPassError as exc:
         return encode_frame(FrameType.ERROR, str(exc).encode())
 
 
-_BODIES: dict[tuple, bytes] = {}
-
-
-def _presentation_body(passport, page, image) -> bytes:
-    """The canonical body of what the device shows, kept by every value
-    it is built from."""
-    key = (passport.passport_no, passport.holder_name, passport.nationality,
-           passport.issuing_authority, passport.issue_date,
-           passport.expiry_date, passport.status, page.visa_id, image)
-    body = _BODIES.get(key)
-    if body is None:
-        body = canonical_serialize(
-            VisaPresentation(summarize(passport), page.visa_id, image))
-        _keep(_BODIES, key, body, _MEMO_SIZE)
-    return body
+@lru_cache(maxsize=_MEMO_SIZE)
+def _presentation_body(visa_id, image, *summary) -> bytes:
+    """The canonical body of what the device shows: the visa and the
+    passport summary built from ``summary``'s seven fields."""
+    return canonical_serialize(
+        VisaPresentation(PassportSummary(*summary), visa_id, image))
 
 
 def _shown_visa(device: DeviceState):
@@ -228,19 +212,9 @@ def tap_check(channel: NfcChannel):
     return presented.passport, presented.visa_id, presented.image
 
 
-_PRESENTATIONS: dict[bytes, tuple[bytes, VisaPresentation]] = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def _presentation(body: bytes) -> VisaPresentation:
-    """``body`` decoded, kept under its last 64 bytes with the body
-    itself, which a later body must equal byte for byte."""
-    fingerprint = body[-64:]
-    kept = _PRESENTATIONS.get(fingerprint)
-    if kept is not None and kept[0] == body:
-        return kept[1]
-    presented = canonical_deserialize(body, VisaPresentation)
-    _keep(_PRESENTATIONS, fingerprint, (body, presented), _MEMO_SIZE)
-    return presented
+    return canonical_deserialize(body, VisaPresentation)
 
 
 def tap_stamp(channel: NfcChannel, stamp: StampEntry) -> None:

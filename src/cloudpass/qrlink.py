@@ -30,31 +30,20 @@ before looking the resource up. Payloads are signed but readable; there
 is no encryption at this layer.
 
 Issuing a document signs its link, the approval checks that signature
-at once, and a RESOLVE or a download checks it again; the text a phone
-sends back is the text the server wrote. So two memos keep that work,
-under the rule ``model._keep`` writes down: keyed by exact value,
-bounded, oldest dropped first, refusals never kept. ``_sign`` keeps
-each signature under its four inputs, when the authority id and the
-resource id are a ``str`` and the secret ``bytes``. ``token_wire`` keeps
-each token under the text it returns, when the token's text fields are
-a ``str`` and its kind a ``ResourceKind``, so that decoding the text
-gives back that token; ``token_from_wire`` hands it out only for the
-very text, a ``str`` and no subclass, and decodes any other afresh.
-Each memo holds at most ``_MEMO_SIZE`` entries. Anything else is
-computed afresh and not kept, and nothing is kept when a call refuses.
-A hit returns what a fresh call would: the signature is a pure function
-of its inputs and a token is immutable. ``resolve_link_token`` still
-compares the signature and asks the authority for the resource on every
-call.
+at once, and a RESOLVE or a download checks it again, so ``_sign`` keeps
+each signature in an ``lru_cache`` under the memo rule of the README's
+design notes, and ``token_wire`` keeps each token under the text it
+returns, for ``token_from_wire`` to hand back for that very text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from functools import lru_cache
 
 from .errors import QrError, ValidationError
-from .model import (_Enum, _keep, _text_field, canonical_deserialize,
+from .model import (_Enum, _check_text, _text_field, canonical_deserialize,
                     canonical_serialize, record, register_codec)
 
 __all__ = [
@@ -462,6 +451,14 @@ class LinkToken:
     resource_id: str
     signature: str
 
+    def validate(self) -> None:
+        if self.resource_kind.__class__ is not ResourceKind:
+            raise ValidationError("BAD_RESOURCE_KIND", repr(self.resource_kind))
+        for text in (self.authority_id, self.resource_id, self.signature):
+            if not isinstance(text, str):
+                raise ValidationError("BAD_TOKEN_FIELD", repr(text))
+            _check_text(text)
+
 
 # Entries each link memo holds: the links of the last few approvals,
 # which their own check and a RESOLVE or a download read soon after.
@@ -477,25 +474,24 @@ def _signing_bytes(authority_id: str, kind: ResourceKind, resource_id: str) -> b
     return _text_field(authority_id) + _KIND_FIELDS[kind] + _text_field(resource_id)
 
 
-_SIGNATURES: dict[tuple, str] = {}
+def _signature(authority_id: str, kind: ResourceKind, resource_id: str,
+               secret: bytes) -> str:
+    """The hex SHA-256 of the signing bytes and ``secret``."""
+    payload = _signing_bytes(authority_id, kind, resource_id) + secret
+    return hashlib.sha256(payload).hexdigest()
+
+
+_kept_signature = lru_cache(maxsize=_MEMO_SIZE)(_signature)
 
 
 def _sign(authority_id: str, kind: ResourceKind, resource_id: str,
           secret: bytes) -> str:
-    """The hex SHA-256 of the signing bytes and ``secret``, kept under
-    all four when they have their exact types."""
+    """``_signature``, kept when the ids are a ``str`` and the secret
+    ``bytes``, each of exactly that type."""
     exact = (authority_id.__class__ is resource_id.__class__ is str
              and secret.__class__ is bytes)
-    if exact:
-        key = (authority_id, kind, resource_id, secret)
-        signature = _SIGNATURES.get(key)
-        if signature is not None:
-            return signature
-    payload = _signing_bytes(authority_id, kind, resource_id) + secret
-    signature = hashlib.sha256(payload).hexdigest()
-    if exact:
-        _keep(_SIGNATURES, key, signature, _MEMO_SIZE)
-    return signature
+    return (_kept_signature if exact else _signature)(
+        authority_id, kind, resource_id, secret)
 
 
 def mint_link_token(authority, resource_kind: ResourceKind,
@@ -518,6 +514,7 @@ def resolve_link_token(token: LinkToken, authority) -> str:
     return token.resource_id
 
 
+# A dict, not an lru_cache: ``token_wire`` fills it for ``token_from_wire``.
 _TOKENS: dict[str, LinkToken] = {}
 
 
@@ -526,10 +523,11 @@ def token_wire(token: LinkToken) -> str:
     A token that decoding the text gives back is kept under it."""
     wire = canonical_serialize(token).hex()
     if (token.__class__ is LinkToken
-            and token.resource_kind.__class__ is ResourceKind
             and token.authority_id.__class__ is token.resource_id.__class__
             is token.signature.__class__ is str):
-        _keep(_TOKENS, wire, token, _MEMO_SIZE)
+        if len(_TOKENS) >= _MEMO_SIZE:
+            del _TOKENS[next(iter(_TOKENS))]
+        _TOKENS[wire] = token
     return wire
 
 

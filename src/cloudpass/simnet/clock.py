@@ -38,20 +38,14 @@ class VirtualClock:
         return self.now
 
 
-@lru_cache(maxsize=1024)
-def _iso_date(days: int) -> str:
-    """The calendar date ``days`` after the epoch; a run's reports name
-    few distinct days, so each is formatted once."""
-    return date.fromordinal(EPOCH_ORDINAL + days).isoformat()
-
-
 @lru_cache(maxsize=4)
 def _iso_minute(minutes: int) -> str:
     """``YYYY-MM-DDTHH:MM:``, the minute ``minutes`` after the epoch. A
     run logs several lines a minute in time order, so the last few minutes
     are all it reuses."""
     days, minutes = divmod(minutes, 1440)
-    return f"{_iso_date(days)}T{clock_text(minutes)}:"
+    day = date.fromordinal(EPOCH_ORDINAL + days).isoformat()
+    return f"{day}T{clock_text(minutes)}:"
 
 
 def render_iso(ts: int) -> str:

@@ -2,7 +2,6 @@
 
 import math
 import random
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -517,8 +516,8 @@ def test_gate_stores_the_refreshed_session_on_a_wrong_state():
     assert k.device.session.state is SessionState.CREDENTIALS_PENDING
 
 
-def test_an_answer_utf8_cannot_hold_is_a_coded_refusal(monkeypatch):
-    monkeypatch.setattr(authflow, "_ANSWER_HASHES", {})
+def test_an_answer_utf8_cannot_hold_is_a_coded_refusal():
+    authflow._kept_hash.cache_clear()
     with pytest.raises(ValidationError) as err:
         authflow.make_auth_image(0, bytes(48), "a\ud800")
     assert str(err.value) == "BAD_UTF8: surrogates not allowed"
@@ -529,19 +528,22 @@ def test_an_answer_utf8_cannot_hold_is_a_coded_refusal(monkeypatch):
         verify_image_answer(k.device, "a\ud800", 0)
     assert str(err.value) == "BAD_ANSWER"
     assert k.device.session.state is SessionState.IMAGE_AUTH_PENDING
-    assert authflow._ANSWER_HASHES == {}
+    assert authflow._kept_hash.cache_info().currsize == 0
 
 
-def test_an_answer_of_a_str_subclass_is_hashed_afresh_and_not_kept(monkeypatch):
+def test_an_answer_of_a_str_subclass_is_hashed_afresh_and_not_kept():
     class Answer(str):
         pass
 
-    monkeypatch.setattr(authflow, "_ANSWER_HASHES", {})
-    answer = Answer("  Memory   1 ")
-    assert authflow._kept_answer_hash(answer) == _fresh_answer_hash(answer)
-    assert authflow._ANSWER_HASHES == {}
-    assert authflow._kept_answer_hash("memory 1") == _fresh_answer_hash("memory 1")
-    assert list(authflow._ANSWER_HASHES) == ["memory 1"]
+    # Enrolled "memory 1" answers picture 1; (hits, misses) after each.
+    authflow._kept_hash.cache_clear()
+    for answer, counts in [(Answer("  Memory   1 "), (0, 0)),
+                           ("memory 1", (0, 1)), ("memory 1", (1, 1))]:
+        _MEMO_DEVICE.session = Session("s", SessionState.IMAGE_AUTH_PENDING,
+                                       0, pending_image_index=1)
+        assert verify_image_answer(_MEMO_DEVICE, answer, 0).state is \
+            SessionState.VISA_VISIBLE
+        assert authflow._kept_hash.cache_info()[:2] == counts
 
 
 def _fresh_answer_hash(answer):
@@ -572,13 +574,13 @@ _MEMO_DEVICE = DeviceState("d", 0, tuple(
 def test_answer_memo_equals_fresh_hashes_property(answers):
     # Every refusal and every hash equals a fresh computation, and the memo
     # never holds more than its bound, nor an answer UTF-8 cannot hold.
-    memo = authflow._ANSWER_HASHES
-    memo.clear()
+    memo = authflow._kept_hash
+    memo.cache_clear()
     images = _MEMO_DEVICE.auth_images
     device = _MEMO_DEVICE
     for n, answer in enumerate(answers):
         expected = _fresh_answer_hash(answer)
-        assert authflow._kept_answer_hash(answer) == expected
+        assert _memo_hash(answer) == expected
         index = n % 10
         device.session = Session("s", SessionState.IMAGE_AUTH_PENDING, 0,
                                  pending_image_index=index)
@@ -589,26 +591,29 @@ def test_answer_memo_equals_fresh_hashes_property(answers):
             with pytest.raises(AuthError) as err:
                 verify_image_answer(device, answer, 0)
             assert str(err.value) == "BAD_ANSWER"
-        assert len(memo) <= authflow._ANSWER_MEMO_SIZE
-    assert all(_fresh_answer_hash(a) == h for a, h in memo.items())
+        assert memo.cache_info().currsize <= authflow._ANSWER_MEMO_SIZE
+    hits = memo.cache_info().hits
+    assert all(_memo_hash(a) is None for a in answers
+               if _fresh_answer_hash(a) is None)
+    assert memo.cache_info().hits == hits
 
 
-def test_a_lockout_run_hashes_its_wrong_answer_once(monkeypatch, tmp_path):
+def _memo_hash(answer):
+    """``answer``'s hash through the memo; None when UTF-8 cannot hold it."""
+    try:
+        return authflow._kept_hash(answer)
+    except ValidationError:
+        return None
+
+
+def test_a_lockout_run_hashes_its_wrong_answer_once(tmp_path):
     # The stubborn traveler of lockout.cps repeats one wrong answer until
     # both sessions hit the wall; with the memo emptied first, the answer
-    # is hashed once and every later refusal is a lookup.
-    monkeypatch.setattr(authflow, "_ANSWER_HASHES", {})
-    hashed = Counter()
-    fresh_hash = authflow._hash_answer
-
-    def counted(answer):
-        hashed[answer] += 1
-        return fresh_hash(answer)
-
-    monkeypatch.setattr(authflow, "_hash_answer", counted)
+    # is hashed once (one miss) and every later refusal is a hit.
+    authflow._kept_hash.cache_clear()
     report = tmp_path / "report.jsonl"
     assert cli_main(["run", "--scenario", str(SCENARIOS / "lockout.cps"),
                      "--report", str(report)]) == 0
     refusals = report.read_text(encoding="utf-8").count("auth-rejected BAD_ANSWER")
     assert refusals > 10
-    assert hashed["not the right caption"] == 1
+    assert authflow._kept_hash.cache_info()[:2] == (refusals - 1, 1)

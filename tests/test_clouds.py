@@ -12,7 +12,8 @@ from cloudpass.clouds import (SYNC_HORIZON_S, AirportCloud, AppStatus,
                               download_visa_image, receive_desk_copy,
                               submit_application)
 from cloudpass.errors import CloudError, QrError, ValidationError
-from cloudpass.model import MAX_IMAGE_BYTES, DeviceState, IdKind, content_hash
+from cloudpass.model import (MAX_IMAGE_BYTES, DeviceState, IdKind,
+                             canonical_serialize, content_hash)
 from cloudpass.qrlink import LinkToken
 
 
@@ -113,6 +114,16 @@ def test_approve_wrong_kind_tracking():
                                 holder_name="alice", nationality="IN",
                                 issue_date=0, expiry_date=1)
     assert err.value.code == "UNKNOWN_TRACKING_ID"
+
+
+def test_approve_a_tracking_id_never_issued():
+    cloud, _ = fresh_embassy()
+    with pytest.raises(CloudError) as err:
+        clouds.approve_passport(cloud, "ZZZZZZZZZZZZ", passport_no="P1",
+                                holder_name="alice", nationality="IN",
+                                issue_date=0, expiry_date=1)
+    assert str(err.value) == "UNKNOWN_TRACKING_ID: ZZZZZZZZZZZZ"
+    assert cloud.passports == {}
 
 
 def test_approve_visa_stores_blob_by_hash():
@@ -261,6 +272,28 @@ def test_download_visa_occupied_page_leaves_device_unchanged():
         download_visa_image(cloud, v2.payload, device, 3)
     assert err.value.code == "PAGE_OCCUPIED"
     assert set(device.visas) == before
+
+
+def test_downloads_to_a_locked_device_leave_it_unchanged():
+    cloud, rng = fresh_embassy()
+    _, pnote = approved_passport(cloud, rng)
+    _, vnote = approved_visa(cloud, rng)
+    device = fresh_device(rng)
+    device.locked = True
+    before = canonical_serialize(device)
+    with pytest.raises(CloudError) as err:
+        download_passport_app(cloud, pnote.payload, device)
+    assert err.value.code == "DEVICE_LOCKED"
+    assert canonical_serialize(device) == before
+    assert cloud.passports["P0000001"].bound_device is None
+    device.locked = False
+    download_passport_app(cloud, pnote.payload, device)
+    device.locked = True
+    before = canonical_serialize(device)
+    with pytest.raises(CloudError) as err:
+        download_visa_image(cloud, vnote.payload, device, 3)
+    assert err.value.code == "DEVICE_LOCKED"
+    assert canonical_serialize(device) == before
 
 
 def test_download_visa_without_passport():

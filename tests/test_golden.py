@@ -16,7 +16,9 @@ and say in the change why the bytes moved.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import re
 import sys
@@ -25,6 +27,8 @@ from pathlib import Path
 
 import pytest
 
+import cloudpass
+from cloudpass import qrlink
 from cloudpass.simnet.cli import EXIT_OK, main
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +100,34 @@ def test_report_digests_hold_in_another_order_in_one_process(order):
             moved[_case_id(*case)] = digest
     assert len(cases) == 63
     assert moved == {}
+
+
+class _KeepsNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_pins_hold_with_every_memo_bypassed(monkeypatch):
+    # Every lru_cache in cloudpass replaced by the function it wraps, and
+    # the link-token memo by a dict that keeps nothing: no pinned report
+    # or codec byte may depend on a memo. test_ownership.py lists them.
+    import test_codec_golden as codec
+    caches = []
+    for info in pkgutil.walk_packages(cloudpass.__path__, "cloudpass."):
+        module = importlib.import_module(info.name)
+        for name, value in list(vars(module).items()):
+            if hasattr(value, "cache_clear"):
+                monkeypatch.setattr(module, name, value.__wrapped__)
+                caches.append(value)
+    monkeypatch.setattr(qrlink, "_TOKENS", _KeepsNothing())
+    calls = [cache.cache_info()[:2] for cache in caches]
+    reports = {_case_id(*case): _report_digest(*case) for case in _cases()}
+    records = {name: codec._digest(record)
+               for name, record in codec.records().items()}
+    assert caches
+    assert [cache.cache_info()[:2] for cache in caches] == calls
+    assert reports == _pinned()
+    assert records == codec._pinned()
 
 
 if __name__ == "__main__":

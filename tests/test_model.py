@@ -232,6 +232,28 @@ def test_place_visa_twice_page_occupied():
     assert err.value.code == "PAGE_OCCUPIED"
 
 
+def test_a_decoded_page_of_stamps_alone_takes_no_visa():
+    # A passport's pages may hold stamps outside a visa slot; one read back
+    # from its bytes says so, and a visa cannot be placed over them.
+    stamped = model._with_page(_passport(), PassportPage(
+        4, None, (StampEntry(StampKind.ARRIVAL, "BLR", 100),)))
+    decoded = canonical_deserialize(canonical_serialize(stamped), Passport)
+    assert decoded.page(4).content is PageContent.STAMPS
+    with pytest.raises(ValidationError) as err:
+        place_visa(decoded, "V1", 4, {"V1"})
+    assert str(err.value) == "PAGE_OCCUPIED: page 4 is STAMPS"
+
+
+def test_a_record_with_no_codec_is_refused():
+    @model.record
+    class Unregistered:
+        n: int
+
+    with pytest.raises(ValidationError) as err:
+        canonical_serialize(Unregistered(1))
+    assert str(err.value) == "NO_CODEC: Unregistered"
+
+
 def test_place_same_visa_twice_rejected():
     p = place_visa(_passport(), "V1", 3, {"V1"})
     with pytest.raises(ValidationError) as err:

@@ -411,8 +411,8 @@ def _tap_both_halves(device) -> bytes:
         FrameType.CHECK_RESP, body)
     assert VisaPresentation(*tap_check(establish(device, 5.0))) == \
         canonical_deserialize(body, VisaPresentation)
-    assert len(nfc._BODIES) <= nfc._MEMO_SIZE
-    assert len(nfc._PRESENTATIONS) <= nfc._MEMO_SIZE
+    assert nfc._presentation_body.cache_info().currsize <= nfc._MEMO_SIZE
+    assert nfc._presentation.cache_info().currsize <= nfc._MEMO_SIZE
     return body
 
 
@@ -454,12 +454,13 @@ def test_the_memos_never_grow_past_their_bound():
     for n in range(3 * nfc._MEMO_SIZE):
         image = VisaImage.of(n.to_bytes(4, "big") * 1024)
         _tap_both_halves(_device(passport_no=f"P{n}", image=image))
-    assert len(nfc._BODIES) == len(nfc._PRESENTATIONS) == nfc._MEMO_SIZE
+    for memo in (nfc._presentation_body, nfc._presentation):
+        assert memo.cache_info()[2:] == (nfc._MEMO_SIZE, nfc._MEMO_SIZE)
 
 
 def test_a_refused_body_is_refused_again_after_its_valid_twin(monkeypatch):
     # The twin differs in one image byte, not in the hash that ends the
-    # body, so both share the reader's lookup key.
+    # body.
     device = _device()
     body = _tap_both_halves(device)
     i = body.index(_IMAGES[0].data) + 7

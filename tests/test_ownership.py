@@ -142,6 +142,12 @@ def test_only_immigration_names_an_outcome():
         assert modules == {"immigration.py"}, outcome
 
 
+def _modules() -> list:
+    """Every module of cloudpass, imported."""
+    return [importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(cloudpass.__path__, "cloudpass.")]
+
+
 def _enum_base(node) -> bool:
     """A class with ``Enum`` or ``<module>.Enum`` among its bases."""
     return isinstance(node, ast.ClassDef) and any(
@@ -154,11 +160,10 @@ def test_every_enum_hashes_by_identity():
     # runs in C, serves; Enum's runs in Python. One base, model._Enum,
     # gives it to every enum but an IntEnum, whose members hash as ints.
     enums = set()
-    for info in pkgutil.walk_packages(cloudpass.__path__, "cloudpass."):
-        module = importlib.import_module(info.name)
+    for module in _modules():
         enums |= {cls for cls in vars(module).values()
                   if isinstance(cls, type) and issubclass(cls, enum.Enum)
-                  and cls.__module__ == info.name}
+                  and cls.__module__ == module.__name__}
     plain = {cls for cls in enums if not issubclass(cls, int)}
     assert {"Checkpoint", "FaultKind", "IdKind", "Outcome", "QrMode",
             "ResourceKind", "SessionState"} <= {cls.__name__ for cls in plain}
@@ -166,6 +171,62 @@ def test_every_enum_hashes_by_identity():
         assert cls.__hash__ is object.__hash__, cls
         assert all(hash(member) == object.__hash__(member) for member in cls), cls
     assert _sites(_enum_base, SRC) == {("model.py", "_Enum")}
+
+
+# Every memo in src/cloudpass: each functools.lru_cache bound at module
+# level, and qrlink._TOKENS, the dict token_wire fills for token_from_wire
+# (an lru_cache cannot be filled from outside). test_golden's bypass test
+# replaces each one and expects every pinned byte again.
+_MEMOS = {"authflow._kept_hash", "nfc._presentation", "nfc._presentation_body",
+          "qrlink._kept_signature", "simnet.clock._iso_minute", "qrlink._TOKENS"}
+
+
+def _filled_dicts(root: Path = SRC) -> set[str]:
+    """Every module-level dict display under ``root`` that a function
+    stores an item into, as ``module.name``."""
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        dicts = {target.id for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 and isinstance(node.value, (ast.Dict, ast.DictComp))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name)}
+        module = path.relative_to(root).with_suffix("").as_posix().replace("/", ".")
+        found |= {f"{module}.{node.value.id}"
+                  for function in ast.walk(tree)
+                  if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(function)
+                  if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id in dicts}
+    return found
+
+
+def test_every_memo_is_listed():
+    caches = {f"{module.__name__.removeprefix('cloudpass.')}.{name}"
+              for module in _modules() for name, value in vars(module).items()
+              if hasattr(value, "cache_clear") and value.__module__ == module.__name__}
+    # None sits in a class or a function, where the walk above misses it.
+    assert len(_calls("lru_cache")) == len(caches)
+    # Besides the memo: the codec registries, filled at import by
+    # register_codec, and qrlink._NODES, a finite table of run responses
+    # (its keys are costs relative to the cheapest state, which are
+    # bounded), not a memo.
+    tables = {"model._CODEC_BY_TYPE", "model._CODEC_BY_TAG", "qrlink._NODES"}
+    assert caches | _filled_dicts() == _MEMOS | tables
+
+
+def test_filled_dict_finder_sees_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "A = {}\n"
+        "B: dict = {1: 2}\n"
+        "C = {k: k for k in ()}\n"
+        "D = {}\n"
+        "def f(): A[1] = 2\n"
+        "class K:\n"
+        "    def g(self): x = B[1] = C[2] = 3; del D[1]; return D[2]\n")
+    assert _filled_dicts(tmp_path) == {"m.A", "m.B", "m.C"}
 
 
 def test_each_format_is_defined_once_in_model():

@@ -548,6 +548,28 @@ def test_token_wire_garbage_rejected():
     assert err.value.code == "BAD_TOKEN_WIRE"
 
 
+def test_a_token_field_that_is_not_text_is_a_coded_refusal():
+    with pytest.raises(ValidationError) as err:
+        token_wire(LinkToken(7, ResourceKind.VISA_IMAGE, "V1", "00"))
+    assert str(err.value) == "BAD_TOKEN_FIELD: 7"
+    for fields in [("IN", ResourceKind.VISA_IMAGE, b"V1", "00"),
+                   ("IN", ResourceKind.VISA_IMAGE, "V1", None)]:
+        with pytest.raises(ValidationError) as err:
+            LinkToken(*fields)
+        assert err.value.code == "BAD_TOKEN_FIELD"
+
+
+def test_a_token_of_a_kind_its_text_cannot_carry_is_refused_when_built():
+    # The writer writes any member's name; the reader wants a ResourceKind,
+    # so such a token would encode and then fail to decode.
+    with pytest.raises(ValidationError) as err:
+        LinkToken("IN", QrMode.BYTE, "V1", "00")
+    assert str(err.value) == "BAD_RESOURCE_KIND: <QrMode.BYTE: 'BYTE'>"
+    with pytest.raises(ValidationError) as err:
+        LinkToken("IN", "VISA_IMAGE", "V1", "00")
+    assert err.value.code == "BAD_RESOURCE_KIND"
+
+
 def test_token_payload_bits_pinned():
     auth = _Authority(authority_id="US", secret=bytes(16))
     token = mint_link_token(auth, ResourceKind.VISA_IMAGE, "V0ABCDEF")
@@ -627,7 +649,7 @@ def test_link_memos_equal_fresh_calls_property(links, rnd):
     # More distinct tokens than a memo holds, each issued at least twice
     # in a random interleaving, so kept entries are both hit and evicted;
     # every token is resolved by both authorities.
-    q._SIGNATURES.clear()
+    q._kept_signature.cache_clear()
     q._TOKENS.clear()
     twins = _twin_authorities()
     order = links * 2 + [rnd.choice(links) for _ in links]
@@ -645,7 +667,7 @@ def test_link_memos_equal_fresh_calls_property(links, rnd):
             bytes.fromhex(sent), LinkToken) == token
         for resolver in twins:
             assert _resolved(token, resolver) == _fresh_resolve(token, resolver)
-        assert len(q._SIGNATURES) <= q._MEMO_SIZE
+        assert q._kept_signature.cache_info().currsize <= q._MEMO_SIZE
         assert len(q._TOKENS) <= q._MEMO_SIZE
 
 
@@ -706,7 +728,7 @@ def test_one_wire_record_signs_twice_and_decodes_no_token(monkeypatch):
     # SUBMIT, APPROVE_PASSPORT, SUBMIT, APPROVE_VISA, RESOLVE: each
     # approval signs its link once, and its own check and the RESOLVE
     # reuse that signature and the token the reply was written from.
-    monkeypatch.setattr(q, "_SIGNATURES", {})
+    q._kept_signature.cache_clear()
     monkeypatch.setattr(q, "_TOKENS", {})
     signed, decoded = [], []
     sha256, deserialize = hashlib.sha256, q.canonical_deserialize
