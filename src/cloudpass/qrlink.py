@@ -13,16 +13,17 @@ text segmentation for QR Codes"; the mode costs are those of ISO/IEC
 
 The pass steps a whole run of one byte class at once. A byte's step
 depends only on its class (digit, other alphanumeric, lead byte of a
-valid kanji pair, any other byte) and on the eight costs taken relative
-to ``closed``, the cheapest state a segment may close in. Those relative
-costs are bounded, so there are finitely many, and a memo filled on
-first use holds, per relative state met and class, the run response:
-the states, choices and growth of ``closed`` along a run of that class
-until the relative costs repeat. After that transient the run cycles, so
-a run of any length is read off the transient, whole cycles and part of
-one more, and the segments are rebuilt with one memoised walk back per
-run; see ``encode_payload``. Link tokens are hex, long digit runs with a
-few letters between them, and need only a handful of entries.
+valid kanji pair as ``_PAIR`` alone defines it, any other byte) and on
+the eight costs taken relative to ``closed``, the cheapest state a
+segment may close in. Those relative costs are bounded, so there are
+finitely many, and a memo filled on first use holds, per relative state
+met and class, the run response: the states, choices and growth of
+``closed`` along a run of that class until the relative costs repeat.
+After that transient the run cycles, so a run of any length is read off
+the transient, whole cycles and part of one more, and the segments are
+rebuilt with one memoised walk back per run; see ``encode_payload``.
+Link tokens are hex, long digit runs with a few letters between them,
+and need only a handful of entries.
 
 Download links are MAC-style tokens: the authority signs the token's
 canonical bytes with its secret, and resolution checks the signature
@@ -69,20 +70,22 @@ MODE_INDICATOR_BITS = 4
 ALNUM_BYTES = frozenset(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ $%*+-./:")
 _ALNUM_DELETE = bytes(sorted(ALNUM_BYTES))   # for bytes.translate
 
-# Valid double-byte values, big-endian, for kanji segments.
-_KANJI_RANGES = ((0x8140, 0x9FFC), (0xE040, 0xEBBF))
-
 # The byte classes of the segmentation pass: digits, other alphanumerics,
-# lead bytes of a valid kanji pair, and any other byte. ``_CLASS_RUN``
-# matches a run of one class. It matches other bytes below 0x81 and above
-# as runs apart, both stepped as ``_OTHER``, so that only high bytes pay
-# for the pair test (``_PAIR`` spells out ``_KANJI_RANGES``).
+# lead bytes of a valid kanji pair, and any other byte. ``_PAIR`` is the
+# one definition of a valid kanji pair, a big-endian double-byte value in
+# 0x8140-0x9FFC or 0xE040-0xEBBF. ``_CLASS_RUN`` matches a run of one
+# class. It matches other bytes below 0x81 and above as runs apart, both
+# stepped as ``_OTHER``, so that only high bytes pay for the pair test.
 _DIGIT, _ALNUM, _KANJI_LEAD, _OTHER = range(4)
-_PAIR = (rb"(?:[\x82-\x9e\xe1-\xea][\x00-\xff]|[\x81\xe0][\x40-\xff]"
-         rb"|\x9f[\x00-\xfc]|\xeb[\x00-\xbf])")
+_PAIR = re.compile(rb"(?:[\x82-\x9e\xe1-\xea][\x00-\xff]|[\x81\xe0][\x40-\xff]"
+                   rb"|\x9f[\x00-\xfc]|\xeb[\x00-\xbf])")
 _CLASS_RUN = re.compile(rb"[0-9]+|[A-Z $%*+./:-]+|[^0-9A-Z $%*+./:\x81-\xff-]+"
-                        rb"|(?:(?=" + _PAIR + rb")[\x81-\xeb])+"
-                        rb"|(?:(?!" + _PAIR + rb")[\x81-\xff])+")
+                        rb"|(?:(?=" + _PAIR.pattern + rb")[\x81-\xeb])+"
+                        rb"|(?:(?!" + _PAIR.pattern + rb")[\x81-\xff])+")
+# A run's class from its first byte; None for a high byte, which leads a
+# kanji pair where ``_PAIR`` matches.
+_RUN_CLASS = tuple(_DIGIT if 0x30 <= b <= 0x39 else _ALNUM if b in ALNUM_BYTES
+                   else None if b >= 0x81 else _OTHER for b in range(256))
 
 
 class QrMode(_Enum):
@@ -109,15 +112,7 @@ def _is_alnum(data: bytes) -> bool:
     return not data.translate(None, _ALNUM_DELETE)
 
 
-def _pair_ok(hi: int, lo: int) -> bool:
-    value = hi << 8 | lo
-    return any(low <= value <= high for low, high in _KANJI_RANGES)
-
-
-def _is_kanji(data: bytes) -> bool:
-    if not data or len(data) % 2:
-        return False
-    return all(_pair_ok(data[i], data[i + 1]) for i in range(0, len(data), 2))
+_is_kanji = re.compile(_PAIR.pattern + rb"+").fullmatch
 
 
 def _as_bytes(data) -> bytes:
@@ -144,10 +139,11 @@ class QrSegment:
     payload: bytes
 
     def __post_init__(self):
+        if type(self.payload) is not bytes:
+            object.__setattr__(self, "payload", bytes(self.payload))
+
+    def validate(self) -> None:
         payload = self.payload
-        if type(payload) is not bytes:
-            payload = bytes(payload)
-            object.__setattr__(self, "payload", payload)
         if not payload:
             raise QrError("EMPTY_INPUT", "segment payload is empty")
         if not _MODES[self.mode][0](payload):
@@ -163,10 +159,11 @@ class QrPayload:
     total_bits: int
 
     def __post_init__(self):
+        if type(self.segments) is not tuple:
+            object.__setattr__(self, "segments", tuple(self.segments))
+
+    def validate(self) -> None:
         segments = self.segments
-        if type(segments) is not tuple:
-            segments = tuple(segments)
-            object.__setattr__(self, "segments", segments)
         if not segments:
             raise QrError("EMPTY_INPUT", "payload has no segments")
         expected = sum(map(segment_cost, segments))
@@ -322,26 +319,24 @@ def _walk_back(response: tuple, n: int, state: int | None):
     6 * cycle (``_PREVIOUS`` has order 6), so once it has gone that far in
     the cycle without an opening it opens none before the transient. A
     long run is therefore walked as one of the same length modulo that
-    period with two periods to spare, and its openings near the end are
-    kept as negative indices, counted from the run's end."""
+    period with two periods to spare, and kept under a negative key. That
+    needs no segment to open in the cycle, which holds for every state an
+    input can bring to a run's end
+    (``test_no_input_opens_a_segment_in_a_long_runs_cycle`` checks them
+    all); for any other state the whole run is walked."""
     _, _, _, _, transient, cycle, walks = response
     period = 6 * cycle
     if n < transient + 3 * period:
-        key = n
+        key = reduced = n
     else:
         key = -1 - (n - transient) % period
+        reduced = transient + 2 * period - 1 - key
     walk = walks.get((key, state))
-    if walk is not None:
-        return walk
-    if key >= 0:
-        walk = walks[key, state] = _walk(response, n, state)
-        return walk
-    reduced = transient + 2 * period - 1 - key
-    opens, before = _walk(response, reduced, state)
-    if any(transient <= j < reduced - period for j, _ in opens):
-        return _walk(response, n, state)    # openings recur in the cycle
-    walk = walks[key, state] = (
-        [(j - reduced if j >= transient else j, s) for j, s in opens], before)
+    if walk is None:
+        walk = _walk(response, reduced, state)
+        if key < 0 and any(j >= transient for j, _ in walk[0]):
+            return _walk(response, n, state)
+        walks[key, state] = walk
     return walk
 
 
@@ -390,15 +385,9 @@ def encode_payload(data) -> QrPayload:
     runs = []       # per run of one class: its length and its response
     end = 0
     for run in _CLASS_RUN.findall(raw):
-        c = run[0]
-        if 0x30 <= c <= 0x39:
-            cls = _DIGIT
-        elif c in ALNUM_BYTES:
-            cls = _ALNUM
-        elif c >= 0x81 and end + 1 < len(raw) and _pair_ok(c, raw[end + 1]):
-            cls = _KANJI_LEAD
-        else:
-            cls = _OTHER
+        cls = _RUN_CLASS[run[0]]
+        if cls is None:
+            cls = _KANJI_LEAD if _PAIR.match(raw, end) else _OTHER
         response = node[cls] or _respond(node, cls)
         nodes, _, _, growth, transient, cycle, _ = response
         n = len(run)
@@ -419,8 +408,6 @@ def encode_payload(data) -> QrPayload:
         opens, state = (response[6].get((n, state))     # a short run's walk
                         or _walk_back(response, n, state))
         for j, open_state in opens:
-            if j < 0:
-                j += n
             segments.append(QrSegment(_STATE_MODE[open_state],
                                       raw[end + j:stop]))
             stop = end + j
@@ -496,10 +483,18 @@ def _sign(authority_id: str, kind: ResourceKind, resource_id: str,
 
 def mint_link_token(authority, resource_kind: ResourceKind,
                     resource_id: str) -> LinkToken:
-    """``authority`` needs ``authority_id`` and ``secret`` attributes."""
-    return LinkToken(authority.authority_id, resource_kind, resource_id,
-                     _sign(authority.authority_id, resource_kind, resource_id,
-                           authority.secret))
+    """``authority`` needs ``authority_id`` and ``secret`` attributes. A
+    kind or an id the token would refuse is refused as ``LinkToken``
+    refuses it."""
+    authority_id = authority.authority_id
+    try:
+        signature = _sign(authority_id, resource_kind, resource_id,
+                          authority.secret)
+    except (AttributeError, KeyError, TypeError):
+        # A kind or an id the token refuses: that refusal, not this error.
+        LinkToken(authority_id, resource_kind, resource_id, "")
+        raise
+    return LinkToken(authority_id, resource_kind, resource_id, signature)
 
 
 def resolve_link_token(token: LinkToken, authority) -> str:

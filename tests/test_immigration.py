@@ -7,7 +7,7 @@ import pytest
 from cloudpass import authflow, immigration
 from cloudpass.authflow import SessionState
 from cloudpass.clouds import Checkpoint
-from cloudpass.errors import AuthError, DeskError, ValidationError
+from cloudpass.errors import AuthError, DeskError, NfcError, ValidationError
 from cloudpass.immigration import (PHASE_AUTH, PHASE_COMPARE, PHASE_DESK_COPY,
                                    PHASE_NFC, PHASE_OUTCOME, PHASE_STAMP,
                                    PHASES, CheckTranscript, Outcome,
@@ -145,6 +145,21 @@ def test_wrong_time_script_locks():
     transcript = run(k, submit_utc_time=True)
     assert transcript.outcome is Outcome.LOCK_AND_ALERT
     assert k.device.locked
+
+
+def test_a_tap_that_fails_but_not_on_a_lock_is_not_an_alert(monkeypatch):
+    # lock_and_alert opens its own channel when the tap has none. A locked
+    # device is alerted on; any other refusal there passes out of
+    # run_check as raised, and nothing is locked.
+    def out_of_range(device, distance_cm):
+        raise NfcError("OUT_OF_RANGE", f"{distance_cm} cm")
+
+    monkeypatch.setattr(immigration, "establish", out_of_range)
+    k = build_kit()
+    with pytest.raises(NfcError) as err:
+        run(k)
+    assert str(err.value) == "OUT_OF_RANGE: 5.0 cm"
+    assert not k.device.locked
 
 
 def test_lock_outcome_is_final_transcript_event():

@@ -300,6 +300,39 @@ def test_no_record_calls_its_own_validate():
     assert _calls("validate") == {("model.py", "DeviceState.__post_init__")}
 
 
+def _refusing_post_inits(root: Path = SRC) -> set[tuple[str, str]]:
+    """Every ``raise`` under ``root`` inside a record's ``__post_init__``,
+    as its site."""
+    inits = {(module, f"{name}.__post_init__")
+             for module, name in _sites(_record_class, root)}
+    return {(module, scope)
+            for module, scope in _sites(lambda node: isinstance(node, ast.Raise), root)
+            if any(module == m and (scope + ".").startswith(init + ".")
+                   for m, init in inits)}
+
+
+def test_no_record_refuses_in_its_post_init():
+    # The rule above, for refusals: every check of a record is in its
+    # validate, so the codes and texts of its refusals are in one place.
+    assert _refusing_post_inits() == set()
+
+
+def test_refusing_post_init_finder_sees_each_form(tmp_path):
+    (tmp_path / "r.py").write_text(
+        "from cloudpass.model import record\n"
+        "@record\n"
+        "class E:\n"
+        "    x: int\n"
+        "    def __post_init__(self):\n"
+        "        def f(): raise ValueError\n"
+        "        raise ValueError\n"
+        "    def validate(self): raise ValueError\n"
+        "class G:\n"
+        "    def __post_init__(self): raise ValueError\n")
+    assert _refusing_post_inits(tmp_path) == {("r.py", "E.__post_init__"),
+                                              ("r.py", "E.__post_init__.f")}
+
+
 def test_record_finder_sees_each_form(tmp_path):
     (tmp_path / "r.py").write_text(
         "from cloudpass import model\n"

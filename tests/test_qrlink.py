@@ -235,6 +235,29 @@ def test_payload_bit_total_validated():
     assert err.value.code == "BAD_BIT_TOTAL"
 
 
+def test_records_normalise_their_fields_then_check_them():
+    seg = QrSegment(QrMode.BYTE, bytearray(b"a"))
+    assert type(seg.payload) is bytes and seg.payload == b"a"
+    payload = QrPayload([seg], 20)
+    assert type(payload.segments) is tuple and payload.segments == (seg,)
+    with pytest.raises(QrError) as err:
+        QrPayload([], 0)
+    assert str(err.value) == "EMPTY_INPUT: payload has no segments"
+    with pytest.raises(QrError) as err:
+        QrSegment(QrMode.BYTE, bytearray())
+    assert str(err.value) == "EMPTY_INPUT: segment payload is empty"
+
+
+def test_kanji_check_matches_the_pair_loop():
+    # Every string of up to four bytes over lead and trail bytes, near
+    # misses on both sides of the valid ranges and one other byte.
+    alphabet = b"\x81\x40\x9f\xfc\xfd\xe0\xeb\xbf\xc0\x3f"
+    for k in range(5):
+        for word in itertools.product(alphabet, repeat=k):
+            data = bytes(word)
+            assert bool(q._is_kanji(data)) == _kanji_ok(data), data
+
+
 # ---------------------------------------------------------------------------
 # optimal encoding
 
@@ -367,6 +390,18 @@ def test_kanji_pair_pattern_spells_ranges():
             assert bool(pair.fullmatch(word)) == _kanji_ok(word), word
 
 
+def test_class_run_pattern_spells_alnum_bytes():
+    # _CLASS_RUN spells the digits, the other alphanumerics and the other
+    # bytes below 0x81 out again: a byte joins the run of "0", "A" or "a"
+    # exactly when ALNUM_BYTES gives it that byte's class.
+    for b in range(256):
+        for mate, cls in ((b"0", q._DIGIT), (b"A", q._ALNUM), (b"a", q._OTHER)):
+            joined = q._CLASS_RUN.match(bytes([b]) + mate).end() == 2
+            assert joined == (q._RUN_CLASS[b] == cls), (b, mate)
+    assert {b for b in range(256) if q._RUN_CLASS[b] in (q._DIGIT, q._ALNUM)} \
+        == q.ALNUM_BYTES
+
+
 def test_long_runs_walk_back_as_stepped(monkeypatch):
     # A walk back over a long run is memoised as one of the same length
     # modulo the walk's period; it must give what walking every byte does.
@@ -385,6 +420,57 @@ def test_long_runs_walk_back_as_stepped(monkeypatch):
                 opens, before = q._walk_back(response, n, state)
                 opens = [(j + n if j < 0 else j, s) for j, s in opens]
                 assert (opens, before) == q._walk(response, n, state)
+
+
+def test_no_input_opens_a_segment_in_a_long_runs_cycle(monkeypatch):
+    # _walk_back walks a long run as a shorter one of the same length
+    # modulo its period, which needs no segment to open in the run's
+    # cycle; for any other state it walks the whole run. The memo is
+    # finite, so fill it for every class from every relative state, and
+    # check every run response against every state a walk back can bring
+    # to a run's last byte: the states the bytes after it hand back, and
+    # None (the cheapest closable state) where the input ends, which it
+    # cannot after a kanji lead byte.
+    monkeypatch.setattr(q, "_NODES", {})
+    q._node((q._UNREACHABLE,) * 8)
+    done = 0
+    while done < len(q._NODES):
+        batch = list(q._NODES.values())[done:]
+        done += len(batch)
+        for node in batch:
+            for cls in range(4):
+                q._respond(node, cls)
+    nodes = list(q._NODES.values())
+    assert len(nodes) < 5_000     # 3,628
+    # brought[id(node)]: the states a walk back holds at a byte that
+    # leaves the automaton in ``node`` and that more bytes follow.
+    brought = {id(node): set() for node in nodes}
+
+    def handed(node, cls):
+        return brought[id(node)] | ({None} if cls != q._KANJI_LEAD else set())
+
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes:
+            for cls in range(4):
+                after, masks, states = node[cls][:3]
+                for state in handed(after[1], cls):
+                    state = states[0] if state is None else state
+                    before = None if masks[0] >> state & 1 else q._PREVIOUS[state]
+                    if before not in brought[id(node)]:
+                        brought[id(node)].add(before)
+                        changed = True
+    # A walk that opens nothing for 6 * cycle steps opens nothing after.
+    for node in nodes:
+        for cls in range(4):
+            response = node[cls]
+            transient, cycle = response[4], response[5]
+            for end in range(transient, transient + cycle):
+                n = end + 1 + 6 * cycle
+                for state in handed(response[0][end + 1], cls):
+                    opens, _ = q._walk(response, n, state)
+                    assert all(j < transient for j, _ in opens), (n, state)
 
 
 def test_memo_stays_small(monkeypatch):
@@ -568,6 +654,28 @@ def test_a_token_of_a_kind_its_text_cannot_carry_is_refused_when_built():
     with pytest.raises(ValidationError) as err:
         LinkToken("IN", "VISA_IMAGE", "V1", "00")
     assert err.value.code == "BAD_RESOURCE_KIND"
+
+
+def test_a_mint_the_token_would_refuse_is_a_coded_refusal(monkeypatch):
+    auth = _Authority()
+    with pytest.raises(ValidationError) as err:
+        mint_link_token(auth, QrMode.BYTE, "V1")
+    assert str(err.value) == "BAD_RESOURCE_KIND: <QrMode.BYTE: 'BYTE'>"
+    for authority, resource_id, field in [(auth, 7, "7"), (auth, b"V1", "b'V1'"),
+                                          (_Authority(authority_id=7), "V1", "7")]:
+        with pytest.raises(ValidationError) as err:
+            mint_link_token(authority, ResourceKind.VISA_IMAGE, resource_id)
+        assert str(err.value) == f"BAD_TOKEN_FIELD: {field}"
+    # The authority's own fault passes out as raised.
+    with pytest.raises(TypeError):
+        mint_link_token(_Authority(secret="s3cret"), ResourceKind.VISA_IMAGE, "V1")
+    # A valid mint builds its token once.
+    checks = []
+    monkeypatch.setattr(LinkToken, "validate",
+                        lambda token, check=LinkToken.validate:
+                        checks.append(check(token)))
+    mint_link_token(auth, ResourceKind.VISA_IMAGE, "V1")
+    assert len(checks) == 1
 
 
 def test_token_payload_bits_pinned():
